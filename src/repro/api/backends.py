@@ -75,6 +75,7 @@ from repro.engine import (
     passes,
     plan_detection,
     plan_has_violation,
+    projection_column_keys,
 )
 from repro.errors import SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
@@ -131,7 +132,7 @@ class Backend(Protocol):
 
     def insert(self, relation: str, row: Any) -> bool: ...
 
-    def delete(self, relation: str, row: Tuple) -> bool: ...
+    def delete(self, relation: str, row: Any) -> bool: ...
 
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
@@ -212,9 +213,11 @@ class BaseBackend:
         self._invalidate()
         return True
 
-    def delete(self, relation: str, row: Tuple) -> bool:
+    def delete(
+        self, relation: str, row: Tuple | Sequence[Any] | Mapping[str, Any]
+    ) -> bool:
         """Delete from the session database; False if not present."""
-        if not self.db[relation].discard(row):
+        if not self.db[relation].discard(self._coerce_tuple(relation, row)):
             return False
         self._invalidate()
         return True
@@ -389,9 +392,7 @@ class SQLBackend(BaseBackend):
     def __init__(self, db, sigma, options=None):
         super().__init__(db, sigma, options)
         self._detector: SQLViolationDetector | None = None
-        self._canonical: dict[str, dict[tuple[Any, ...], Tuple]] = {}
-        self._str_image: dict[str, dict[tuple[str, ...], Tuple | None]] = {}
-        self._scan_position: dict[str, dict[Tuple, int]] = {}
+        self._str_image: dict[str, dict[tuple[str, ...], int | None]] = {}
 
     # -- sqlite session management ----------------------------------------
 
@@ -401,12 +402,10 @@ class SQLBackend(BaseBackend):
         return self._detector
 
     def _invalidate(self) -> None:
-        # The sqlite image and the row->Tuple maps mirror the data; a
+        # The sqlite image and the string-image map mirror the data; a
         # mutation invalidates both (reloaded lazily on the next call).
         self.close()
-        self._canonical.clear()
         self._str_image.clear()
-        self._scan_position.clear()
 
     def close(self) -> None:
         if self._detector is not None:
@@ -415,19 +414,11 @@ class SQLBackend(BaseBackend):
 
     # -- row -> canonical tuple mapping ------------------------------------
 
-    def _canonical_map(self, relation: str) -> dict[tuple[Any, ...], Tuple]:
-        by_values = self._canonical.get(relation)
-        if by_values is None:
-            by_values = self._canonical[relation] = {
-                t.values: t for t in self.db[relation]
-            }
-        return by_values
-
-    def _canonical_tuple(self, relation: str, row: tuple[Any, ...]) -> Tuple:
-        by_values = self._canonical_map(relation)
-        t = by_values.get(row)
-        if t is not None:
-            return t
+    def _canonical_row_id(self, relation: str, row: tuple[Any, ...]) -> int:
+        instance = self.db[relation]
+        rowid = instance.row_id(row)
+        if rowid is not None:
+            return rowid
         # sqlite affinity may have round-tripped a value through another
         # type (e.g. "5" stored in an INTEGER column comes back as 5);
         # retry on the string image of every value, via a map built once
@@ -436,25 +427,19 @@ class SQLBackend(BaseBackend):
         images = self._str_image.get(relation)
         if images is None:
             images = self._str_image[relation] = {}
-            for values, candidate in by_values.items():
+            for candidate, values in zip(
+                instance.row_ids(), zip(*instance.columns())
+            ):
                 image = tuple(map(str, values))
                 images[image] = None if image in images else candidate
-        t = images.get(tuple(map(str, row)))
-        if t is not None:
-            return t
+        rowid = images.get(tuple(map(str, row)))
+        if rowid is not None:
+            return rowid
         raise SQLBackendError(
             f"SQL row {row!r} has no unambiguous counterpart in relation "
             f"{relation!r}; the sqlite image is stale, a value did not "
             "round-trip, or two tuples share its string image"
         )
-
-    def _positions(self, relation: str) -> dict[Tuple, int]:
-        order = self._scan_position.get(relation)
-        if order is None:
-            order = self._scan_position[relation] = {
-                t: i for i, t in enumerate(self.db[relation])
-            }
-        return order
 
     # -- detection ---------------------------------------------------------
 
@@ -467,18 +452,19 @@ class SQLBackend(BaseBackend):
             relation = cfd.relation.name
             instance = self.db[relation]
             dirty = {
-                self._canonical_tuple(relation, row).project(cfd.lhs)
+                instance.view(self._canonical_row_id(relation, row)).project(
+                    cfd.lhs
+                )
                 for row in rows
             }
             # Candidate keys in scan (first-occurrence) order — the order
             # the engine's group-by would surface them in.
-            ordered: list[tuple[Any, ...]] = []
-            seen: set[tuple[Any, ...]] = set()
-            for t in instance:
-                key = t.project(cfd.lhs)
-                if key in dirty and key not in seen:
-                    seen.add(key)
-                    ordered.append(key)
+            keys = projection_column_keys(
+                instance.columns(),
+                attribute_positions(cfd.relation, cfd.lhs),
+                len(instance),
+            )
+            ordered = [key for key in dict.fromkeys(keys) if key in dirty]
             out.extend(self._replay_cfd(cfd, instance, ordered))
         return out
 
@@ -533,14 +519,18 @@ class SQLBackend(BaseBackend):
             ):
                 if not rows:
                     continue
-                position = self._positions(relation)
-                tuples = sorted(
-                    (self._canonical_tuple(relation, row) for row in rows),
-                    key=position.__getitem__,
+                # Row ids ascend in scan order.
+                instance = self.db[relation]
+                rowids = sorted(
+                    self._canonical_row_id(relation, row) for row in rows
                 )
                 out.extend(
-                    CINDViolation(cind=cind, pattern_index=row_index, tuple_=t)
-                    for t in tuples
+                    CINDViolation(
+                        cind=cind,
+                        pattern_index=row_index,
+                        tuple_=instance.view(rowid),
+                    )
+                    for rowid in rowids
                 )
         return out
 
@@ -939,7 +929,7 @@ class SQLFileBackend(BaseBackend):
         self._touch(relation)
         return True
 
-    def delete(self, relation, row: Tuple) -> bool:
+    def delete(self, relation: str, row: Any) -> bool:
         """DELETE from the file; False if no such row existed.
 
         A single statement on an autocommit connection — atomic as is.
@@ -1077,7 +1067,7 @@ class IncrementalBackend(BaseBackend):
         return self.checker.insert(relation, row)
 
     def delete(self, relation, row) -> bool:
-        return self.checker.delete(relation, row)
+        return self.checker.delete(relation, self._coerce_tuple(relation, row))
 
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()

@@ -41,9 +41,9 @@ Pool flavours:
   copy-on-write: nothing data-sized is pickled on the way in. The one
   exception is the merged witness key sets, which only exist after the
   barrier — they travel to CIND probe shards as arguments. On the way out
-  workers return only plain values (group keys, tuple values, kinds,
+  workers return only plain values (group keys, row positions, kinds,
   shard-state payloads) — never ``Tuple``/constraint objects — and the
-  parent rebinds them to its own canonical tuples.
+  parent rebinds them to its own row views.
 * ``thread`` — the same graph on a
   :class:`~concurrent.futures.ThreadPoolExecutor`. No pickling or forking
   at all, but CPU-bound scans stay GIL-bound; useful on platforms without
@@ -93,6 +93,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
 from repro.engine import DetectionPlan, DetectionSummary, ScanCache
@@ -100,7 +101,6 @@ from repro.engine.executor import (
     _check_cache,
     assemble_from_hits,
     cfd_group_hits,
-    release_scan_memos,
 )
 from repro.engine.planner import WitnessSpec
 from repro.engine.shards import (
@@ -122,7 +122,7 @@ from repro.engine.shards import (
 )
 from repro.api.workerpool import ShmRef, WorkerPool, fetch_payload
 from repro.core.violations import ViolationReport
-from repro.relational.instance import DatabaseInstance, Tuple
+from repro.relational.instance import DatabaseInstance
 from repro.sql.windows import (
     ReadonlyConnectionPool,
     SeededWitnesses,
@@ -183,23 +183,19 @@ def _relation_witness_specs(
     return list(dict.fromkeys(t.witness for t in plan.cind_scans[relation]))
 
 
-def _shard_columns(instance, start: int, stop: int):
-    """The shard's slice of the instance's columnar view (whole = shared)."""
-    return shard_columns(instance.columns(), start, stop)
-
-
 # -- worker-side payload functions --------------------------------------------
 # Workers return plain values keyed by task/spec position, never live
 # objects: process workers run in a forked copy of the parent, so object
 # identity (and with it the plan's id(task) bucketing) does not survive
 # the trip. Hit payloads are returned in both full and count mode — they
 # are bounded by the violation count and let the parent cache them for
-# either mode.
+# either mode. CIND hits travel as row positions: worker and parent read
+# the relation at the same version, so their compacted columns agree.
 #
 # A non-None ``ref`` (persistent pools only) means the relation drifted
 # since this worker forked: its copy-on-write snapshot is stale and the
-# current columnar views are fetched from the named shared-memory
-# segment instead. ``witness_ref`` carries the merged witness key sets
+# current columns are fetched from the named shared-memory segment
+# instead. ``witness_ref`` carries the merged witness key sets
 # the same way.
 
 
@@ -235,7 +231,7 @@ def _cfd_shard_payload(
     if ref is not None:
         columns = shard_columns(fetch_payload(ref), start, stop)
     else:
-        columns = _shard_columns(db[group.relation], start, stop)
+        columns = shard_columns(db[group.relation].columns(), start, stop)
     return cfd_map_shard(group, shard_key_fn(columns, stop - start)).payload()
 
 
@@ -248,7 +244,7 @@ def _witness_shard_payload(
     if ref is not None:
         columns = shard_columns(fetch_payload(ref), start, stop)
     else:
-        columns = _shard_columns(db[relation], start, stop)
+        columns = shard_columns(db[relation].columns(), start, stop)
     return witness_map_shard(specs, columns, shard_key_fn(columns, stop - start)).sets
 
 
@@ -259,8 +255,8 @@ def _cind_shard_payload(
     witness_sets: list[set[tuple[Any, ...]]] | None,
     ref: ShmRef | None = None,
     witness_ref: ShmRef | None = None,
-) -> list[list[tuple[Any, ...]]]:
-    """Per-task violating tuple *values* over one shard's rows.
+) -> list[list[int]]:
+    """Per-task violating row positions over one shard's rows.
 
     ``witness_sets`` are the merged (whole-relation) witness key sets in
     :func:`_relation_witness_specs` order — the only data that cannot be
@@ -276,15 +272,11 @@ def _cind_shard_payload(
     witnesses = dict(zip(_relation_witness_specs(plan, relation), witness_sets))
     if ref is not None:
         columns = shard_columns(fetch_payload(ref), start, stop)
-        payload = list(zip(*columns)) if columns else [
-            () for __ in range(stop - start)
-        ]
     else:
-        instance = db[relation]
-        columns = _shard_columns(instance, start, stop)
-        payload = [t.values for t in instance.rows()[start:stop]]
+        columns = shard_columns(db[relation].columns(), start, stop)
     state = cind_map_shard(
-        tasks, columns, payload, witnesses, shard_key_fn(columns, stop - start)
+        tasks, columns, range(start, stop), witnesses,
+        shard_key_fn(columns, stop - start),
     )
     return state.buckets
 
@@ -456,13 +448,24 @@ def execute_plan_parallel(
         raise ValueError(f"mode must be 'full' or 'count', got {mode!r}")
     _check_cache(plan, cache, db)
     pool_kind = pool.kind if pool is not None else resolve_executor(executor)
+    args = (
+        plan, db, workers, mode, pool_kind, cache, min_shard_rows, shards,
+        pool, steal_granularity,
+    )
     try:
-        return _execute_parallel(
-            plan, db, workers, mode, pool_kind, cache, min_shard_rows,
-            shards, pool, steal_granularity,
-        )
+        try:
+            return _execute_parallel(*args)
+        except BrokenProcessPool:
+            # A persistent pool's worker died: retire the executor through
+            # the re-fork path and run once more on fresh workers.
+            if pool is None:
+                raise
+            with _EXECUTION_LOCK:
+                pool.recover()
+            return _execute_parallel(*args)
     finally:
-        release_scan_memos(db, cache)
+        if cache is not None:
+            cache.release_projections()
 
 
 def _unit_shards(
@@ -534,17 +537,17 @@ def _execute_parallel(
                 continue
         cold_cind.append(relation)
 
-    # Forked workers inherit the columnar views copy-on-write only if the
-    # parent materialized them first; one transpose here saves one per
-    # worker per relation. Everything must be warm before the *first*
-    # submission — that is when the single pool forks.
-    for i in cold_groups:
-        db[plan.cfd_groups[i].relation].columns()
-    for relation in cold_witness_relations:
+    # Forked workers inherit the columns copy-on-write; compacting pending
+    # tombstones here does it once in the parent instead of once per
+    # worker. Must happen before the *first* submission — that is when
+    # the single pool forks.
+    scan_relations = dict.fromkeys(
+        [plan.cfd_groups[i].relation for i in cold_groups]
+        + cold_witness_relations
+        + cold_cind
+    )
+    for relation in scan_relations:
         db[relation].columns()
-    for relation in cold_cind:
-        db[relation].columns()
-        db[relation].rows()
 
     _EXECUTION_LOCK.acquire()
     _STATE = (plan, db)
@@ -556,11 +559,6 @@ def _execute_parallel(
         # empty). Must happen under the lock, before the first submit.
         shm_refs: dict[str, ShmRef] = {}
         if pool is not None:
-            scan_relations = dict.fromkeys(
-                [plan.cfd_groups[i].relation for i in cold_groups]
-                + cold_witness_relations
-                + cold_cind
-            )
             shm_refs = pool.prepare(db, scan_relations)
 
         nodes: list[_Node] = []
@@ -720,18 +718,14 @@ def _execute_parallel(
                 merged = merge_cind_states(
                     [CINDScanState(b) for b in buckets]
                 )
-                if any(merged.buckets):
-                    # Rebind worker values to the parent's canonical tuples.
-                    by_values: dict[tuple[Any, ...], Tuple] = {
-                        t.values: t for t in db[relation]
-                    }
-                    hits = [
-                        (task, by_values[values])
-                        for task, bucket in zip(tasks, merged.buckets)
-                        for values in bucket
-                    ]
-                else:
-                    hits = []
+                # Rebind worker row positions to the parent's row views.
+                instance = db[relation]
+                rowids = instance.row_ids()
+                hits = [
+                    (task, instance.view(rowids[pos]))
+                    for task, bucket in zip(tasks, merged.buckets)
+                    for pos in bucket
+                ]
                 cind_hit_lists[relation] = hits
                 if cache is not None:
                     cache.store_cind_hits(
@@ -759,6 +753,7 @@ def _execute_parallel(
         list(zip(plan.cfd_groups, cfd_hit_lists)),
         [(rel, cind_hit_lists[rel]) for rel in plan.cind_scans],
         mode,
+        cache,
     )
 
 # -- rowid-window dispatch for the sqlfile backend ------------------------------

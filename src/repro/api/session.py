@@ -224,8 +224,11 @@ class Session:
         self._ensure_open()
         return self.backend.insert(relation, row)
 
-    def delete(self, relation: str, row: Tuple) -> bool:
-        """Delete a tuple; ``False`` when it was not present."""
+    def delete(
+        self, relation: str, row: Tuple | Sequence[Any] | Mapping[str, Any]
+    ) -> bool:
+        """Delete a tuple (sequence/mapping rows are coerced, as in
+        :meth:`apply`); ``False`` when it was not present."""
         self._ensure_open()
         return self.backend.delete(relation, row)
 

@@ -23,7 +23,7 @@ relations into:
 * **unchanged** (version still matches the snapshot) — byte-identical in
   every worker's copy-on-write image, read directly, nothing shipped;
 * **drifted, small** (total drifted rows ≤ :attr:`WorkerPool.shm_drift_rows`)
-  — the relation's columnar views are published once into a
+  — the relation's columns are published once into a
   :class:`multiprocessing.shared_memory` segment keyed by
   ``(relation, version)`` (a :class:`ShmColumnStore` entry) and workers
   read the segment instead of their stale copy. Worker PIDs stay stable:
@@ -71,7 +71,7 @@ if TYPE_CHECKING:
     from repro.relational.instance import DatabaseInstance
 
 #: A store key: ``("columns", relation, version)`` for a relation's
-#: columnar views, ``("witness", relation, deps)`` for a CIND LHS
+#: columns, ``("witness", relation, deps)`` for a CIND LHS
 #: relation's merged witness key sets (``deps`` = the RHS relations'
 #: ``(name, version)`` pairs the sets were computed from).
 StoreKey = tuple[Any, ...]
@@ -312,7 +312,8 @@ class WorkerPool:
         for name in scan_relations:
             if name in drifted:
                 refs[name] = self._lease(
-                    ("columns", name, current[name]), relations[name].columns
+                    ("columns", name, current[name]),
+                    lambda: tuple(map(tuple, relations[name].columns())),
                 )
         self._sweep(current)
         return refs
@@ -352,6 +353,12 @@ class WorkerPool:
             return any(current.get(name) != version for name, version in deps)
 
         self._store.sweep(stale)
+
+    def recover(self) -> None:
+        """Retire a broken executor (a worker died) through the re-fork
+        path: the epoch bumps, every segment unlinks, and the next
+        execution forks fresh workers over the live data."""
+        self._refork(self._snapshot)
 
     def _refork(self, current: dict[str, int]) -> None:
         """Drift too large for segments: retire the workers, re-baseline.

@@ -37,11 +37,11 @@ from repro.core.violations import ConstraintSet, constraint_labels
 from repro.engine import (
     attribute_positions,
     compile_checks,
-    group_tuples_by,
     passes,
     projection_column_keys,
 )
 from repro.engine.executor import filter_by_checks
+from repro.engine.shards import shard_key_fn
 from repro.errors import ConstraintError
 from repro.relational.instance import DatabaseInstance, Tuple
 from repro.relational.values import is_wildcard
@@ -146,19 +146,24 @@ class IncrementalChecker:
                 by_scan.setdefault((cfd.relation.name, cfd.lhs), []).append(state)
         for (relation, lhs), states in by_scan.items():
             instance = self.db[relation]
-            positions = attribute_positions(instance.schema, lhs)
-            groups = group_tuples_by(instance, positions)
+            columns = instance.columns()
+            keys = projection_column_keys(
+                columns, attribute_positions(instance.schema, lhs), len(instance)
+            )
+            groups: dict[tuple, list[int]] = {}
+            for i, key in enumerate(keys):
+                groups.setdefault(key, []).append(i)
             for state in states:
                 cfd = state.cfd
                 key_checks = compile_checks(
                     cfd.pattern.lhs_projection(lhs), range(len(lhs))
                 )
-                rhs_pos = instance.schema.positions[cfd.rhs_attribute]
-                for key, tuples in groups.items():
+                rhs_values = columns[instance.schema.positions[cfd.rhs_attribute]]
+                for key, rows in groups.items():
                     if not passes(key, key_checks):
                         continue
                     state.groups[key] = Counter(
-                        t.values[rhs_pos] for t in tuples
+                        map(rhs_values.__getitem__, rows)
                     )
                     state.refresh(key)
 
@@ -180,31 +185,26 @@ class IncrementalChecker:
             instance = self.db[relation]
             columns = instance.columns()
             positions = instance.schema.positions
-            n = len(instance)
-            key_lists: dict[tuple[int, ...], list] = {}
+            key_lists = shard_key_fn(columns, len(instance))
             for key in keys:
                 yp_checks = compile_checks(
                     key[3], tuple(positions[a] for a in key[2])
                 )
-                y_positions = tuple(positions[a] for a in key[1])
-                y_keys = key_lists.get(y_positions)
-                if y_keys is None:
-                    y_keys = key_lists[y_positions] = projection_column_keys(
-                        columns, y_positions, n
-                    )
+                y_keys = key_lists(tuple(positions[a] for a in key[1]))
                 counter = Counter(filter_by_checks(columns, yp_checks, y_keys))
                 consumers = shared[key]
                 for state in consumers[:-1]:
                     state.witness_count = counter.copy()
                 consumers[-1].witness_count = counter
 
-        # Violation sets: one columnar pass per LHS relation per state.
+        # Violation sets: one columnar pass per LHS relation per state;
+        # only the violating rows get Tuple views.
         for relation, states in self._cind_lhs.items():
             instance = self.db[relation]
             columns = instance.columns()
-            rows = instance.rows()
+            rows = instance.row_ids()
             positions = instance.schema.positions
-            key_lists = {}
+            key_lists = shard_key_fn(columns, len(rows))
             for state in states:
                 cind = state.cind
                 lhs_attrs = cind.x + cind.xp
@@ -212,22 +212,13 @@ class IncrementalChecker:
                     cind.pattern.lhs_projection(lhs_attrs),
                     tuple(positions[a] for a in lhs_attrs),
                 )
-                x_positions = tuple(positions[a] for a in cind.x)
-                x_keys = key_lists.get(x_positions)
-                if x_keys is None:
-                    x_keys = key_lists[x_positions] = projection_column_keys(
-                        columns, x_positions, len(rows)
-                    )
+                x_keys = key_lists(tuple(positions[a] for a in cind.x))
                 witness_count = state.witness_count
-                for key, t in filter_by_checks(
+                for key, rowid in filter_by_checks(
                     columns, lhs_checks, zip(x_keys, rows)
                 ):
                     if witness_count.get(key, 0) == 0:
-                        state.add_violation(key, t)
-
-        # The columnar views were build-time artifacts; after the bulk
-        # build all maintenance is per-tuple.
-        self.db.release_views()
+                        state.add_violation(key, instance.view(rowid))
 
     # -- public API -----------------------------------------------------------
 

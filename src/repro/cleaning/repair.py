@@ -48,6 +48,7 @@ repair rounds actually executed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ from repro.cleaning.planner import (
 )
 from repro.core.violations import ConstraintSet, constraint_labels
 from repro.errors import ReproError
-from repro.relational.instance import DatabaseInstance, Tuple
+from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.relational.schema import RelationSchema
 
 if TYPE_CHECKING:
@@ -152,44 +153,20 @@ def replay_edits(db: DatabaseInstance, edits: list[RepairEdit]) -> DatabaseInsta
 # -- worklist ordering --------------------------------------------------------
 
 
-class _PositionIndex:
-    """Scan-order positions of live tuples, maintained across batches.
+def _scan_order(instance: RelationInstance) -> Callable[[Tuple], float]:
+    """Sort key putting tuples in *instance*'s scan order (absent last).
 
     The engine reports CFD group keys in first-occurrence scan order and
-    CIND tuples in scan order. A checker-fed worklist has only *sets*, so
-    this index re-derives that order: every tuple gets a monotonically
-    increasing ticket at insertion, deletes retire tickets, and a
-    re-inserted tuple gets a fresh (higher) ticket — exactly matching the
-    insertion-ordered relation dict (and sqlite rowid order) the scans
-    iterate.
+    CIND tuples in scan order; a checker-fed worklist has only *sets*, so
+    it is ordered by row id, which ascends in scan order.
     """
+    row_id = instance.row_id
 
-    def __init__(self, db: DatabaseInstance):
-        self._pos: dict[str, dict[Tuple, int]] = {}
-        self._next = 0
-        for name, instance in db.relations().items():
-            positions = self._pos[name] = {}
-            for t in instance.rows():
-                positions[t] = self._next
-                self._next += 1
+    def key(t: Tuple) -> float:
+        rowid = row_id(t.values)
+        return math.inf if rowid is None else rowid
 
-    def note_batch(
-        self,
-        deletes: list[tuple[str, Tuple]],
-        inserts: list[tuple[str, Tuple]],
-    ) -> None:
-        """Record one applied batch (deletes first, then inserts — the
-        ``Session.apply`` order)."""
-        for relation, t in deletes:
-            self._pos[relation].pop(t, None)
-        for relation, t in inserts:
-            positions = self._pos[relation]
-            if t not in positions:
-                positions[t] = self._next
-                self._next += 1
-
-    def of(self, relation: str, t: Tuple) -> int:
-        return self._pos[relation].get(t, self._next)
+    return key
 
 
 def _normalized_alignment(
@@ -292,14 +269,12 @@ class _CheckerSource:
         checker: "IncrementalChecker",
         sigma: ConstraintSet,
         plan_db: DatabaseInstance,
-        positions: _PositionIndex,
         labels: dict[int, str],
         shadow: "Session | None" = None,
     ):
         self.checker = checker
         self.sigma = sigma
         self.plan_db = plan_db
-        self.positions = positions
         self.labels = labels
         self.shadow = shadow
         self.cfd_map, self.cind_map = _normalized_alignment(sigma, checker)
@@ -316,8 +291,7 @@ class _CheckerSource:
                 per_task.setdefault(slot, set()).update(violated)
         items: list[WorkItem] = []
         for index, cfd in enumerate(self.sigma.cfds):
-            relation = cfd.relation.name
-            instance = self.plan_db[relation]
+            instance = self.plan_db[cfd.relation.name]
             label = self.labels[id(cfd)]
             for row in range(len(cfd.tableau)):
                 keys = per_task.get((index, row))
@@ -326,10 +300,8 @@ class _CheckerSource:
                 groups = {
                     key: instance.lookup(cfd.lhs, key) for key in keys
                 }
-                for key in sorted(
-                    keys,
-                    key=lambda k: self.positions.of(relation, groups[k][0]),
-                ):
+                order = _scan_order(instance)
+                for key in sorted(keys, key=lambda k: order(groups[k][0])):
                     items.append(
                         CFDWork(
                             cfd=cfd,
@@ -345,15 +317,13 @@ class _CheckerSource:
             if tuples:
                 per_cind[slot] = tuples
         for index, cind in enumerate(self.sigma.cinds):
-            relation = cind.lhs_relation.name
+            order = _scan_order(self.plan_db[cind.lhs_relation.name])
             label = self.labels[id(cind)]
             for row in range(len(cind.tableau)):
                 tuples = per_cind.get((index, row))
                 if not tuples:
                     continue
-                for t in sorted(
-                    tuples, key=lambda t: self.positions.of(relation, t)
-                ):
+                for t in sorted(tuples, key=order):
                     items.append(
                         CINDWork(
                             cind=cind, pattern_index=row, label=label, tuple_=t
@@ -497,11 +467,7 @@ def repair(
             source = _ReportSource(session, labels)
         elif backend == "incremental":
             source = _CheckerSource(
-                session.backend.checker,
-                sigma,
-                work,
-                _PositionIndex(work),
-                labels,
+                session.backend.checker, sigma, work, labels
             )
         else:
             shadow = connect(
@@ -509,12 +475,7 @@ def repair(
                 options=ExecutionOptions(),
             )
             source = _CheckerSource(
-                shadow.backend.checker,
-                sigma,
-                work,
-                _PositionIndex(work),
-                labels,
-                shadow=shadow,
+                shadow.backend.checker, sigma, work, labels, shadow=shadow
             )
 
         edits: list[RepairEdit] = []
@@ -552,8 +513,6 @@ def repair(
                     work[relation].discard(t)
                 for relation, t in plan.inserts:
                     work[relation].add(t)
-            if isinstance(source, _CheckerSource):
-                source.positions.note_batch(plan.deletes, plan.inserts)
             source.commit(plan)
             edits.extend(plan.edits)
             rounds_executed = round_no

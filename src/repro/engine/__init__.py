@@ -72,9 +72,7 @@ from repro.engine.executor import (
     cfd_group_hits,
     cind_scan_hits,
     execute_plan,
-    group_tuples_by,
     plan_has_violation,
-    projection_keys,
     witness_sets,
 )
 from repro.engine.planner import (
@@ -129,13 +127,11 @@ __all__ = [
     "database_is_clean",
     "detect",
     "execute_plan",
-    "group_tuples_by",
     "make_shards",
     "passes",
     "plan_detection",
     "plan_has_violation",
     "projection_column_keys",
-    "projection_keys",
     "witness_map_shard",
     "witness_sets",
 ]

@@ -17,7 +17,8 @@ computed at can be replayed for free while the version stands still.
   probes all consume (each distinct projection is computed once per
   version, shared across scan units);
 * **CFD group hits** keyed by ``(relation, X-positions, version)`` — the
-  evaluated ``(task, group key, kind)`` list of one CFD scan group;
+  evaluated ``(task, group key, kind)`` list of one CFD scan group, plus
+  the violating groups' tuples once a full report materialized them;
 * **witness key sets** keyed by ``(spec, version)`` — one semijoin key
   set per :class:`~repro.engine.planner.WitnessSpec`;
 * **CIND hit lists** keyed by ``(relation, version, witness-versions)`` —
@@ -38,20 +39,25 @@ the number of violations, not the number of tuples).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
     from repro.engine.planner import CFDScanGroup, CINDRowTask, DetectionPlan, WitnessSpec
     from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 
 
+#: One value sequence per attribute, in row order: a relation's columns or
+#: a row-range slice of them.
+Columns = Sequence[Sequence[Any]]
+
+
 def projection_column_keys(
-    columns: tuple[tuple[Any, ...], ...], positions: tuple[int, ...], n: int
+    columns: Columns, positions: tuple[int, ...], n: int
 ) -> list[tuple[Any, ...]]:
     """Per-tuple projection key tuples, built column-wise at C speed.
 
     Equivalent to ``[tuple(t.values[i] for i in positions) for t in rows]``
-    but via ``zip`` over the columnar view; ``n`` is the tuple count (needed
+    but via ``zip`` over the relation's columns; ``n`` is the tuple count (needed
     for the empty projection, whose key list is all-``()``).
     """
     if not positions:
@@ -71,7 +77,7 @@ class ScanCache:
     """
 
     __slots__ = (
-        "plan", "db", "_projections", "_cfd", "_witness", "_cind",
+        "plan", "db", "_projections", "_cfd", "_groups", "_witness", "_cind",
         "hits", "misses",
     )
 
@@ -86,6 +92,8 @@ class ScanCache:
         self._projections: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
         #: (relation, X positions) -> (version, [(task, key, kind), ...])
         self._cfd: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
+        #: (relation, X positions) -> (version, {group key: group tuples})
+        self._groups: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
         #: spec -> (version, witness key set)
         self._witness: dict["WitnessSpec", tuple[int, set]] = {}
         #: LHS relation -> (version, witness-version vector, [(task, tuple), ...])
@@ -97,6 +105,7 @@ class ScanCache:
     def clear(self) -> None:
         self._projections.clear()
         self._cfd.clear()
+        self._groups.clear()
         self._witness.clear()
         self._cind.clear()
 
@@ -138,6 +147,15 @@ class ScanCache:
 
     def store_cfd_hits(self, group: "CFDScanGroup", version: int, hits: list) -> None:
         self._cfd[(group.relation, group.lhs_positions)] = (version, hits)
+
+    def cfd_group_tuples(self, group: "CFDScanGroup", version: int) -> dict:
+        """The group-key -> group-tuples memo of *group* at *version*
+        (filled by report assembly; a new version starts it empty)."""
+        key = (group.relation, group.lhs_positions)
+        entry = self._groups.get(key)
+        if entry is None or entry[0] != version:
+            entry = self._groups[key] = (version, {})
+        return entry[1]
 
     # -- CIND witness sets -------------------------------------------------
 

@@ -41,7 +41,7 @@ from typing import Any, Iterable, Iterator
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
 from repro.core.violations import ViolationReport, constraint_labels
-from repro.engine.cache import ScanCache, projection_column_keys
+from repro.engine.cache import Columns, ScanCache, projection_column_keys
 from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
@@ -90,42 +90,8 @@ class DetectionSummary:
 # -- shared scan primitives (also used by the incremental checker) ------------
 
 
-def projection_keys(
-    instance: RelationInstance,
-    positions: tuple[int, ...],
-    cache: ScanCache | None = None,
-) -> list[tuple[Any, ...]]:
-    """Per-tuple projection key list in scan order, built column-wise.
-
-    With a cache the list is memoized by ``(relation, positions, version)``
-    and shared across every scan unit projecting the same positions.
-    """
-    if cache is not None:
-        return cache.projection_keys(instance, positions)
-    return projection_column_keys(
-        instance.columns(), positions, len(instance)
-    )
-
-
-def group_tuples_by(
-    instance: RelationInstance,
-    positions: tuple[int, ...],
-    cache: ScanCache | None = None,
-) -> dict[tuple[Any, ...], list[Tuple]]:
-    """One-pass group-by of an instance on a value-position projection."""
-    groups: dict[tuple[Any, ...], list[Tuple]] = {}
-    get = groups.get
-    for key, t in zip(projection_keys(instance, positions, cache), instance.rows()):
-        bucket = get(key)
-        if bucket is None:
-            groups[key] = [t]
-        else:
-            bucket.append(t)
-    return groups
-
-
 def filter_by_checks(
-    columns: tuple[tuple[Any, ...], ...],
+    columns: Columns,
     checks: tuple[tuple[int, Any], ...],
     payload: "Iterable[Any]",
 ) -> Iterator[Any]:
@@ -234,15 +200,18 @@ def cind_scan_hits(
 
     The 1-shard case of the shard pipeline: one
     :func:`~repro.engine.shards.cind_map_shard` over the whole relation
-    with the canonical ``Tuple`` objects as the per-row payload, then the
-    task-major flatten of :func:`~repro.engine.shards.cind_finalize`.
+    with row ids as the per-row payload, then the task-major flatten of
+    :func:`~repro.engine.shards.cind_finalize`; only the violating rows
+    get :class:`~repro.relational.instance.Tuple` views.
     """
-    rows = instance.rows()
     columns = instance.columns()
+    rowids = instance.row_ids()
     state = cind_map_shard(
-        tasks, columns, rows, witnesses, shard_key_fn(columns, len(rows))
+        tasks, columns, rowids, witnesses, shard_key_fn(columns, len(rowids))
     )
-    yield from cind_finalize(tasks, state)
+    view = instance.view
+    for task, rowid in cind_finalize(tasks, state):
+        yield task, view(rowid)
 
 
 def _cind_any_hit(
@@ -254,8 +223,8 @@ def _cind_any_hit(
     variant of :func:`cind_scan_hits`, which materializes each signature's
     full hit list before yielding and would scan a dirty relation to the
     end before the caller could stop."""
-    rows = instance.rows()
     columns = instance.columns()
+    rows = range(len(instance))
     key_lists: dict[tuple[int, ...], list] = {}
     seen: set[tuple] = set()
     for task in tasks:
@@ -416,19 +385,6 @@ def assemble_summary(
 # -- top-level execution ------------------------------------------------------
 
 
-def release_scan_memos(db: DatabaseInstance, cache: ScanCache | None) -> None:
-    """Drop scan-lifetime memos (columnar views, projection key lists).
-
-    Both exist to be shared across the scan units of *one* plan execution;
-    across executions the hit/witness caches answer warm calls and a
-    version bump stales them anyway, so holding O(tuples)-sized lists on a
-    long-lived database/session would be pure memory cost.
-    """
-    db.release_views()
-    if cache is not None:
-        cache.release_projections()
-
-
 def _check_cache(
     plan: DetectionPlan, cache: ScanCache | None, db: DatabaseInstance
 ) -> None:
@@ -480,9 +436,10 @@ def execute_plan(
             (relation, _cind_relation_hits(relation, tasks, db, witnesses, cache))
             for relation, tasks in plan.cind_scans.items()
         ]
-        return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode)
+        return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode, cache)
     finally:
-        release_scan_memos(db, cache)
+        if cache is not None:
+            cache.release_projections()
 
 
 def assemble_from_hits(
@@ -491,6 +448,7 @@ def assemble_from_hits(
     cfd_hits: list[tuple[CFDScanGroup, list[tuple[Any, tuple[Any, ...], str]]]],
     cind_hits: list[tuple[str, list[tuple[CINDRowTask, Tuple]]]],
     mode: str,
+    cache: ScanCache | None = None,
 ) -> ViolationReport | DetectionSummary:
     """Build the requested result shape from per-scan-unit hit lists.
 
@@ -498,22 +456,30 @@ def assemble_from_hits(
     it worker hit lists rebound to canonical objects), so both produce the
     same bytes. In full mode, CFD group tuple lists come from the
     relation's hash index — insertion-ordered, exactly the scan's group-by
-    bucket, maintained incrementally so warm re-checks pay O(1) per
-    violating key instead of a group-by pass.
+    bucket, maintained incrementally — and, with a cache, are kept with
+    the group's hit list, so a warm re-check pays O(1) per violation.
     """
     materialize = mode == "full"
     cfd_buckets: dict[int, list[CFDViolation]] = {}
     cfd_counts: dict[int, int] = {}
     for group, hits in cfd_hits:
         instance = db[group.relation]
+        groups = (
+            cache.cfd_group_tuples(group, instance.version)
+            if cache is not None and materialize
+            else {}
+        )
         for task, key, kind in hits:
             if materialize:
+                tuples = groups.get(key)
+                if tuples is None:
+                    tuples = groups[key] = tuple(instance.lookup(group.lhs, key))
                 cfd_buckets.setdefault(id(task), []).append(
                     CFDViolation(
                         cfd=task.cfd,
                         pattern_index=task.row_index,
                         lhs_values=key,
-                        tuples=tuple(instance.lookup(group.lhs, key)),
+                        tuples=tuples,
                         kind=kind,
                     )
                 )
@@ -579,4 +545,5 @@ def plan_has_violation(
                 cache.store_cind_hits(relation, instance.version, deps, [])
         return False
     finally:
-        release_scan_memos(db, cache)
+        if cache is not None:
+            cache.release_projections()

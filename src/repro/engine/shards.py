@@ -9,7 +9,7 @@ under the parallel dispatcher. This module turns those primitives into a
 shard pipeline:
 
 * :class:`ShardSpec` — a contiguous row-range slice ``[start, stop)`` of
-  a relation's columnar views (:func:`plan_shard_ranges` balances them;
+  a relation's columns (:func:`plan_shard_ranges` balances them;
   shard 0 holds the first rows, so merging states *in shard order*
   reproduces scan order exactly);
 * :class:`CFDGroupState` — per RHS variant, the first observed RHS
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.engine.cache import projection_column_keys
+from repro.engine.cache import Columns, projection_column_keys
 from repro.engine.planner import CFDScanGroup, CINDRowTask, WitnessSpec, passes
 from repro.relational.instance import RelationInstance
 
@@ -61,7 +61,7 @@ KeyLists = Callable[[tuple[int, ...]], list]
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """A contiguous row-range slice of one relation's columnar views.
+    """A contiguous row-range slice of one relation's columns.
 
     ``index``/``count`` place the shard within its scan unit: states must
     be merged in ``index`` order for hit lists to come out in scan order
@@ -159,13 +159,13 @@ def make_shards(
 
 
 def shard_columns(
-    columns: tuple[tuple[Any, ...], ...], start: int, stop: int
-) -> tuple[tuple[Any, ...], ...]:
-    """The ``[start, stop)`` slice of a columnar view.
+    columns: Columns, start: int, stop: int
+) -> Columns:
+    """The ``[start, stop)`` slice of a relation's columns.
 
-    The whole-range call passes the (possibly shared/memoized) view
-    through unsliced — the serial path and single-shard workers keep the
-    relation's own columns instead of copying them.
+    The whole-range call passes the columns through unsliced — the
+    serial path and single-shard workers read the relation's own store
+    instead of copying it.
     """
     if start == 0 and (not columns or stop >= len(columns[0])):
         return columns
@@ -173,7 +173,7 @@ def shard_columns(
 
 
 def shard_key_fn(
-    columns: tuple[tuple[Any, ...], ...], n_rows: int
+    columns: Columns, n_rows: int
 ) -> KeyLists:
     """A ``key_lists`` callable over (already sliced) shard columns.
 
@@ -391,7 +391,7 @@ class WitnessState:
 
 def witness_map_shard(
     specs: Sequence[WitnessSpec],
-    columns: tuple[tuple[Any, ...], ...],
+    columns: Columns,
     key_lists: KeyLists,
 ) -> WitnessState:
     """Witness key sets for every spec over one shard's rows.
@@ -427,8 +427,8 @@ class CINDScanState:
     relation's task-list position) in scan order within the covered rows;
     merge extends each bucket in shard order, so the concatenation is the
     whole relation's scan order. Payload entries are whatever the mapper
-    was fed per row — canonical ``Tuple`` objects on the serial path,
-    plain value tuples in pool workers.
+    was fed per row — row ids on the serial path, row positions in pool
+    workers.
     """
 
     __slots__ = ("buckets",)
@@ -450,7 +450,7 @@ class CINDScanState:
 
 def cind_map_shard(
     tasks: Sequence[CINDRowTask],
-    columns: tuple[tuple[Any, ...], ...],
+    columns: Columns,
     payload: Sequence[Any],
     witnesses: dict[WitnessSpec, set],
     key_lists: KeyLists,

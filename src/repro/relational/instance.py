@@ -1,8 +1,9 @@
 """Relation and database instances (possibly containing chase variables).
 
 Instances follow the paper's set semantics: a relation instance is a *set*
-of tuples. We keep insertion order for deterministic iteration, and we
-maintain per-attribute-list hash indexes so that CIND satisfaction checks
+of tuples. It is stored column-wise (the layout detection scans), keeps
+insertion order for deterministic iteration, and maintains
+per-attribute-list hash indexes so that CIND satisfaction checks
 (``exists t2 with t2[Y] = t1[X]``) run in expected constant time per probe
 instead of scanning the relation.
 
@@ -14,18 +15,22 @@ engine manipulates templates through the same API plus
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DomainError, SchemaError
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.values import is_constant, is_variable
+from repro.relational.values import WILDCARD, Variable, is_constant, is_variable
 
 
 class Tuple:
     """An immutable row over a relation schema.
 
     Values may be constants or chase variables. Equality and hashing are by
-    (relation name, values), so tuples behave as the paper's set elements.
+    (relation name, values), so tuples behave as the paper's set elements
+    (the hash is computed on first use). A :class:`RelationInstance` does
+    not store Tuples; it hands out Tuple views of its rows.
     """
 
     __slots__ = ("schema", "_values", "_hash")
@@ -53,7 +58,7 @@ class Tuple:
                     f"got {len(vals)}"
                 )
         self._values = vals
-        self._hash = hash((schema.name, vals))
+        self._hash: int | None = None
 
     def __getitem__(self, attribute: str) -> Any:
         try:
@@ -114,165 +119,235 @@ class Tuple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.schema.name, self._values))
+        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.attribute_names, self._values))
         return f"{self.schema.name}({inner})"
 
 
-class RelationInstance:
-    """A set of tuples over one relation schema, with projection indexes.
+def _row_view(schema: RelationSchema, values: tuple[Any, ...]) -> Tuple:
+    """A :class:`Tuple` over values the store already validated."""
+    t = object.__new__(Tuple)
+    t.schema = schema
+    t._values = values
+    t._hash = None
+    return t
 
-    ``index_on(attrs)`` builds (and caches) a hash index from projections on
-    *attrs* to the matching tuples; CIND checking uses it for its existential
-    probes. Indexes are maintained incrementally on insert/discard and
-    invalidated on value replacement (which rewrites tuples wholesale).
+
+class RelationInstance:
+    """A set of tuples over one relation schema, stored column-wise.
+
+    An append writes the row's values to one list per attribute
+    (:meth:`columns`) under a fresh row id; row ids only grow, so row-id
+    order is insertion order, and a value-tuple -> row-id dict gives set
+    semantics. A delete tombstones the row's slot and the first columnar
+    read after deletes compacts the columns in order. Row ids survive
+    compaction, so the hash indexes (projection -> row ids) never need
+    rewriting. :class:`Tuple` objects are views built only for rows that
+    leave the store; :meth:`lookup` and :meth:`view` cache one per row
+    until the row is deleted.
 
     Every mutation bumps the monotonic :attr:`version` counter, which keys
-    the lazily materialized columnar view (:meth:`columns` / :meth:`rows`)
-    and the detection engine's :class:`~repro.engine.cache.ScanCache`: a
-    scan result tagged with the version it was computed at stays valid
-    exactly as long as the version is unchanged.
+    the detection engine's :class:`~repro.engine.cache.ScanCache`.
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple | Sequence[Any] | Mapping[str, Any]] = ()):
         self.schema = schema
-        self._tuples: dict[Tuple, None] = {}
-        #: projection attrs -> key -> insertion-ordered tuple set. Buckets
-        #: are dicts so removal is O(1) by hash instead of an O(bucket)
-        #: equality sweep; iteration order stays insertion order.
-        self._indexes: dict[tuple[str, ...], dict[tuple[Any, ...], dict[Tuple, None]]] = {}
+        #: (columns, row id per slot, liveness byte per slot), swapped as
+        #: one object by compaction so concurrent readers never pair a
+        #: compacted column with a stale row-id list.
+        self._slots: tuple[list[list[Any]], list[int], bytearray] = (
+            [[] for __ in range(schema.arity)], [], bytearray()
+        )
+        self._dead = 0
+        #: value tuple -> row id, live rows only, in row-id order.
+        self._ids: dict[tuple[Any, ...], int] = {}
+        self._next_id = 0
+        #: attribute positions -> key -> {row id: value tuple}, in row order.
+        self._indexes: dict[tuple[int, ...], dict[tuple[Any, ...], dict[int, tuple[Any, ...]]]] = {}
+        #: row id -> its cached Tuple view (rows handed out by lookup/view).
+        self._views: dict[int, Tuple] = {}
         #: Monotonic mutation counter (never decreases, bumps on every
         #: successful add/discard/replace_value).
         self.version: int = 0
-        self._columns: tuple[tuple[Any, ...], ...] | None = None
-        self._rows: list[Tuple] | None = None
-        self._view_version: int = -1
-        for t in tuples:
-            self.add(t)
+        self.extend(tuples)
 
-    def _coerce(self, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> Tuple:
+    def _values_of(self, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> tuple[Any, ...]:
+        if type(row) is tuple and len(row) == self.schema.arity:
+            return row
         if isinstance(row, Tuple):
             if row.schema.name != self.schema.name:
                 raise SchemaError(
                     f"tuple of {row.schema.name!r} inserted into {self.schema.name!r}"
                 )
-            return row
-        return Tuple(self.schema, row)
+            return row._values
+        return Tuple(self.schema, row)._values  # coerces and checks arity
+
+    def _append(self, values: tuple[Any, ...]) -> bool:
+        ids = self._ids
+        if values in ids:
+            return False
+        rowid = self._next_id
+        self._next_id = rowid + 1
+        ids[values] = rowid
+        columns, rowids, live = self._slots
+        rowids.append(rowid)
+        live.append(1)
+        for column, value in zip(columns, values):
+            column.append(value)
+        for positions, index in self._indexes.items():
+            index.setdefault(tuple([values[p] for p in positions]), {})[rowid] = values
+        self.version += 1
+        return True
+
+    def _remove(self, values: tuple[Any, ...]) -> bool:
+        rowid = self._ids.pop(values, None)
+        if rowid is None:
+            return False
+        __, rowids, live = self._slots
+        live[bisect_left(rowids, rowid)] = 0
+        self._dead += 1
+        self._views.pop(rowid, None)
+        for positions, index in self._indexes.items():
+            key = tuple([values[p] for p in positions])
+            bucket = index[key]
+            del bucket[rowid]
+            if not bucket:
+                del index[key]
+        self.version += 1
+        return True
 
     def add(self, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> Tuple | None:
         """Insert a tuple (set semantics).
 
-        Returns the canonical stored :class:`Tuple` when the row was new —
+        Returns the stored row as a :class:`Tuple` when it was new —
         callers that passed a Mapping/Sequence get the coerced object back
         without guessing where it landed — and ``None`` for a duplicate.
         (``Tuple`` is always truthy, so boolean uses keep working.)
         """
-        t = self._coerce(row)
-        if t in self._tuples:
+        values = self._values_of(row)
+        if not self._append(values):
             return None
-        self._tuples[t] = None
-        self.version += 1
-        for attrs, index in self._indexes.items():
-            index.setdefault(t.project(attrs), {})[t] = None
-        return t
+        return row if isinstance(row, Tuple) else _row_view(self.schema, values)
+
+    def extend(self, rows: Iterable[Tuple | Sequence[Any] | Mapping[str, Any]]) -> int:
+        """Insert every row (set semantics) without building any
+        :class:`Tuple`; returns how many were new."""
+        values_of, append = self._values_of, self._append
+        return sum(append(values_of(row)) for row in rows)
 
     def discard(self, row: Tuple) -> bool:
         """Remove a tuple if present; return ``True`` if it was removed."""
-        if row not in self._tuples:
+        if not isinstance(row, Tuple) or row.schema.name != self.schema.name:
             return False
-        del self._tuples[row]
-        self.version += 1
-        for attrs, index in self._indexes.items():
-            bucket = index.get(row.project(attrs))
-            if bucket is not None:
-                bucket.pop(row, None)
-        return True
+        return self._remove(row._values)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Tuple]:
-        return iter(self._tuples)
+        schema, views = self.schema, self._views
+        for values, rowid in self._ids.items():
+            t = views.get(rowid)
+            yield _row_view(schema, values) if t is None else t
 
     def __contains__(self, row: Tuple) -> bool:
-        return row in self._tuples
+        return (
+            isinstance(row, Tuple)
+            and row.schema.name == self.schema.name
+            and row._values in self._ids
+        )
 
     @property
     def tuples(self) -> tuple[Tuple, ...]:
-        return tuple(self._tuples)
-
-    def _refresh_views(self) -> None:
-        rows = list(self._tuples)
-        if rows:
-            columns = tuple(zip(*[t.values for t in rows]))
-        else:
-            columns = tuple(() for __ in range(self.schema.arity))
-        self._rows = rows
-        self._columns = columns
-        self._view_version = self.version
+        return tuple(self)
 
     def rows(self) -> list[Tuple]:
-        """The tuples as a cached insertion-ordered list (do not mutate).
+        """The tuples as a list in row order (views, built on each call)."""
+        return list(self)
 
-        Rebuilt lazily when :attr:`version` moved since the last call.
+    def _compacted(self) -> tuple[list[list[Any]], list[int], bytearray]:
+        # Readers may race here (writers never do): _dead is read before
+        # _slots and cleared after the swap, so a reader that sees no
+        # tombstones also sees the compacted slots.
+        if self._dead:
+            columns, rowids, live = self._slots
+            rowids = list(compress(rowids, live))
+            self._slots = (
+                [list(compress(column, live)) for column in columns],
+                rowids,
+                bytearray(b"\x01") * len(rowids),
+            )
+            self._dead = 0
+        return self._slots
+
+    def columns(self) -> tuple[list[Any], ...]:
+        """The store itself: one value list per attribute, in row order
+        (``columns()[schema.positions[A]][i]`` is row ``i``'s ``A``).
+
+        Pending tombstones are compacted first. The lists are live —
+        appends extend them in place — so treat them as read-only.
         """
-        if self._view_version != self.version:
-            self._refresh_views()
-        return self._rows
+        return tuple(self._compacted()[0])
 
-    def columns(self) -> tuple[tuple[Any, ...], ...]:
-        """Columnar view: one value tuple per attribute, in tuple-insertion
-        order (``columns()[schema.positions[A]][i]`` is ``rows()[i][A]``).
+    def row_ids(self) -> list[int]:
+        """Row ids aligned with :meth:`columns` (ascending; read-only)."""
+        return self._compacted()[1]
 
-        Materialized lazily and memoized against :attr:`version`, so
-        every scan unit of one plan execution shares one transpose; any
-        ``add``/``discard``/``replace_value`` invalidates it.
+    def row_id(self, values: Sequence[Any]) -> int | None:
+        """The row id of the live row with exactly *values*, if any."""
+        return self._ids.get(tuple(values))
+
+    def view(self, rowid: int, values: tuple[Any, ...] | None = None) -> Tuple:
+        """The :class:`Tuple` view of live row *rowid* (over *values*, its
+        stored value tuple, when the caller has it), cached until the row
+        is deleted."""
+        t = self._views.get(rowid)
+        if t is None:
+            if values is None:
+                columns, rowids, __ = self._slots
+                i = bisect_left(rowids, rowid)
+                values = tuple([column[i] for column in columns])
+            t = self._views[rowid] = _row_view(self.schema, values)
+        return t
+
+    def index_on(self, attributes: Sequence[str]) -> dict[tuple[Any, ...], dict[int, tuple[Any, ...]]]:
+        """Hash index mapping projections on *attributes* to row buckets.
+
+        Buckets are insertion-ordered ``{row id: value tuple}`` dicts
+        (read-only; a bucket disappears with its last row); use
+        :meth:`lookup` for the matching tuples.
         """
-        if self._view_version != self.version:
-            self._refresh_views()
-        return self._columns
-
-    def release_views(self) -> None:
-        """Drop the memoized columnar views (they rebuild lazily on demand).
-
-        The detection engine treats the views as scan-lifetime artifacts —
-        within one plan execution every scan unit shares them, but across
-        executions either the version moved (stale) or the engine's hit
-        caches answer without scanning — so it releases them when a plan
-        finishes rather than leaving an O(tuples · arity) transpose parked
-        on a long-lived database.
-        """
-        self._columns = None
-        self._rows = None
-        self._view_version = -1
-
-    def index_on(self, attributes: Sequence[str]) -> dict[tuple[Any, ...], dict[Tuple, None]]:
-        """Hash index mapping projections on *attributes* to tuple buckets.
-
-        Buckets are insertion-ordered dicts keyed by tuple (treat as
-        read-only sets); use :meth:`lookup` for list-shaped results.
-        """
-        key = tuple(attributes)
-        index = self._indexes.get(key)
+        try:
+            positions = tuple(self.schema.positions[a] for a in attributes)
+        except KeyError as exc:
+            raise SchemaError(
+                f"relation {self.schema.name!r} has no attribute {exc.args[0]!r}"
+            ) from None
+        index = self._indexes.get(positions)
         if index is None:
-            for name in key:
-                if name not in self.schema:
-                    raise SchemaError(
-                        f"relation {self.schema.name!r} has no attribute {name!r}"
-                    )
             index = {}
-            for t in self._tuples:
-                index.setdefault(t.project(key), {})[t] = None
-            self._indexes[key] = index
+            for values, rowid in self._ids.items():
+                index.setdefault(tuple([values[p] for p in positions]), {})[rowid] = values
+            self._indexes[positions] = index
         return index
 
     def lookup(self, attributes: Sequence[str], values: Sequence[Any]) -> list[Tuple]:
-        """All tuples ``t`` with ``t[attributes] == values``."""
+        """All tuples ``t`` with ``t[attributes] == values``, in row order."""
         if not attributes:
-            return list(self._tuples)
-        return list(self.index_on(attributes).get(tuple(values), ()))
+            return list(self)
+        bucket = self.index_on(attributes).get(tuple(values))
+        if not bucket:
+            return []
+        try:
+            return list(map(self._views.__getitem__, bucket))
+        except KeyError:
+            view = self.view
+            return [view(rowid, stored) for rowid, stored in bucket.items()]
 
     def replace_value(self, old: Any, new: Any) -> int:
         """Replace every occurrence of *old* by *new* across the relation.
@@ -286,37 +361,37 @@ class RelationInstance:
     def replace_value_tracked(self, old: Any, new: Any) -> list[Tuple]:
         """Like :meth:`replace_value`, returning the rewritten tuples.
 
-        The chase worklist uses the returned (new) tuples to re-enqueue
+        The affected rows are removed and their rewrites appended in row
+        order (a rewrite equal to a surviving row merges into it). The
+        chase worklist uses the returned (new) tuples to re-enqueue
         dependency obligations without rescanning the relation.
         """
-        affected = [t for t in self._tuples if old in t.values]
-        if not affected:
-            return []
+        affected = [values for values in self._ids if old in values]
+        for values in affected:
+            self._remove(values)
         mapping = {old: new}
-        for t in affected:
-            del self._tuples[t]
-        self.version += 1
-        self._indexes.clear()
         rewritten = []
-        for t in affected:
-            replacement = t.substitute(mapping)
-            self._tuples[replacement] = None
-            rewritten.append(replacement)
+        for values in affected:
+            replacement = tuple(mapping.get(v, v) for v in values)
+            self._append(replacement)
+            rewritten.append(_row_view(self.schema, replacement))
         return rewritten
 
     def variables(self) -> set[Any]:
-        out: set[Any] = set()
-        for t in self._tuples:
-            out |= t.variables()
-        return out
+        return {v for values in self._ids for v in values if is_variable(v)}
 
     def is_ground(self) -> bool:
-        return all(t.is_ground() for t in self._tuples)
+        # One C-speed pass over each column's value types.
+        return not any(
+            issubclass(kind, (Variable, type(WILDCARD)))
+            for column in self.columns()
+            for kind in set(map(type, column))
+        )
 
     def validate_domains(self) -> None:
         """Check every constant against its attribute domain."""
-        for t in self._tuples:
-            for attr, value in zip(self.schema.attributes, t.values):
+        for values in self._ids:
+            for attr, value in zip(self.schema.attributes, values):
                 if is_constant(value) and not attr.domain.contains(value):
                     raise DomainError(
                         f"value {value!r} for {self.schema.name}.{attr.name} "
@@ -324,7 +399,14 @@ class RelationInstance:
                     )
 
     def copy(self) -> "RelationInstance":
-        return RelationInstance(self.schema, self._tuples)
+        """An independent copy (column lists copied, indexes rebuilt lazily)."""
+        out = RelationInstance(self.schema)
+        columns, rowids, live = self._compacted()
+        out._slots = ([list(c) for c in columns], list(rowids), bytearray(live))
+        out._ids = dict(self._ids)
+        out._next_id = self._next_id
+        out.version = self.version
+        return out
 
     def __repr__(self) -> str:
         return f"<RelationInstance {self.schema.name}: {len(self)} tuples>"
@@ -344,9 +426,7 @@ class DatabaseInstance:
         }
         if relations:
             for name, rows in relations.items():
-                inst = self[name]
-                for row in rows:
-                    inst.add(row)
+                self[name].extend(rows)
 
     def __getitem__(self, name: str) -> RelationInstance:
         try:
@@ -386,11 +466,6 @@ class DatabaseInstance:
         """Replace *old* by *new* in every relation (chase unification step)."""
         return sum(inst.replace_value(old, new) for inst in self._relations.values())
 
-    def release_views(self) -> None:
-        """Release every relation's memoized columnar view."""
-        for inst in self._relations.values():
-            inst.release_views()
-
     def replace_value_tracked(self, old: Any, new: Any) -> dict[str, list[Tuple]]:
         """Global replacement returning the rewritten tuples per relation."""
         out: dict[str, list[Tuple]] = {}
@@ -404,17 +479,16 @@ class DatabaseInstance:
         """A copy of the database with values rewritten through *mapping*."""
         out = DatabaseInstance(self.schema)
         for name, inst in self._relations.items():
-            target = out[name]
-            for t in inst:
-                target.add(t.substitute(mapping))
+            out[name].extend(
+                tuple(mapping.get(v, v) for v in values) for values in inst._ids
+            )
         return out
 
     def copy(self) -> "DatabaseInstance":
         out = DatabaseInstance(self.schema)
-        for name, inst in self._relations.items():
-            target = out[name]
-            for t in inst:
-                target.add(t)
+        out._relations = {
+            name: inst.copy() for name, inst in self._relations.items()
+        }
         return out
 
     def validate_domains(self) -> None:
@@ -425,11 +499,11 @@ class DatabaseInstance:
         """A copy with every value passed through ``fn(relation, attribute, value)``."""
         out = DatabaseInstance(self.schema)
         for name, inst in self._relations.items():
-            target = out[name]
-            for t in inst:
-                target.add(
-                    [fn(name, a, v) for a, v in zip(inst.schema.attribute_names, t.values)]
-                )
+            names = inst.schema.attribute_names
+            out[name].extend(
+                [fn(name, a, v) for a, v in zip(names, values)]
+                for values in inst._ids
+            )
         return out
 
     def __repr__(self) -> str:

@@ -223,11 +223,9 @@ def read_database_file(
         introspect_schema(conn, schema)
         db = DatabaseInstance(schema)
         for relation in schema:
-            instance = db[relation.name]
-            for row in conn.execute(
-                f"SELECT * FROM {q(relation.name)} ORDER BY rowid"
-            ):
-                instance.add(tuple(row))
+            db[relation.name].extend(
+                conn.execute(f"SELECT * FROM {q(relation.name)} ORDER BY rowid")
+            )
     finally:
         conn.close()
     return db
@@ -272,7 +270,7 @@ def load_database(conn: sqlite3.Connection, db: DatabaseInstance) -> None:
     cursor = conn.cursor()
     for relation in db.schema:
         cursor.execute(create_table_sql(relation))
-        rows = [t.values for t in db[relation.name]]
-        if rows:
-            cursor.executemany(insert_sql(relation), rows)
+        cursor.executemany(
+            insert_sql(relation), zip(*db[relation.name].columns())
+        )
     conn.commit()

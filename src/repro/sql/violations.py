@@ -602,7 +602,7 @@ class SQLPlanExecutor:
 
     def release_witnesses(self) -> None:
         """Drop the per-execution witness tables (scan-lifetime artifacts,
-        the analogue of the engine's release_scan_memos)."""
+        the analogue of the engine's projection-key release)."""
         cursor = self.conn.cursor()
         for name in self._witness_tables.values():
             cursor.execute(f"DROP TABLE IF EXISTS temp.{q(name)}")

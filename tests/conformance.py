@@ -229,6 +229,22 @@ class BackendContract:
                 check_database_naive(bank.clean_db, bank.constraints)
             )
 
+    def test_delete_accepts_plain_rows(self, bank, make_session):
+        """``delete`` coerces sequence and mapping rows to ``Tuple`` (as
+        ``apply`` does), so every backend deletes the same row."""
+        interest = bank.schema.relation("interest")
+        values = Tuple(interest, dict(self.DIRTY_ROW)).values
+        with make_session(bank.clean_db.copy(), bank.constraints) as session:
+            session.insert("interest", dict(self.DIRTY_ROW))
+            assert session.delete("interest", list(values)) is True
+            assert session.delete("interest", list(values)) is False
+            assert session.is_clean()
+            session.insert("interest", values)
+            assert session.delete("interest", dict(self.DIRTY_ROW)) is True
+            assert report_key(session.check()) == report_key(
+                check_database_naive(bank.clean_db, bank.constraints)
+            )
+
     def test_mutation_interleaving_matches_oracle(self, bank, make_session):
         """A fixed insert/check/delete/check script answers, at every
         observation point, exactly like a fresh naive oracle over a

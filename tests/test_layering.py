@@ -107,6 +107,30 @@ class TestLayeringRule:
         # violation must still be a layering one)
         assert violations and {v.rule for v in violations} == {"layering"}
 
+    @pytest.mark.parametrize("stmt", [
+        "from repro.errors import SchemaError",
+        "from repro.relational.values import Variable",
+        "from repro.relational.schema import RelationSchema",
+    ])
+    def test_instance_pin_allows_relational_surface(self, tmp_path, stmt):
+        assert _lint_snippet(
+            tmp_path, "src/repro/relational/instance.py", stmt + "\n"
+        ) == []
+
+    @pytest.mark.parametrize("stmt", [
+        "from repro.engine.cache import ScanCache",
+        "import repro.engine",
+        "from repro.api.session import Session",
+        "from repro.core.cfd import CFD",
+    ])
+    def test_instance_pin_blocks_engine_and_api(self, tmp_path, stmt):
+        """The relation store may not reach up into the caches, the
+        facade, or anything else above the relational layer."""
+        violations = _lint_snippet(
+            tmp_path, "src/repro/relational/instance.py", stmt + "\n"
+        )
+        assert violations and {v.rule for v in violations} == {"layering"}
+
     def test_low_layers_cover_the_real_tree(self):
         """Every library package under src/repro is in LOW_LAYERS (new
         packages must be classified, not silently unlinted)."""

@@ -2,9 +2,9 @@
 
 The columnar execution layer rests on two invariants:
 
-1. ``RelationInstance.columns()``/``rows()`` always equal the transpose of
-   the live tuple set (the ``version`` counter invalidates them on every
-   ``add``/``discard``/``replace_value``);
+1. ``RelationInstance.columns()`` — the store itself, compacted after
+   deletes — always equals the transpose of the live tuple set, in row
+   order, across ``add``/``discard``/``replace_value``;
 2. a session's :class:`~repro.engine.cache.ScanCache` never serves a stale
    scan result — any interleaving of mutations and ``check``/``count``/
    ``is_clean`` must answer exactly like a cold naive run over the current
@@ -57,12 +57,12 @@ class TestColumnarView:
             assert tuple(col[i] for col in columns) == t.values
 
     def test_columns_transpose_in_insertion_order(self, inst):
-        assert inst.columns() == (("1", "2", "3"), ("x", "y", "x"))
+        assert inst.columns() == (["1", "2", "3"], ["x", "y", "x"])
         self.assert_consistent(inst)
 
     def test_empty_instance_columns(self):
         inst = RelationInstance(RelationSchema("R", ["A", "B"]))
-        assert inst.columns() == ((), ())
+        assert inst.columns() == ([], [])
         assert inst.rows() == []
 
     def test_version_bumps_on_mutations_only(self, inst):
@@ -86,13 +86,18 @@ class TestColumnarView:
         self.assert_consistent(inst)
         inst.discard(Tuple(inst.schema, ("2", "y")))
         self.assert_consistent(inst)
-        assert inst.columns() == (("1", "3", "4"), ("x", "x", "z"))
+        assert inst.columns() == (["1", "3", "4"], ["x", "x", "z"])
         inst.replace_value("x", "y")
         self.assert_consistent(inst)
 
-    def test_views_memoized_while_unchanged(self, inst):
-        assert inst.columns() is inst.columns()
-        assert inst.rows() is inst.rows()
+    def test_columns_are_the_store(self, inst):
+        # No memo to rebuild: columns() hands out the store's own lists,
+        # and an append extends them in place.
+        before = inst.columns()
+        inst.add(("4", "z"))
+        after = inst.columns()
+        assert all(a is b for a, b in zip(after, before))
+        assert after == (["1", "2", "3", "4"], ["x", "y", "x", "z"])
 
     def test_discard_keeps_index_order(self, inst):
         # Force an index, then remove from the middle of a bucket: the

@@ -1,6 +1,6 @@
 """The persistent worker pool: reuse, drift, leaks, stealing schedules.
 
-Four contracts from ISSUE 10:
+Five contracts:
 
 * **reuse** — a warm parallel ``check()`` spawns zero new processes: the
   PID set is identical across calls, including after small DML (the
@@ -8,6 +8,9 @@ Four contracts from ISSUE 10:
 * **epoch re-fork** — drift past ``WorkerPool.shm_drift_rows`` retires
   the workers (disjoint PID set, epoch bump) instead of shipping a huge
   relation through ``/dev/shm``;
+* **dead workers** — after a worker is killed, the next ``check()``
+  re-forks (epoch bump) and answers exactly instead of raising
+  ``BrokenProcessPool``;
 * **no leaks** — ``Session.close()`` returns the process to its baseline
   file-descriptor count and unlinks every published shm segment (checked
   by name under ``/dev/shm``);
@@ -22,6 +25,8 @@ from __future__ import annotations
 import gc
 import os
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +136,38 @@ class TestPoolReuse:
         with pytest.raises(RuntimeError, match="closed"):
             pool.executor()
         pool.close()  # idempotent
+
+
+# -- dead workers --------------------------------------------------------------
+
+
+class TestDeadWorker:
+    def test_killed_worker_reforks_and_check_stays_exact(self):
+        """SIGKILL one pool worker, mutate, check: the broken executor is
+        retired through the re-fork path (epoch bump) and the check runs
+        again on fresh workers instead of raising BrokenProcessPool."""
+        db = scaled_bank_instance(300, error_rate=0.05, seed=3)
+        sigma = bank_constraints()
+        session = persistent_session(db, sigma)
+        session.check()
+        pool = session.backend._pool
+        executor, epoch = pool.executor(), pool.epoch
+        os.kill(next(iter(pool.pids())), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert executor._broken
+        session.delete("saving", next(iter(db["saving"])))
+        session.insert("interest", dict(NEW_ROW))
+        report = session.check()
+        assert pool.epoch > epoch
+        assert report_key(report) == report_key(api.connect(db, sigma).check())
+        # The recovered pool keeps serving.
+        session.insert("interest", {**NEW_ROW, "rt": "0.1%"})
+        assert report_key(session.check()) == report_key(
+            api.connect(db, sigma).check()
+        )
+        session.close()
 
 
 # -- resource hygiene ----------------------------------------------------------

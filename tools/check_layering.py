@@ -24,7 +24,8 @@ but ordinary linters don't know about:
   relational schema/instance types, and its sql siblings (ddl, loader);
   growing an import there (say, on the columnar views or the matching
   layer) widens what a windowed scan can observe and must be a reviewed
-  decision, not drift.
+  decision, not drift. ``repro.relational.instance`` — the column store
+  — may import only ``repro.errors`` and its relational siblings.
 
 * **mutable-default** — a ``def f(x=[])``-style default is shared across
   calls; every instance found in review so far was a latent bug. Literal
@@ -118,6 +119,14 @@ MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     # observe — and eventually depend on — the layers hosting it.
     "repro.api.workerpool": (
         "repro.engine.shards",
+        "repro.relational",
+    ),
+    # The relation store (columns, row ids, indexes, Tuple views) is the
+    # bottom of the data path: errors and its relational siblings only.
+    # Importing an engine cache or the facade would let storage depend on
+    # the layers that read it.
+    "repro.relational.instance": (
+        "repro.errors",
         "repro.relational",
     ),
 }
