@@ -21,7 +21,13 @@ computation — and gates on it:
 * ``warm read p50/p95`` — median and tail latency of repeated
   ``service.check()`` calls on an unchanged bank@``--read-size`` tenant:
   the versioned scan cache makes warm reads replay memoized results, and
-  the read path adds only lock + executor-hop overhead on top.
+  the read path adds only lock + executor-hop overhead on top;
+* ``commit split`` — *informational, ungated*: single-row commits on a
+  subscribed bank@``--base-size`` tenant (memory and sqlfile), the p50 of
+  the tenant's ``Session.apply`` beside the p50 of the feed's delta
+  (``ViolationFeed.commit``: the carry-forward of the session's scan
+  cache — on sqlfile, of the memory mirror after it applied the row too —
+  plus record building), and their ratio.
 
 ``--min-batch-speedup X`` fails the run (exit 1) when the service-level
 batch-vs-singles speedup on **either** gated backend (memory, sqlfile)
@@ -47,7 +53,7 @@ from pathlib import Path
 
 from repro.api import connect
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
-from repro.serve import DetectionService, report_records
+from repro.serve import DetectionService, replay, report_records
 from repro.sql.loader import create_database_file
 
 #: The service-level comparison gates these backends (the ISSUE's floor);
@@ -177,6 +183,56 @@ async def bench_warm_reads(base_db, sigma, repeats: int) -> dict:
     }
 
 
+async def bench_commit_split(
+    backend: str, base_db, sigma, commits: int, tmp: Path
+) -> dict:
+    """Single-row commit cost split into the tenant's ``Session.apply``
+    and the feed's delta, each timed around its own call."""
+    source = (
+        str(create_database_file(tmp / "split.db", base_db))
+        if backend == "sqlfile"
+        else base_db.copy()
+    )
+    times: dict[str, list[float]] = {"apply": [], "delta": []}
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                times[key].append(time.perf_counter() - start)
+
+        return wrapper
+
+    async with DetectionService(max_workers=2) as service:
+        handle = await service.create_tenant(
+            "split", source, sigma, backend=backend
+        )
+        sub = await service.subscribe("split")
+        handle.session.apply = timed(handle.session.apply, "apply")
+        handle.feed.commit = timed(handle.feed.commit, "delta")
+        # Stationary: each row is inserted by one commit, deleted by the next.
+        for op in batch_ops(commits // 2):
+            await service.apply("split", inserts=[op])
+            await service.apply("split", deletes=[op])
+        records = sub.baseline
+        for __ in times["delta"]:
+            records = replay(records, await sub.__anext__())
+        if records != report_records(await service.check("split")):
+            raise AssertionError(f"{backend}: replayed deltas differ")
+    apply_p50 = statistics.median(times["apply"])
+    delta_p50 = statistics.median(times["delta"])
+    return {
+        "backend": backend,
+        "base_size": base_db.total_tuples(),
+        "commits": len(times["delta"]),
+        "apply_p50_ms": apply_p50 * 1e3,
+        "delta_p50_ms": delta_p50 * 1e3,
+        "delta_over_apply": delta_p50 / apply_p50 if apply_p50 > 0 else None,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -242,6 +298,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"{srow['session_batch_speedup']:.1f}x (informational)"
             )
 
+        split_rows = []
+        for backend in GATED_BACKENDS:
+            row = asyncio.run(
+                bench_commit_split(backend, base_db, sigma, 200, tmp)
+            )
+            split_rows.append(row)
+            print(
+                f"commit split/{backend:<8} bank@{args.base_size}: "
+                f"apply p50={row['apply_p50_ms']:.3f}ms "
+                f"delta p50={row['delta_p50_ms']:.3f}ms -> "
+                f"{row['delta_over_apply']:.1f}x apply (informational)"
+            )
+
     read_db = scaled_bank_instance(args.read_size, error_rate=0.01, seed=7)
     reads = asyncio.run(bench_warm_reads(read_db, sigma, args.read_repeats))
     print(
@@ -258,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             "batch_rows": args.batch_rows,
             "service": service_rows,
             "session": session_rows,
+            "commit_split": split_rows,
             "warm_reads": reads,
         }
         with open(args.json, "w") as fh:

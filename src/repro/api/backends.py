@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -65,11 +66,13 @@ from repro.core.violations import (
 )
 from repro.engine import (
     DetectionSummary,
+    ReportDelta,
     ScanCache,
     SQLScanCache,
     assemble_report,
     assemble_summary,
     attribute_positions,
+    carry_forward,
     compile_checks,
     execute_plan,
     passes,
@@ -141,6 +144,47 @@ class Backend(Protocol):
     def close(self) -> None: ...
 
 
+def _run_batch(
+    delete_rows: list[tuple[RelationInstance, Tuple]],
+    insert_rows: list[tuple[RelationInstance, tuple[Any, ...]]],
+    delete: Callable[[RelationInstance, Tuple], bool],
+    insert: Callable[[RelationInstance, tuple[Any, ...]], bool],
+    noted: Callable[[RelationInstance, int, list, list], None],
+) -> ApplyResult:
+    """Apply checked rows — deletes first — through the backend's
+    *delete*/*insert* callables and hand *noted* each touched relation's
+    changed rows (see :meth:`BaseBackend._noted`)."""
+    log: dict[str, tuple[RelationInstance, int, list, list]] = {}
+
+    def changes_of(instance: RelationInstance) -> tuple:
+        entry = log.get(instance.schema.name)
+        if entry is None:
+            entry = log[instance.schema.name] = (
+                instance, instance.version, [], [],
+            )
+        return entry
+
+    deleted = 0
+    for instance, t in delete_rows:
+        rowid = instance.row_id(t.values)
+        if rowid is None:
+            continue
+        entry = changes_of(instance)
+        if delete(instance, t):
+            entry[2].append((rowid, t.values))
+            deleted += 1
+    inserted = 0
+    for instance, values in insert_rows:
+        entry = changes_of(instance)
+        if insert(instance, values):
+            entry[3].append((instance.row_id(values), values))
+            inserted += 1
+    for instance, before, gone, new in log.values():
+        if gone or new:
+            noted(instance, before, gone, new)
+    return ApplyResult(inserted=inserted, deleted=deleted)
+
+
 def summarize(report: ViolationReport) -> DetectionSummary:
     """A ``DetectionSummary`` with the same totals/labels as *report*."""
     return DetectionSummary(
@@ -201,26 +245,25 @@ class BaseBackend:
         yield from report.cfd_violations
         yield from report.cind_violations
 
+    def delta(self) -> ReportDelta | None:
+        """The report's change since the session last produced a complete
+        report or delta, or ``None`` when this backend cannot tell (only
+        the scan-cache backends can; see :meth:`MemoryBackend.delta`)."""
+        return None
+
     # -- mutation ----------------------------------------------------------
 
     def insert(
         self, relation: str, row: Tuple | Sequence[Any] | Mapping[str, Any]
     ) -> bool:
         """Insert into the session database; False if already present."""
-        stored = self.db[relation].add(row)
-        if stored is None:
-            return False
-        self._invalidate()
-        return True
+        return self.apply(inserts=((relation, row),)).inserted == 1
 
     def delete(
         self, relation: str, row: Tuple | Sequence[Any] | Mapping[str, Any]
     ) -> bool:
         """Delete from the session database; False if not present."""
-        if not self.db[relation].discard(self._coerce_tuple(relation, row)):
-            return False
-        self._invalidate()
-        return True
+        return self.apply(deletes=((relation, row),)).deleted == 1
 
     def _coerce_tuple(self, relation: str, row: Any) -> Tuple:
         """A canonical :class:`Tuple` for *row* on *relation* (deletes
@@ -229,6 +272,23 @@ class BaseBackend:
         if isinstance(row, Tuple):
             return row
         return Tuple(self.db[relation].schema, row)
+
+    def _batch_rows(
+        self, inserts: Iterable[DMLOp], deletes: Iterable[DMLOp]
+    ) -> tuple[list, list]:
+        """Every delete row as a :class:`Tuple` and every insert row as a
+        checked value tuple, before anything is mutated: a batch with a
+        malformed row (unknown relation, wrong arity or attributes)
+        raises here and changes nothing."""
+        delete_rows = [
+            (self.db[relation], self._coerce_tuple(relation, row))
+            for relation, row in deletes
+        ]
+        insert_rows = []
+        for relation, row in inserts:
+            instance = self.db[relation]
+            insert_rows.append((instance, instance.coerce(row)))
+        return delete_rows, insert_rows
 
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
@@ -239,19 +299,30 @@ class BaseBackend:
         single-row paths, but ``_invalidate()`` runs **once per batch**
         (and only when something actually changed) instead of once per
         row — on the SQL-image backends that is the difference between
-        one cache drop and a thousand.
+        one cache drop and a thousand. Every row is checked before the
+        first mutation, so a malformed row leaves the database as it was.
         """
-        deleted = 0
-        for relation, row in deletes:
-            if self.db[relation].discard(self._coerce_tuple(relation, row)):
-                deleted += 1
-        inserted = 0
-        for relation, row in inserts:
-            if self.db[relation].add(row) is not None:
-                inserted += 1
-        if inserted or deleted:
+        delete_rows, insert_rows = self._batch_rows(inserts, deletes)
+        result = _run_batch(
+            delete_rows,
+            insert_rows,
+            lambda instance, t: instance.discard(t),
+            lambda instance, values: instance.add(values) is not None,
+            self._noted,
+        )
+        if result:
             self._invalidate()
-        return ApplyResult(inserted=inserted, deleted=deleted)
+        return result
+
+    def _noted(
+        self,
+        instance: RelationInstance,
+        before: int,
+        deleted: list[tuple[int, tuple[Any, ...]]],
+        inserted: list[tuple[int, tuple[Any, ...]]],
+    ) -> None:
+        """One relation's rows a batch actually deleted and inserted, as
+        ``(row id, values)`` pairs, and its version before the batch."""
 
     def _invalidate(self) -> None:
         """Drop any data-derived caches after a mutation."""
@@ -348,6 +419,22 @@ class MemoryBackend(BaseBackend):
         # first hit, which a fan-out would race past. Warm cache entries
         # answer without scanning at all.
         return not plan_has_violation(self._plan, self.db, cache=self._cache)
+
+    def delta(self) -> ReportDelta | None:
+        """Carry the scan cache forward by the rows noted since it was last
+        complete and return how the report changed, by position; ``None``
+        when the cache was never complete or the data changed outside this
+        session's DML (the next check then re-scans the stale units)."""
+        return carry_forward(self._plan, self.db, self._cache, delta=True)
+
+    def _noted(
+        self,
+        instance: RelationInstance,
+        before: int,
+        deleted: list[tuple[int, tuple[Any, ...]]],
+        inserted: list[tuple[int, tuple[Any, ...]]],
+    ) -> None:
+        self._cache.note(instance, before, deleted, inserted)
 
     def close(self) -> None:
         # The persistent pool holds worker processes and /dev/shm
@@ -1063,35 +1150,30 @@ class IncrementalBackend(BaseBackend):
         """O(state) per-constraint counters over the normalized Σ."""
         return self.checker.violations()
 
-    def insert(self, relation, row) -> bool:
-        return self.checker.insert(relation, row)
-
-    def delete(self, relation, row) -> bool:
-        return self.checker.delete(relation, self._coerce_tuple(relation, row))
+    def delta(self) -> ReportDelta | None:
+        """As :meth:`MemoryBackend.delta`, over this session's scan cache."""
+        return carry_forward(self._plan, self.db, self._cache, delta=True)
 
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
     ) -> ApplyResult:
         """Batch DML through the live checker (deletes, then inserts).
 
-        There is no cache to invalidate here — the checker's per-group
-        state update *is* the per-row cost, and it is exactly what makes
-        this backend the delta source for the serving layer's violation
-        feed. ``check``/``count`` answers ride the versioned
-        :class:`~repro.engine.cache.ScanCache`, which the relation version
-        counters invalidate implicitly.
+        The checker's per-group state update *is* the per-row cost.
+        ``check``/``count`` answers ride the versioned
+        :class:`~repro.engine.cache.ScanCache`, which the batch's noted
+        rows carry forward. Every row is checked before the first
+        mutation, so a malformed row leaves the database as it was.
         """
-        deleted = 0
-        for relation, row in deletes:
-            if self.checker.delete(
-                relation, self._coerce_tuple(relation, row)
-            ):
-                deleted += 1
-        inserted = 0
-        for relation, row in inserts:
-            if self.checker.insert(relation, row):
-                inserted += 1
-        return ApplyResult(inserted=inserted, deleted=deleted)
+        checker = self.checker
+        delete_rows, insert_rows = self._batch_rows(inserts, deletes)
+        return _run_batch(
+            delete_rows,
+            insert_rows,
+            lambda instance, t: checker.delete(instance.schema.name, t),
+            lambda instance, values: checker.insert(instance.schema.name, values),
+            self._cache.note,
+        )
 
 
 #: Registry used by ``connect(backend="...")`` and the CLI's ``--engine``.

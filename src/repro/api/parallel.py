@@ -497,6 +497,8 @@ def _execute_parallel(
     global _STATE
 
     # Resolve warm units from the cache before building any graph nodes.
+    # Units a batch touched re-scan on the pool: carrying them forward by
+    # the noted rows is the serial executor's and Session.delta()'s job.
     cfd_hit_lists: list[list | None] = []
     cold_groups: list[int] = []
     for i, group in enumerate(plan.cfd_groups):
@@ -718,13 +720,16 @@ def _execute_parallel(
                 merged = merge_cind_states(
                     [CINDScanState(b) for b in buckets]
                 )
-                # Rebind worker row positions to the parent's row views.
+                # Rebind worker row positions to the parent's row ids.
                 instance = db[relation]
                 rowids = instance.row_ids()
+                buckets = [
+                    [rowids[pos] for pos in bucket] for bucket in merged.buckets
+                ]
                 hits = [
-                    (task, instance.view(rowids[pos]))
-                    for task, bucket in zip(tasks, merged.buckets)
-                    for pos in bucket
+                    (task, instance.view(rowid))
+                    for task, bucket in zip(tasks, buckets)
+                    for rowid in bucket
                 ]
                 cind_hit_lists[relation] = hits
                 if cache is not None:
@@ -733,6 +738,7 @@ def _execute_parallel(
                         db[relation].version,
                         cache.cind_deps(tasks, db),
                         hits,
+                        buckets,
                     )
 
             add(_Node(
@@ -747,6 +753,8 @@ def _execute_parallel(
         _STATE = None
         _EXECUTION_LOCK.release()
 
+    if cache is not None:
+        cache.mark_synced(plan, db)
     return assemble_from_hits(
         plan,
         db,

@@ -22,9 +22,10 @@ it), so choosing an engine is a performance decision, not an API decision.
 Sessions are *cheap to re-check*: the memory/incremental backends own a
 mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 ``check()``/``count()``/``is_clean()`` over unchanged data replays
-memoized scan results instead of re-scanning, and ``insert``/``delete``
-invalidate exactly the entries for the relations they touch. Keep one
-session per (db, Σ) workload rather than reconnecting per call.
+memoized scan results instead of re-scanning, and after ``insert``/
+``delete``/``apply`` the next check re-evaluates only the groups and keys
+the changed rows touch (:meth:`Session.delta` reports what that changed).
+Keep one session per (db, Σ) workload rather than reconnecting per call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.analyze.report import SigmaReport
+    from repro.engine import ReportDelta
 
 from repro.api.backends import (
     BACKENDS,
@@ -175,6 +177,22 @@ class Session:
         """Violations one at a time, in report order."""
         self._ensure_open()
         return self.backend.stream()
+
+    def delta(self) -> "ReportDelta | None":
+        """How the report changed since the session last produced a
+        complete report (a ``check``/``count``, a clean ``is_clean``) or
+        delta: removed violations by their position in that report, added
+        ones with their position in the current one.
+
+        The ``memory`` and ``incremental`` backends carry their scan cache
+        forward by the rows their DML changed and read the change off the
+        splice, re-evaluating only the groups and keys those rows touch.
+        ``None`` when the backend cannot tell: other backends, a session
+        that never completed a report, or data changed behind the
+        session's back (the next check re-scans what is stale).
+        """
+        self._ensure_open()
+        return self.backend.delta()
 
     def run(self) -> ViolationReport | DetectionSummary | bool:
         """Execute according to ``options.mode`` (full/count/early-exit)."""

@@ -46,9 +46,11 @@ Versioned scan caches
 session/backend) memoizes every scan unit's result against the relation
 mutation versions it was computed from: repeated ``check``/``count``/
 ``is_clean`` calls over unchanged data replay cached hit lists in time
-proportional to the number of violations, and a repair round re-scans
-only the relations its edits touched. See :mod:`repro.engine.cache` for
-the BRAVO-style fast-read-path rationale.
+proportional to the number of violations. After a session's own DML the
+entries are carried forward by the touched keys instead of re-scanned
+(:mod:`repro.engine.carry`), which also yields the report's
+position-tagged delta. See :mod:`repro.engine.cache` for the BRAVO-style
+fast-read-path rationale.
 
 Count-only fast path
 --------------------
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 from repro.core.violations import ConstraintSet, ViolationReport
 from repro.engine.cache import ScanCache, SQLScanCache, projection_column_keys
+from repro.engine.carry import ReportDelta, carry_forward
 from repro.engine.executor import (
     DetectionSummary,
     assemble_report,
@@ -109,6 +112,7 @@ __all__ = [
     "DetectionPlan",
     "DetectionSummary",
     "PruneMap",
+    "ReportDelta",
     "SQLScanCache",
     "ScanCache",
     "ShardSpec",
@@ -117,6 +121,7 @@ __all__ = [
     "assemble_report",
     "assemble_summary",
     "attribute_positions",
+    "carry_forward",
     "cfd_finalize",
     "cfd_group_hits",
     "cfd_map_shard",

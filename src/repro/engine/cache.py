@@ -22,14 +22,26 @@ computed at can be replayed for free while the version stands still.
 * **witness key sets** keyed by ``(spec, version)`` — one semijoin key
   set per :class:`~repro.engine.planner.WitnessSpec`;
 * **CIND hit lists** keyed by ``(relation, version, witness-versions)`` —
-  the violating ``(task, tuple)`` pairs of one LHS scan; the extra
-  dependency vector invalidates them when any *witness-side* relation
-  moved even though the LHS relation did not.
+  the violating ``(task, tuple)`` pairs of one LHS scan plus their row
+  ids per task; the extra dependency vector invalidates them when any
+  *witness-side* relation moved even though the LHS relation did not.
 
 A cache is bound to one :class:`~repro.engine.planner.DetectionPlan`
 (entries reference the plan's task/spec objects); the executor refuses a
 cache built for a different plan. Stale entries are overwritten in place
 on recompute, so the cache never grows beyond one entry per scan unit.
+
+**Carrying entries forward.** A version mismatch alone would force a
+re-scan of every unit over a touched relation. The session's batch DML
+path therefore also hands the cache the rows each batch actually
+deleted and inserted (:meth:`ScanCache.note`). Once an execution has
+visited every unit, the cache is *synced* at the versions it saw; from
+there, as long as every version step since is covered by noted rows,
+:func:`repro.engine.carry.carry_forward` re-evaluates only the CFD
+groups, witness keys and CIND rows those rows touch and splices the
+results into the entries. A mutation that bypasses the session leaves a
+version step no note covers, and the cache falls back to re-scanning
+the stale units.
 
 The payoff is measured by ``benchmarks/bench_detection.py``: a warm
 re-check of an unchanged database skips every relation scan and only
@@ -39,6 +51,7 @@ the number of violations, not the number of tuples).
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
@@ -78,7 +91,7 @@ class ScanCache:
 
     __slots__ = (
         "plan", "db", "_projections", "_cfd", "_groups", "_witness", "_cind",
-        "hits", "misses",
+        "hits", "misses", "carried", "synced", "log", "lock", "wanted",
     )
 
     def __init__(self, plan: "DetectionPlan"):
@@ -90,17 +103,34 @@ class ScanCache:
         self.db: "DatabaseInstance | None" = None
         #: (relation, positions) -> (version, key list)
         self._projections: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
-        #: (relation, X positions) -> (version, [(task, key, kind), ...])
-        self._cfd: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
+        #: (relation, X positions) -> (version, [(task, key, kind), ...],
+        #: hit count per task of the group)
+        self._cfd: dict[tuple[str, tuple[int, ...]], tuple[int, list, tuple]] = {}
         #: (relation, X positions) -> (version, {group key: group tuples})
         self._groups: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
         #: spec -> (version, witness key set)
         self._witness: dict["WitnessSpec", tuple[int, set]] = {}
-        #: LHS relation -> (version, witness-version vector, [(task, tuple), ...])
-        self._cind: dict[str, tuple[int, tuple[int, ...], list]] = {}
-        #: Scan-unit lookup outcomes (projection-key memos not counted).
+        #: LHS relation -> (version, witness-version vector,
+        #: [(task, tuple), ...], row ids per task)
+        self._cind: dict[str, tuple[int, tuple[int, ...], list, list]] = {}
+        #: Scan-unit outcomes (projection-key memos not counted): answered
+        #: without a scan, re-scanned, and — among the hits — carried
+        #: forward by noted rows.
         self.hits = 0
         self.misses = 0
+        self.carried = 0
+        #: Relation -> version at which every entry was last complete and
+        #: consistent (``None``: not synced, nothing can be carried).
+        self.synced: dict[str, int] | None = None
+        #: Relation -> [version after the last noted batch, deleted
+        #: (row id, values) pairs, inserted pairs] since ``synced``.
+        self.log: dict[str, list] = {}
+        #: Serializes carry-forwards: concurrent readers of one session
+        #: patch once, the rest find the entries current.
+        self.lock = threading.Lock()
+        #: (relation, attributes) of hash indexes a carry-forward needed
+        #: and did not find; the next need builds them.
+        self.wanted: set[tuple[str, tuple[str, ...]]] = set()
 
     def clear(self) -> None:
         self._projections.clear()
@@ -108,6 +138,60 @@ class ScanCache:
         self._groups.clear()
         self._witness.clear()
         self._cind.clear()
+        self.unsync()
+
+    # -- the change log ----------------------------------------------------
+
+    def unsync(self) -> None:
+        """Forget the synced state: stale units re-scan on next use."""
+        self.synced = None
+        self.log = {}
+
+    def mark_synced(self, plan: "DetectionPlan", db: "DatabaseInstance") -> None:
+        """Record that every unit of *plan* now holds an entry for *db*'s
+        current versions (called after an execution visited them all)."""
+        relations = dict.fromkeys(
+            [group.relation for group in plan.cfd_groups]
+            + list(plan.witness_specs)
+            + list(plan.cind_scans)
+        )
+        with self.lock:
+            self.synced = {name: db[name].version for name in relations}
+            self.log = {}
+
+    def note(
+        self,
+        instance: "RelationInstance",
+        before: int,
+        deleted: list[tuple[int, tuple[Any, ...]]],
+        inserted: list[tuple[int, tuple[Any, ...]]],
+    ) -> None:
+        """Record one batch's changed rows of *instance*.
+
+        *deleted*/*inserted* are the ``(row id, values)`` pairs the batch
+        actually removed and added, and *before* the relation's version
+        before the batch. A batch that does not continue the noted chain
+        (some mutation bypassed :meth:`note`) unsyncs the cache, and so
+        does a log holding more rows than the relation: re-scanning it
+        reads fewer.
+        """
+        synced = self.synced
+        if synced is None:
+            return
+        name = instance.schema.name
+        if name not in synced:
+            return  # no scan unit reads this relation
+        entry = self.log.get(name)
+        if (entry[0] if entry is not None else synced[name]) != before:
+            self.unsync()
+            return
+        if entry is None:
+            entry = self.log[name] = [before, [], []]
+        entry[0] = instance.version
+        entry[1].extend(deleted)
+        entry[2].extend(inserted)
+        if len(entry[1]) + len(entry[2]) > len(instance):
+            self.unsync()
 
     def release_projections(self) -> None:
         """Drop the projection-key memo (scan-lifetime, O(tuples) each).
@@ -146,7 +230,30 @@ class ScanCache:
         return None
 
     def store_cfd_hits(self, group: "CFDScanGroup", version: int, hits: list) -> None:
-        self._cfd[(group.relation, group.lhs_positions)] = (version, hits)
+        slot = {id(task): i for i, task in enumerate(group.tasks)}
+        counts = [0] * len(group.tasks)
+        for task, __, __k in hits:
+            counts[slot[id(task)]] += 1
+        self._cfd[(group.relation, group.lhs_positions)] = (
+            version, hits, tuple(counts),
+        )
+
+    def cfd_entry(self, group: "CFDScanGroup") -> tuple[int, list, tuple] | None:
+        """The raw ``(version, hits, per-task counts)`` entry of *group*."""
+        return self._cfd.get((group.relation, group.lhs_positions))
+
+    def put_cfd_entry(
+        self, group: "CFDScanGroup", version: int, hits: list, counts: tuple
+    ) -> None:
+        self._cfd[(group.relation, group.lhs_positions)] = (version, hits, counts)
+
+    def group_tuples_entry(self, group: "CFDScanGroup") -> tuple[int, dict] | None:
+        return self._groups.get((group.relation, group.lhs_positions))
+
+    def put_group_tuples(
+        self, group: "CFDScanGroup", version: int, tuples: dict
+    ) -> None:
+        self._groups[(group.relation, group.lhs_positions)] = (version, tuples)
 
     def cfd_group_tuples(self, group: "CFDScanGroup", version: int) -> dict:
         """The group-key -> group-tuples memo of *group* at *version*
@@ -169,6 +276,9 @@ class ScanCache:
 
     def store_witness_set(self, spec: "WitnessSpec", version: int, keys: set) -> None:
         self._witness[spec] = (version, keys)
+
+    def witness_entry(self, spec: "WitnessSpec") -> tuple[int, set] | None:
+        return self._witness.get(spec)
 
     # -- CIND LHS scans ----------------------------------------------------
 
@@ -196,14 +306,22 @@ class ScanCache:
         version: int,
         deps: tuple[int, ...],
         hits: list,
+        buckets: list[list[int]],
     ) -> None:
-        self._cind[relation] = (version, deps, hits)
+        """Store one LHS relation's hits: the ``(task, tuple)`` pairs and,
+        aligned with the relation's task list, each task's row ids."""
+        self._cind[relation] = (version, deps, hits, buckets)
+
+    def cind_entry(
+        self, relation: str
+    ) -> tuple[int, tuple[int, ...], list, list] | None:
+        return self._cind.get(relation)
 
     def __repr__(self) -> str:
         return (
             f"<ScanCache {len(self._cfd)} CFD, {len(self._witness)} witness, "
             f"{len(self._cind)} CIND entr(ies); {self.hits} hit(s), "
-            f"{self.misses} miss(es)>"
+            f"{self.misses} miss(es), {self.carried} carried>"
         )
 
 

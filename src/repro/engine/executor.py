@@ -36,12 +36,13 @@ many shards on a pool, which is why its output is bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
 from repro.core.violations import ViolationReport, constraint_labels
-from repro.engine.cache import Columns, ScanCache, projection_column_keys
+from repro.engine.cache import ScanCache, projection_column_keys
+from repro.engine.carry import carry_forward
 from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
@@ -51,8 +52,8 @@ from repro.engine.planner import (
 from repro.engine.shards import (
     cfd_finalize,
     cfd_map_shard,
-    cind_finalize,
     cind_map_shard,
+    filter_by_checks,
     instance_key_fn,
     shard_key_fn,
     witness_map_shard,
@@ -88,27 +89,6 @@ class DetectionSummary:
 
 
 # -- shared scan primitives (also used by the incremental checker) ------------
-
-
-def filter_by_checks(
-    columns: Columns,
-    checks: tuple[tuple[int, Any], ...],
-    payload: "Iterable[Any]",
-) -> Iterator[Any]:
-    """Payload entries whose tuple satisfies the precompiled *checks*.
-
-    Column-wise: the single-check case is a plain ``zip`` + ``==`` pass and
-    the multi-check case compares one zipped value tuple against the
-    constants tuple, so no per-row ``passes()`` call happens either way.
-    """
-    if not checks:
-        return iter(payload)
-    if len(checks) == 1:
-        (pos, const), = checks
-        return (p for v, p in zip(columns[pos], payload) if v == const)
-    consts = tuple(c for __, c in checks)
-    zipped = zip(*(columns[p] for p, __ in checks))
-    return (p for vs, p in zip(zipped, payload) if vs == consts)
 
 
 def witness_sets(
@@ -200,18 +180,27 @@ def cind_scan_hits(
 
     The 1-shard case of the shard pipeline: one
     :func:`~repro.engine.shards.cind_map_shard` over the whole relation
-    with row ids as the per-row payload, then the task-major flatten of
-    :func:`~repro.engine.shards.cind_finalize`; only the violating rows
-    get :class:`~repro.relational.instance.Tuple` views.
+    with row ids as the per-row payload, flattened task-major; only the
+    violating rows get :class:`~repro.relational.instance.Tuple` views.
     """
+    view = instance.view
+    for task, bucket in zip(tasks, cind_scan_buckets(tasks, instance, witnesses)):
+        for rowid in bucket:
+            yield task, view(rowid)
+
+
+def cind_scan_buckets(
+    tasks: list[CINDRowTask],
+    instance: RelationInstance,
+    witnesses: dict[WitnessSpec, set[tuple[Any, ...]]],
+) -> list[list[int]]:
+    """The violating row ids of each task (aligned with *tasks*, each in
+    row order): :func:`cind_scan_hits` before the rows get views."""
     columns = instance.columns()
     rowids = instance.row_ids()
-    state = cind_map_shard(
+    return cind_map_shard(
         tasks, columns, rowids, witnesses, shard_key_fn(columns, len(rowids))
-    )
-    view = instance.view
-    for task, rowid in cind_finalize(tasks, state):
-        yield task, view(rowid)
+    ).buckets
 
 
 def _cind_any_hit(
@@ -272,8 +261,14 @@ def _cind_relation_hits(
     cached = cache.cind_hits(relation, version, deps)
     if cached is not None:
         return cached
-    hits = list(cind_scan_hits(tasks, instance, witnesses))
-    cache.store_cind_hits(relation, version, deps, hits)
+    buckets = cind_scan_buckets(tasks, instance, witnesses)
+    view = instance.view
+    hits = [
+        (task, view(rowid))
+        for task, bucket in zip(tasks, buckets)
+        for rowid in bucket
+    ]
+    cache.store_cind_hits(relation, version, deps, hits, buckets)
     return hits
 
 
@@ -427,6 +422,8 @@ def execute_plan(
     _check_cache(plan, cache, db)
 
     try:
+        if cache is not None:
+            carry_forward(plan, db, cache)
         cfd_hits = [
             (group, cfd_group_hits(group, db[group.relation], cache))
             for group in plan.cfd_groups
@@ -436,6 +433,8 @@ def execute_plan(
             (relation, _cind_relation_hits(relation, tasks, db, witnesses, cache))
             for relation, tasks in plan.cind_scans.items()
         ]
+        if cache is not None:
+            cache.mark_synced(plan, db)
         return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode, cache)
     finally:
         if cache is not None:
@@ -522,6 +521,8 @@ def plan_has_violation(
     """
     _check_cache(plan, cache, db)
     try:
+        if cache is not None:
+            carry_forward(plan, db, cache)
         for group in plan.cfd_groups:
             if cfd_group_hits(group, db[group.relation], cache):
                 return True
@@ -542,7 +543,11 @@ def plan_has_violation(
             if cache is not None:
                 # A clean early-exit scan *proves* the full hit list is
                 # empty, so the cache can be warmed at no extra cost.
-                cache.store_cind_hits(relation, instance.version, deps, [])
+                cache.store_cind_hits(
+                    relation, instance.version, deps, [], [[] for __ in tasks]
+                )
+        if cache is not None:
+            cache.mark_synced(plan, db)
         return False
     finally:
         if cache is not None:

@@ -49,7 +49,7 @@ while shard workers slice fresh ones; :func:`shard_columns` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.cache import Columns, projection_column_keys
 from repro.engine.planner import CFDScanGroup, CINDRowTask, WitnessSpec, passes
@@ -199,6 +199,27 @@ def instance_key_fn(instance: RelationInstance, cache=None) -> KeyLists:
         return lambda positions: cache.projection_keys(instance, positions)
     columns = instance.columns()
     return shard_key_fn(columns, len(instance))
+
+
+def filter_by_checks(
+    columns: Columns,
+    checks: tuple[tuple[int, Any], ...],
+    payload: Iterable[Any],
+) -> Iterator[Any]:
+    """Payload entries whose tuple satisfies the precompiled *checks*.
+
+    Column-wise: the single-check case is a plain ``zip`` + ``==`` pass and
+    the multi-check case compares one zipped value tuple against the
+    constants tuple, so no per-row ``passes()`` call happens either way.
+    """
+    if not checks:
+        return iter(payload)
+    if len(checks) == 1:
+        (pos, const), = checks
+        return (p for v, p in zip(columns[pos], payload) if v == const)
+    consts = tuple(c for __, c in checks)
+    zipped = zip(*(columns[p] for p, __ in checks))
+    return (p for vs, p in zip(zipped, payload) if vs == consts)
 
 
 # -- CFD scan groups -----------------------------------------------------------
@@ -399,8 +420,6 @@ def witness_map_shard(
     Specs sharing ``Y`` positions share one projection key list (via the
     memoizing ``key_lists``).
     """
-    from repro.engine.executor import filter_by_checks  # avoid import cycle
-
     sets: list[set] = []
     for spec in specs:
         y_keys = key_lists(spec.y_positions)
@@ -463,8 +482,6 @@ def cind_map_shard(
     structurally identical pattern rows — flag the same entries: evaluated
     once, replicated per task.
     """
-    from repro.engine.executor import filter_by_checks  # avoid import cycle
-
     evaluated: dict[tuple, list] = {}
     buckets: list[list] = []
     for task in tasks:

@@ -176,7 +176,10 @@ class RelationInstance:
         self.version: int = 0
         self.extend(tuples)
 
-    def _values_of(self, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> tuple[Any, ...]:
+    def coerce(self, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> tuple[Any, ...]:
+        """*row*'s value tuple, checked against the schema (arity,
+        attribute names, the relation of a :class:`Tuple`); raises
+        :class:`~repro.errors.SchemaError` without touching the store."""
         if type(row) is tuple and len(row) == self.schema.arity:
             return row
         if isinstance(row, Tuple):
@@ -229,7 +232,7 @@ class RelationInstance:
         without guessing where it landed — and ``None`` for a duplicate.
         (``Tuple`` is always truthy, so boolean uses keep working.)
         """
-        values = self._values_of(row)
+        values = self.coerce(row)
         if not self._append(values):
             return None
         return row if isinstance(row, Tuple) else _row_view(self.schema, values)
@@ -237,7 +240,7 @@ class RelationInstance:
     def extend(self, rows: Iterable[Tuple | Sequence[Any] | Mapping[str, Any]]) -> int:
         """Insert every row (set semantics) without building any
         :class:`Tuple`; returns how many were new."""
-        values_of, append = self._values_of, self._append
+        values_of, append = self.coerce, self._append
         return sum(append(values_of(row)) for row in rows)
 
     def discard(self, row: Tuple) -> bool:
@@ -314,6 +317,11 @@ class RelationInstance:
                 values = tuple([column[i] for column in columns])
             t = self._views[rowid] = _row_view(self.schema, values)
         return t
+
+    def has_index(self, attributes: Sequence[str]) -> bool:
+        """Whether :meth:`index_on` *attributes* is already built (and so
+        maintained by every mutation)."""
+        return self.schema.positions_of(attributes) in self._indexes
 
     def index_on(self, attributes: Sequence[str]) -> dict[tuple[Any, ...], dict[int, tuple[Any, ...]]]:
         """Hash index mapping projections on *attributes* to row buckets.

@@ -28,11 +28,11 @@ The TCP front end lives in :mod:`repro.serve.protocol` and is hosted by
 from repro.serve.feed import (
     DeltaSource,
     SessionDeltaSource,
-    ShadowDeltaSource,
     Subscription,
     ViolationDelta,
     ViolationFeed,
     diff_records,
+    record_delta,
     replay,
     report_records,
 )
@@ -54,12 +54,12 @@ __all__ = [
     "ReaderPool",
     "SessionDeltaSource",
     "SessionRegistry",
-    "ShadowDeltaSource",
     "Subscription",
     "TenantHandle",
     "ViolationDelta",
     "ViolationFeed",
     "diff_records",
+    "record_delta",
     "replay",
     "report_records",
 ]

@@ -14,11 +14,11 @@ The pieces:
 
 * :func:`report_records` — a report flattened to hashable records (the
   same identity-free shape the conformance kit fingerprints on);
-* :func:`diff_records` / :class:`ViolationDelta` / :func:`replay` — an
-  order-preserving patch format (position-tagged records on both sides:
-  removals indexed into the old report, additions into the new one),
-  computed with :class:`difflib.SequenceMatcher` so common violations are
-  never shipped twice;
+* :class:`ViolationDelta` / :func:`replay` — an order-preserving patch
+  format (position-tagged records on both sides: removals indexed into
+  the old report, additions into the new one); :func:`diff_records`
+  derives one from two whole record sequences with
+  :class:`difflib.SequenceMatcher`;
 * :class:`Subscription` — an ``async for``-able handle over a *bounded*
   queue. Bounded is the policy, not a tuning knob: a subscriber that
   cannot keep up is evicted (``reason == "lagging"``) rather than allowed
@@ -28,13 +28,24 @@ The pieces:
   tenant's writer lock* (so deltas are totally ordered by commit
   sequence); ``publish()`` fans the delta out on the event loop.
 
-Deltas are computed by a :class:`DeltaSource`, never by a full re-check
-diff at serve time: tenants on the ``memory``/``incremental`` backends
-re-check their own session (the versioned scan cache makes that
-O(relations touched by the batch)); tenants on re-scan backends
-(``naive``/``sql``/``sqlfile``) mirror each batch into a **shadow
-incremental session** so the delta cost is O(touched groups) regardless
-of how expensive the primary backend's full check is.
+Deltas come from a :class:`SessionDeltaSource` over a session with a
+versioned scan cache: the tenant's own session on the
+``memory``/``incremental`` backends, and on the re-scan backends
+(``naive``/``sql``/``sqlfile``) a ``memory`` **mirror** session seeded
+with the same data at tenant creation that applies every batch too. After
+a batch, the session carries its scan cache forward by the rows the batch
+touched (:func:`repro.engine.carry.carry_forward`): only the CFD groups,
+witness keys and CIND rows those rows reach are re-evaluated, and the
+splice yields the report positions of the removed and added violations
+directly. :meth:`ViolationFeed.commit` turns that into a
+:class:`ViolationDelta` — removed records are read from the feed's
+current records by position, only the added violations become new
+records — with no report assembly and no diff. A scan unit whose touched
+buckets hold more rows than its relation is re-scanned instead, its
+delta still restricted to the touched keys. Only when the session cannot
+carry forward at all (its data changed outside its DML) does the feed
+fall back to a full check diffed with :func:`diff_records`, which
+otherwise serves, with :func:`replay`, as the test oracle.
 """
 
 from __future__ import annotations
@@ -42,11 +53,14 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.api.backends import DMLOp
 from repro.api.session import Session
+from repro.core.cfd import CFDViolation
+from repro.core.cind import CINDViolation
 from repro.core.violations import ViolationReport
+from repro.engine import ReportDelta
 from repro.errors import ServeError
 
 #: One violation, flattened to a hashable, backend-independent record.
@@ -63,22 +77,36 @@ def report_records(report: ViolationReport) -> tuple[ViolationRecord, ...]:
     which is what lets the delta-replay gate compare a subscriber's
     reconstruction directly against a cold check.
     """
-    cfds = tuple(
-        (
-            "cfd",
-            report.label_for(v.cfd),
-            v.pattern_index,
-            v.lhs_values,
-            tuple(t.values for t in v.tuples),
-            v.kind,
-        )
-        for v in report.cfd_violations
-    )
+    label = report.label_for
+    cfds = tuple(_cfd_record(v, label(v.cfd)) for v in report.cfd_violations)
     cinds = tuple(
-        ("cind", report.label_for(v.cind), v.pattern_index, v.tuple_.values)
-        for v in report.cind_violations
+        _cind_record(v, label(v.cind)) for v in report.cind_violations
     )
     return cfds + cinds
+
+
+def _cfd_record(v: CFDViolation, label: str) -> ViolationRecord:
+    return (
+        "cfd",
+        label,
+        v.pattern_index,
+        v.lhs_values,
+        tuple(t.values for t in v.tuples),
+        v.kind,
+    )
+
+
+def _cind_record(v: CINDViolation, label: str) -> ViolationRecord:
+    return ("cind", label, v.pattern_index, v.tuple_.values)
+
+
+def _record(
+    v: CFDViolation | CINDViolation, labels: Mapping[int, str]
+) -> ViolationRecord:
+    """*v*'s record, labelled through an ``id(constraint) -> label`` map."""
+    if isinstance(v, CFDViolation):
+        return _cfd_record(v, labels[id(v.cfd)])
+    return _cind_record(v, labels[id(v.cind)])
 
 
 @dataclass(frozen=True)
@@ -132,6 +160,20 @@ def diff_records(
     return tuple(removed), tuple(added)
 
 
+def record_delta(
+    seq: int, old: Sequence[ViolationRecord], change: ReportDelta
+) -> ViolationDelta:
+    """The :class:`ViolationDelta` of a session's position-tagged
+    :class:`~repro.engine.ReportDelta` against *old*, the records of the
+    report it changed: removed records are read from *old* by position,
+    added violations become records."""
+    return ViolationDelta(
+        seq=seq,
+        removed=tuple((p, old[p]) for p in change.removed),
+        added=tuple((p, _record(v, change.labels)) for p, v in change.added),
+    )
+
+
 def replay(
     base: Sequence[ViolationRecord], delta: ViolationDelta
 ) -> tuple[ViolationRecord, ...]:
@@ -164,17 +206,19 @@ def replay(
 
 
 class DeltaSource:
-    """Where a tenant's post-commit violation records come from.
+    """Where a tenant's violation deltas come from.
 
     ``commit(inserts, deletes)`` is called *after* the primary session
-    applied the batch, still inside the writer lock, and returns the new
-    canonical record sequence. Synchronous and CPU-bound by design — the
-    service runs it in its thread executor.
+    applied the batch, still inside the writer lock, and returns the
+    report's :class:`~repro.engine.ReportDelta` — or ``None`` when it
+    cannot tell, and the feed falls back to diffing :meth:`baseline`.
+    Synchronous and CPU-bound by design — the service runs it in its
+    thread executor.
     """
 
     def commit(
         self, inserts: Sequence[DMLOp], deletes: Sequence[DMLOp]
-    ) -> tuple[ViolationRecord, ...]:
+    ) -> ReportDelta | None:
         raise NotImplementedError
 
     def baseline(self) -> tuple[ViolationRecord, ...]:
@@ -185,54 +229,34 @@ class DeltaSource:
 
 
 class SessionDeltaSource(DeltaSource):
-    """Deltas from the tenant's own session (memory/incremental backends).
+    """Deltas from a scan-cache session's carry-forward.
 
-    The batch is already applied by the time ``commit`` runs, so this is
-    just a re-check — cheap because both backends keep versioned caches:
-    ``memory`` replays memoized scans for untouched relations, and
-    ``incremental`` answers from live violation state in O(touched
-    groups).
+    *session* is the tenant's own session (``memory``/``incremental``
+    backends: the batch is already applied when ``commit`` runs) or, with
+    ``mirror=True``, a ``memory`` session over a copy of the tenant's data
+    that applies each batch itself (the re-scan backends, whose own
+    ``check()`` is a full pass). Either way ``commit`` is
+    :meth:`~repro.api.Session.delta`: the session re-evaluates only what
+    the batch's rows touch and reports the change by position.
     """
 
-    def __init__(self, session: Session):
+    def __init__(self, session: Session, mirror: bool = False):
         self.session = session
+        self.mirror = mirror
 
     def commit(
         self, inserts: Sequence[DMLOp], deletes: Sequence[DMLOp]
-    ) -> tuple[ViolationRecord, ...]:
-        return report_records(self.session.check())
+    ) -> ReportDelta | None:
+        if self.mirror:
+            self.session.apply(inserts=inserts, deletes=deletes)
+        return self.session.delta()
 
     def baseline(self) -> tuple[ViolationRecord, ...]:
         return report_records(self.session.check())
-
-
-class ShadowDeltaSource(DeltaSource):
-    """Deltas from a shadow incremental session mirroring the tenant.
-
-    For backends whose ``check()`` is a full re-scan (``naive``/``sql``)
-    or an out-of-core pass (``sqlfile``), diffing full re-checks per
-    commit would make write latency scale with database size. Instead the
-    service seeds an in-memory incremental session with the same data at
-    tenant creation and mirrors every batch into it — delta cost is then
-    O(touched groups) per commit, independent of the primary backend.
-    The conformance gate still holds the shadow's records bit-identical
-    to the primary's cold check.
-    """
-
-    def __init__(self, shadow: Session):
-        self.shadow = shadow
-
-    def commit(
-        self, inserts: Sequence[DMLOp], deletes: Sequence[DMLOp]
-    ) -> tuple[ViolationRecord, ...]:
-        self.shadow.apply(inserts=inserts, deletes=deletes)
-        return report_records(self.shadow.check())
-
-    def baseline(self) -> tuple[ViolationRecord, ...]:
-        return report_records(self.shadow.check())
 
     def close(self) -> None:
-        self.shadow.close()
+        if self.mirror:
+            self.session.close()
 
 
 #: Terminal marker delivered to a subscription's queue on close.
@@ -347,17 +371,27 @@ class ViolationFeed:
     def subscribe(self, maxsize: int | None = None) -> Subscription:
         """Open a subscription whose baseline is the current records.
 
-        Must be called with the tenant's read lock held (the service
-        does): that makes baseline-vs-seq capture atomic with respect to
-        commits, which is what makes replay exact.
+        *maxsize* bounds the subscriber's queue: ``None`` means
+        :attr:`DEFAULT_QUEUE_SIZE`, anything else must be an ``int`` of
+        at least 1 (a ``bool`` is not one). Must be called with the
+        tenant's read lock held (the service does): that makes
+        baseline-vs-seq capture atomic with respect to commits, which is
+        what makes replay exact.
         """
         if self._closed:
             raise ServeError(f"feed for tenant {self.tenant!r} is closed")
+        if maxsize is None:
+            maxsize = self.DEFAULT_QUEUE_SIZE
+        elif isinstance(maxsize, bool) or not isinstance(maxsize, int) or maxsize < 1:
+            raise ServeError(
+                f"subscriber maxsize must be an int >= 1 (or absent for "
+                f"{self.DEFAULT_QUEUE_SIZE}), got {maxsize!r}"
+            )
         subscription = Subscription(
             tenant=self.tenant,
             seq=self.seq,
             baseline=self.current,
-            maxsize=maxsize or self.DEFAULT_QUEUE_SIZE,
+            maxsize=maxsize,
         )
         self._subscribers.append(subscription)
         return subscription
@@ -368,17 +402,25 @@ class ViolationFeed:
         """Compute the delta for one applied batch (executor, writer lock).
 
         The primary session has already applied the batch; this advances
-        the delta source, diffs against the previous canonical records,
-        and bumps ``seq``. Every commit yields a delta — an *empty* one
-        when the batch changed no violations — so subscribers can verify
-        they missed nothing by checking seq continuity.
+        the delta source, tags its positions with records — removed ones
+        read from the previous records, added ones built from the new
+        violations — and bumps ``seq``. Every commit yields a delta — an
+        *empty* one when the batch changed no violations — so subscribers
+        can verify they missed nothing by checking seq continuity.
         """
         old = self.current
-        new = self.source.commit(inserts, deletes)
-        removed, added = diff_records(old, new)
-        self.seq += 1
+        change = self.source.commit(inserts, deletes)
+        seq = self.seq + 1
+        if change is None:
+            new = self.source.baseline()
+            removed, added = diff_records(old, new)
+            delta = ViolationDelta(seq=seq, removed=removed, added=added)
+        else:
+            delta = record_delta(seq, old, change)
+            new = old if delta.empty else replay(old, delta)
+        self.seq = seq
         self._current = new
-        return ViolationDelta(seq=self.seq, removed=removed, added=added)
+        return delta
 
     def publish(self, delta: ViolationDelta) -> None:
         """Fan *delta* out to every subscriber (event loop only).
@@ -417,12 +459,12 @@ class ViolationFeed:
 __all__ = [
     "DeltaSource",
     "SessionDeltaSource",
-    "ShadowDeltaSource",
     "Subscription",
     "ViolationDelta",
     "ViolationFeed",
     "ViolationRecord",
     "diff_records",
+    "record_delta",
     "replay",
     "report_records",
 ]

@@ -43,6 +43,12 @@ JSON types round-trip the value domains in play (ints stay ints, strings
 stay strings), so a row sent over the wire compares equal to the same
 row inserted in-process — the conformance suite's protocol test holds
 the two paths bit-identical.
+
+A request line may hold at most :data:`MAX_LINE_BYTES` (1 MiB: a batch
+of several thousand rows, an inline ``create`` of about ten thousand).
+A longer line is answered with a ``ProtocolError`` envelope naming the
+limit, after which the server reads past the rest of the line and closes
+that connection; other connections are unaffected.
 """
 
 from __future__ import annotations
@@ -97,6 +103,11 @@ def encode_delta(delta: ViolationDelta) -> dict[str, Any]:
     }
 
 
+#: The longest request line the server reads, in bytes (the stream
+#: reader's buffer limit).
+MAX_LINE_BYTES = 1 << 20
+
+
 class ProtocolError(ServeError):
     """A malformed request line (bad JSON, missing fields, unknown op)."""
 
@@ -136,7 +147,7 @@ class DetectionServer:
 
     async def start(self) -> "DetectionServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         return self
 
@@ -171,7 +182,21 @@ class DetectionServer:
         cancelled = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line outgrew the reader's buffer: answer, then
+                    # drop the rest of it and end this connection.
+                    await self._send(writer, {
+                        "ok": False,
+                        "error": (
+                            f"request line exceeds the {MAX_LINE_BYTES}-byte "
+                            "limit"
+                        ),
+                        "kind": ProtocolError.__name__,
+                    })
+                    await _skip_line(reader)
+                    break
                 if not line:
                     break
                 try:
@@ -330,7 +355,21 @@ class DetectionServer:
         return payload, subscription
 
 
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Read and discard up to the next newline (or end of stream),
+    buffering at most one reader limit at a time."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 __all__ = [
+    "MAX_LINE_BYTES",
     "DetectionServer",
     "ProtocolError",
     "encode_delta",

@@ -23,11 +23,16 @@ being *scheduled*. Per tenant:
   lock, so baseline-vs-sequence-number is atomic with respect to commits
   and the replay contract is exact.
 
-Delta sources are chosen by backend at tenant creation: ``memory`` and
-``incremental`` tenants re-check their own (versioned-cache) session;
-``naive``/``sql``/``sqlfile`` tenants get a **shadow incremental
-session** seeded with the same data, mirroring every batch — delta cost
-is O(touched groups) regardless of the primary backend's check cost.
+Deltas come from a session with a versioned scan cache, chosen by
+backend at tenant creation: ``memory`` and ``incremental`` tenants use
+their own session; ``naive``/``sql``/``sqlfile`` tenants get a ``memory``
+**mirror** session seeded with the same data that applies every batch
+too (a ``sqlfile`` tenant's mirror holds the file's rows in memory). After
+each batch the session carries its cache forward by the rows the batch
+touched and hands the feed the report positions of the removed and added
+violations (see :mod:`repro.serve.feed`), so a commit's delta costs the
+touched groups and keys — not a check and a diff of the whole report —
+whatever the primary backend's check costs.
 
 Parallel tenants (``workers > 1`` in the tenant's options) compose with
 the session-persistent worker pool (the ``pool="persistent"`` default):
@@ -60,7 +65,6 @@ from repro.relational.instance import DatabaseInstance
 from repro.serve.feed import (
     DeltaSource,
     SessionDeltaSource,
-    ShadowDeltaSource,
     Subscription,
     ViolationDelta,
     ViolationFeed,
@@ -69,8 +73,8 @@ from repro.serve.registry import ReaderPool, SessionRegistry, TenantHandle
 
 T = TypeVar("T")
 
-#: Backends whose own session doubles as the delta source (cheap
-#: post-mutation re-check via versioned caches / live state).
+#: Backends whose own session doubles as the delta source (their scan
+#: cache carries forward by each batch's rows).
 _SELF_DELTA_BACKENDS = frozenset({"memory", "incremental"})
 
 
@@ -184,16 +188,14 @@ class DetectionService:
             return SessionDeltaSource(session)
         if isinstance(db, (str, Path)):
             # sqlfile: snapshot the file into an in-memory instance (rowid
-            # order preserves report order) and keep it live incrementally.
+            # order preserves report order).
             from repro.sql.loader import read_database_file
 
-            shadow_db = read_database_file(db, sigma.schema)
+            mirror_db = read_database_file(db, sigma.schema)
         else:
-            shadow_db = db.copy()
-        shadow = connect(
-            shadow_db, sigma, backend="incremental", options=ExecutionOptions()
-        )
-        return ShadowDeltaSource(shadow)
+            mirror_db = db.copy()
+        mirror = connect(mirror_db, sigma, options=ExecutionOptions())
+        return SessionDeltaSource(mirror, mirror=True)
 
     async def evict(self, tenant: str) -> bool:
         """Close and drop *tenant* (writer lock held, so never mid-commit);
@@ -245,9 +247,9 @@ class DetectionService:
         deletes = list(deletes)
 
         def commit() -> tuple[ApplyResult, ViolationDelta]:
-            # Pin the pre-batch records first: with a session-backed delta
-            # source, materializing the baseline lazily *after* the apply
-            # would diff the new state against itself (empty delta).
+            # Pin the pre-batch records first: the delta is relative to
+            # them, and materializing the baseline lazily *after* the
+            # apply would make the batch part of it (an empty delta).
             handle.feed.current
             result = handle.session.apply(inserts=inserts, deletes=deletes)
             delta = handle.feed.commit(inserts, deletes)

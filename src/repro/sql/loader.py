@@ -215,8 +215,8 @@ def read_database_file(
     order, so tuple insertion order — and therefore every order-sensitive
     detection report over the loaded instance — matches what the
     file-backed ``sqlfile`` backend produces over the file itself. The
-    serving layer uses this to build the in-memory shadow that computes
-    violation deltas for file-backed tenants.
+    serving layer uses this to build the in-memory mirror session that
+    computes violation deltas for file-backed tenants.
     """
     conn = connect_file(path, readonly=True)
     try:

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.core.violations import check_database_naive
 from repro.datasets.commerce import commerce_constraints, commerce_instance
-from repro.errors import SessionClosedError, UnknownTenantError
+from repro.errors import ReproError, SessionClosedError, UnknownTenantError
 from repro.relational.instance import Tuple
 from repro.serve import DetectionService, replay, report_records
 
@@ -244,6 +244,28 @@ class BackendContract:
             assert report_key(session.check()) == report_key(
                 check_database_naive(bank.clean_db, bank.constraints)
             )
+
+    def test_malformed_batch_changes_nothing(self, bank, make_session):
+        """A batch holding one malformed row raises and applies none of
+        its rows — not the deletes before it, not the inserts around it —
+        so the next check still answers for the unchanged data."""
+        reference = check_database_naive(bank.db, bank.constraints)
+        victim = next(iter(bank.db["interest"])).values
+        bad_batches = [
+            {"inserts": [("interest", dict(self.DIRTY_ROW)), ("interest", ("bad",))]},
+            {"inserts": [("interest", dict(self.DIRTY_ROW))],
+             "deletes": [("interest", victim), ("interest", {"ab": "GLA"})]},
+            {"inserts": [("interest", dict(self.DIRTY_ROW)),
+                         ("no_such_relation", ("x",))]},
+        ]
+        with make_session(bank.db.copy(), bank.constraints) as session:
+            assert report_key(session.check()) == report_key(reference)
+            for batch in bad_batches:
+                with pytest.raises(ReproError):
+                    session.apply(**batch)
+                assert report_key(session.check()) == report_key(reference)
+                assert session.count().total == reference.total
+            assert session.apply(deletes=[("interest", victim)]).deleted == 1
 
     def test_mutation_interleaving_matches_oracle(self, bank, make_session):
         """A fixed insert/check/delete/check script answers, at every

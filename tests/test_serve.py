@@ -719,6 +719,74 @@ class TestProtocol:
 
         run(scenario())
 
+    def test_bad_subscriber_maxsize_is_refused(self, bank, bank_rows):
+        """A subscribe with a bad ``maxsize`` gets an error envelope and
+        opens no subscription, so later applies on the tenant commit and
+        answer as usual."""
+        async def scenario():
+            server = await self._server(bank).start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                await _rpc(reader, writer,
+                           {"op": "create", "tenant": "w", "rows": bank_rows})
+                for bad in ("x", -1, 0, True, 2.5):
+                    resp = await _rpc(reader, writer, {
+                        "op": "subscribe", "tenant": "w", "maxsize": bad,
+                    })
+                    assert resp["ok"] is False, bad
+                    assert resp["kind"] in ("ServeError", "ProtocolError")
+                applied = await _rpc(reader, writer, {
+                    "op": "apply", "tenant": "w",
+                    "inserts": [["interest", ["GLA", "UK", "checking", "9.9%"]]],
+                })
+                assert applied["ok"] is True
+                assert applied["result"]["delta"]["seq"] == 1
+            finally:
+                writer.close()
+                await server.stop()
+
+        run(scenario())
+
+    def test_feed_rejects_bad_maxsize(self):
+        feed = ViolationFeed("t", _NullSource())
+        for bad in ("x", -1, 0, True):
+            with pytest.raises(ServeError):
+                feed.subscribe(maxsize=bad)
+        assert feed.subscriber_count == 0
+        assert feed.subscribe(maxsize=None)._queue.maxsize == feed.DEFAULT_QUEUE_SIZE
+
+    def test_oversized_line_gets_an_envelope(self, bank, bank_rows):
+        """A request line past the reader limit is answered with a
+        ProtocolError naming the limit and closes only its connection."""
+        from repro.serve.protocol import MAX_LINE_BYTES
+
+        async def scenario():
+            server = await self._server(bank).start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                rows = [["interest", [f"B{i}", "US", "saving", f"{i}%"]]
+                        for i in range(MAX_LINE_BYTES // 30)]
+                line = json.dumps({"op": "apply", "tenant": "w", "inserts": rows})
+                assert len(line) > MAX_LINE_BYTES
+                writer.write(line.encode() + b"\n")
+                await writer.drain()
+                resp = json.loads(await reader.readline())
+                assert resp["ok"] is False and resp["kind"] == "ProtocolError"
+                assert str(MAX_LINE_BYTES) in resp["error"]
+                assert await reader.read() == b""  # closed cleanly
+            finally:
+                writer.close()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                assert (await _rpc(reader, writer, {"op": "ping"}))["ok"]
+            finally:
+                writer.close()
+                await server.stop()
+
+        run(scenario())
+
     def test_protocol_error_is_serve_error(self):
         assert issubclass(ProtocolError, ServeError)
 
