@@ -1,17 +1,17 @@
-"""X5 (extension): incremental vs full violation detection under updates.
+"""X5 (extension): carried vs full violation maintenance under updates.
 
-A cleaning tool watching a live database re-checks after every update. The
-full engine rescans everything; the incremental checker updates only the
-touched groups/witness counts. This benchmark applies a stream of random
-inserts/deletes to the scaled bank database and measures the cost of
-keeping the violation report current both ways.
+A cleaning tool watching a live database wants the violation change and
+the verdict after every update. A full re-check rescans everything; a
+``memory`` session carries its scan cache forward by each update's rows,
+so ``delta()`` and ``is_clean()`` re-evaluate only the CFD groups,
+witness keys and CIND rows the update touches. This benchmark applies a
+stream of inserts to the scaled bank database and measures the cost of
+keeping the answer current both ways.
 """
 
 import random
 
-import pytest
-
-from repro.cleaning.incremental import IncrementalChecker
+from repro import api
 from repro.core.violations import check_database
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 
@@ -55,31 +55,37 @@ def test_x5_full_recheck(benchmark, series):
     series.add(EXPERIMENT, "full recheck", N_ACCOUNTS, benchmark.stats.stats.mean)
 
 
-def test_x5_incremental(benchmark, series):
+def test_x5_carry_forward(benchmark, series):
     sigma = bank_constraints()
     db = scaled_bank_instance(N_ACCOUNTS, error_rate=0.02, seed=31)
     ops = _update_stream(db.schema, random.Random(31))
+    work = db.copy()
+    session = api.connect(work, sigma)
+    session.check()  # the baseline report the deltas are relative to
 
     def run():
-        checker = IncrementalChecker(db.copy(), sigma)
-        total = 0
         for relation, row in ops:
-            checker.insert(relation, row)
-            total = checker.violation_count
-        return total
+            session.apply(inserts=[(relation, row)])
+            assert session.delta() is not None  # one row is always carried
+            session.is_clean()
 
-    incremental_total = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Cross-check the final count against a full recheck.
-    work = db.copy()
+    # Cross-check the carried state against a cold check of the same data.
+    cold = db.copy()
     for relation, row in ops:
-        work[relation].add(row)
-    normalized = sigma.normalized()
-    assert incremental_total == check_database(work, normalized).total
-    record(benchmark, engine="incremental", n_accounts=N_ACCOUNTS)
-    series.add(EXPERIMENT, "incremental", N_ACCOUNTS, benchmark.stats.stats.mean)
+        cold[relation].add(row)
+    expected = check_database(cold, sigma)
+    summary = session.count()
+    assert (summary.total, summary.by_constraint()) == (
+        expected.total, expected.by_constraint()
+    )
+    assert session.is_clean() == expected.is_clean
+    session.close()
+    record(benchmark, engine="carry-forward", n_accounts=N_ACCOUNTS)
+    series.add(EXPERIMENT, "carry-forward", N_ACCOUNTS, benchmark.stats.stats.mean)
     series.note(
         EXPERIMENT,
-        "incremental maintenance should beat per-update full rescans by "
-        "orders of magnitude at this size",
+        "a memory session's apply + delta() + is_clean() per update against "
+        "a cold full re-check per update",
     )

@@ -56,8 +56,9 @@ from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.serve import DetectionService, replay, report_records
 from repro.sql.loader import create_database_file
 
-#: The service-level comparison gates these backends (the ISSUE's floor);
-#: naive/sql/incremental follow the same code path as memory.
+#: The service-level comparison gates these backends; naive and sql
+#: tenants hold their data in memory like ``memory`` and take their
+#: deltas from a memory mirror like ``sqlfile``.
 GATED_BACKENDS = ("memory", "sqlfile")
 
 

@@ -8,7 +8,7 @@ growing sizes and verifies they flag the same constraints.
 
 import pytest
 
-from repro.cleaning.detect import detect_errors, detect_errors_sql
+from repro import api
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 
 from _workloads import record, scaled
@@ -28,12 +28,17 @@ def _database(n_accounts: int):
     return scaled_bank_instance(n_accounts, error_rate=ERROR_RATE, seed=42)
 
 
+def _detect(db, sigma, backend="memory"):
+    with api.connect(db, sigma, backend=backend) as session:
+        return session.detect()
+
+
 @pytest.mark.parametrize("n_accounts", SIZES)
 def test_x3_memory_engine(benchmark, series, sigma, n_accounts):
     db = _database(n_accounts)
 
     result = benchmark.pedantic(
-        detect_errors, args=(db, sigma), rounds=3, iterations=1
+        _detect, args=(db, sigma), rounds=3, iterations=1
     )
     assert result.report.total > 0  # the 5% error rate plants violations
     record(benchmark, engine="memory", n_accounts=n_accounts,
@@ -45,12 +50,12 @@ def test_x3_memory_engine(benchmark, series, sigma, n_accounts):
 def test_x3_sql_engine(benchmark, series, sigma, n_accounts):
     db = _database(n_accounts)
 
-    report = benchmark.pedantic(
-        detect_errors_sql, args=(db, sigma), rounds=3, iterations=1
+    result = benchmark.pedantic(
+        _detect, args=(db, sigma, "sql"), rounds=3, iterations=1
     )
-    assert report  # some constraint violated
-    memory = detect_errors(db, sigma)
-    assert set(report) == set(memory.report.by_constraint())
+    assert not result.is_clean  # some constraint violated
+    memory = _detect(db, sigma)
+    assert result.report.by_constraint() == memory.report.by_constraint()
     record(benchmark, engine="sql", n_accounts=n_accounts)
     series.add(EXPERIMENT, "sqlite3", n_accounts, benchmark.stats.stats.mean)
     series.note(

@@ -14,8 +14,8 @@ Quickstart::
     print(session.check().summary())   # finds the t10 / t12 errors
 
 ``api.connect`` fronts every detection path — shared-scan engine (default),
-naive oracle, SQL backend, incremental checker, parallel dispatch — with
-one report shape; see :mod:`repro.api`.
+naive oracle, SQL backends, parallel dispatch — with one report shape;
+see :mod:`repro.api`.
 """
 
 from repro.core.cfd import CFD, standard_fd

@@ -9,13 +9,15 @@ dispatch path that is an internal option rather than a different API.
 
     session = api.connect(db, sigma)                  # shared-scan engine
     session = api.connect(db, sigma, backend="sql")   # sqlite3 anti-joins
-    session = api.connect(db, sigma, backend="incremental")
     session = api.connect(db, sigma, workers=4)       # parallel scan groups
     session = api.connect("accounts.db", sigma, backend="sqlfile")  # out-of-core
 
     report  = session.check()      # ViolationReport — identical everywhere
     summary = session.count()      # per-constraint totals
     verdict = session.is_clean()   # cheapest verdict the backend has
+
+    session.apply(inserts=[...], deletes=[...])   # batch DML
+    change = session.delta()       # what the batch changed, by position
 
 See :mod:`repro.api.session` for the facade, :mod:`repro.api.backends`
 for the engine adapters, and :mod:`repro.api.parallel` for the
@@ -29,7 +31,6 @@ from repro.api.backends import (
     ApplyResult,
     Backend,
     BaseBackend,
-    IncrementalBackend,
     MemoryBackend,
     NaiveBackend,
     SQLBackend,
@@ -46,7 +47,6 @@ __all__ = [
     "Backend",
     "BaseBackend",
     "ExecutionOptions",
-    "IncrementalBackend",
     "MemoryBackend",
     "NaiveBackend",
     "SQLBackend",

@@ -1,10 +1,10 @@
 """Detection backends: one protocol, four engines, identical answers.
 
-Before this facade the repo exposed three incompatible checking APIs —
-``check_database`` returned a :class:`ViolationReport`,
-``SQLViolationDetector.check`` a ``dict[label, set[row]]``, and
-``IncrementalChecker`` bare counters — so every caller special-cased its
-engine. Here each engine is an adapter onto one :class:`Backend` shape:
+Before this facade the repo exposed incompatible checking APIs —
+``check_database`` returned a :class:`ViolationReport` and
+``SQLViolationDetector.check`` a ``dict[label, set[row]]`` — so every
+caller special-cased its engine. Here each engine is an adapter onto one
+:class:`Backend` shape:
 
 ``check()``     -> ``ViolationReport``   (identical across backends,
                                           including violation-list order)
@@ -27,10 +27,13 @@ How each backend earns its keep:
   adapter maps rows back to the canonical in-memory ``Tuple`` objects and
   replays the engine's violation semantics over just the dirty groups, so
   its report is tuple-for-tuple comparable with the others.
-* :class:`IncrementalBackend` — owns an
-  :class:`~repro.cleaning.incremental.IncrementalChecker`; mutations go
-  through :meth:`insert`/:meth:`delete` in time proportional to the touched
-  groups, and ``is_clean`` is O(1) off the maintained counters.
+* :class:`SQLFileBackend` — detection pushed down as SQL into an existing
+  sqlite database file, out-of-core.
+
+After DML, the memory backend carries its scan cache forward by the
+changed rows (:mod:`repro.engine.carry`): the next answer re-evaluates
+only the CFD groups, witness keys and CIND rows they touch, and
+:meth:`MemoryBackend.delta` reports the change by position.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -55,7 +57,6 @@ from repro.api.parallel import (
     resolve_executor,
 )
 from repro.api.workerpool import WorkerPool
-from repro.cleaning.incremental import IncrementalChecker
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
 from repro.core.violations import (
@@ -142,47 +143,6 @@ class Backend(Protocol):
     ) -> ApplyResult: ...
 
     def close(self) -> None: ...
-
-
-def _run_batch(
-    delete_rows: list[tuple[RelationInstance, Tuple]],
-    insert_rows: list[tuple[RelationInstance, tuple[Any, ...]]],
-    delete: Callable[[RelationInstance, Tuple], bool],
-    insert: Callable[[RelationInstance, tuple[Any, ...]], bool],
-    noted: Callable[[RelationInstance, int, list, list], None],
-) -> ApplyResult:
-    """Apply checked rows — deletes first — through the backend's
-    *delete*/*insert* callables and hand *noted* each touched relation's
-    changed rows (see :meth:`BaseBackend._noted`)."""
-    log: dict[str, tuple[RelationInstance, int, list, list]] = {}
-
-    def changes_of(instance: RelationInstance) -> tuple:
-        entry = log.get(instance.schema.name)
-        if entry is None:
-            entry = log[instance.schema.name] = (
-                instance, instance.version, [], [],
-            )
-        return entry
-
-    deleted = 0
-    for instance, t in delete_rows:
-        rowid = instance.row_id(t.values)
-        if rowid is None:
-            continue
-        entry = changes_of(instance)
-        if delete(instance, t):
-            entry[2].append((rowid, t.values))
-            deleted += 1
-    inserted = 0
-    for instance, values in insert_rows:
-        entry = changes_of(instance)
-        if insert(instance, values):
-            entry[3].append((instance.row_id(values), values))
-            inserted += 1
-    for instance, before, gone, new in log.values():
-        if gone or new:
-            noted(instance, before, gone, new)
-    return ApplyResult(inserted=inserted, deleted=deleted)
 
 
 def summarize(report: ViolationReport) -> DetectionSummary:
@@ -303,13 +263,35 @@ class BaseBackend:
         first mutation, so a malformed row leaves the database as it was.
         """
         delete_rows, insert_rows = self._batch_rows(inserts, deletes)
-        result = _run_batch(
-            delete_rows,
-            insert_rows,
-            lambda instance, t: instance.discard(t),
-            lambda instance, values: instance.add(values) is not None,
-            self._noted,
-        )
+        log: dict[str, tuple[RelationInstance, int, list, list]] = {}
+
+        def changes_of(instance: RelationInstance) -> tuple:
+            entry = log.get(instance.schema.name)
+            if entry is None:
+                entry = log[instance.schema.name] = (
+                    instance, instance.version, [], [],
+                )
+            return entry
+
+        deleted = 0
+        for instance, t in delete_rows:
+            rowid = instance.row_id(t.values)
+            if rowid is None:
+                continue
+            entry = changes_of(instance)
+            if instance.discard(t):
+                entry[2].append((rowid, t.values))
+                deleted += 1
+        inserted = 0
+        for instance, values in insert_rows:
+            entry = changes_of(instance)
+            if instance.add(values) is not None:
+                entry[3].append((instance.row_id(values), values))
+                inserted += 1
+        for instance, before, gone, new in log.values():
+            if gone or new:
+                self._noted(instance, before, gone, new)
+        result = ApplyResult(inserted=inserted, deleted=deleted)
         if result:
             self._invalidate()
         return result
@@ -1105,82 +1087,10 @@ class SQLFileBackend(BaseBackend):
         )
 
 
-class IncrementalBackend(BaseBackend):
-    """Live violation bookkeeping under single-tuple updates.
-
-    Mutations cost time proportional to the touched groups and
-    ``is_clean`` reads a maintained counter. Report-shaped answers
-    (``check``/``count``) run the shared-scan engine over the live
-    database with the *original* Σ, so they are identical to every other
-    backend; the checker's own per-constraint counters (exposed as
-    :meth:`live_counts`) are keyed by the *normalized* Σ and count
-    violated groups, not violation objects — monitoring numbers, not
-    report numbers.
-    """
-
-    name = "incremental"
-
-    def __init__(self, db, sigma, options=None):
-        super().__init__(db, sigma, options)
-        self._checker: IncrementalChecker | None = None
-        self._plan = build_plan(sigma, self.options)
-        self._cache = ScanCache(self._plan)
-
-    @property
-    def checker(self) -> IncrementalChecker:
-        """The live checker, bulk-built on first use.
-
-        Lazy so one-shot ``check()`` calls (e.g. ``repro check --engine
-        incremental``) don't pay for mutation state they never touch.
-        """
-        if self._checker is None:
-            self._checker = IncrementalChecker(self.db, self.sigma)
-        return self._checker
-
-    def check(self) -> ViolationReport:
-        return execute_plan(self._plan, self.db, mode="full", cache=self._cache)
-
-    def count(self) -> DetectionSummary:
-        return execute_plan(self._plan, self.db, mode="count", cache=self._cache)
-
-    def is_clean(self) -> bool:
-        return self.checker.is_clean
-
-    def live_counts(self) -> dict[str, int]:
-        """O(state) per-constraint counters over the normalized Σ."""
-        return self.checker.violations()
-
-    def delta(self) -> ReportDelta | None:
-        """As :meth:`MemoryBackend.delta`, over this session's scan cache."""
-        return carry_forward(self._plan, self.db, self._cache, delta=True)
-
-    def apply(
-        self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
-    ) -> ApplyResult:
-        """Batch DML through the live checker (deletes, then inserts).
-
-        The checker's per-group state update *is* the per-row cost.
-        ``check``/``count`` answers ride the versioned
-        :class:`~repro.engine.cache.ScanCache`, which the batch's noted
-        rows carry forward. Every row is checked before the first
-        mutation, so a malformed row leaves the database as it was.
-        """
-        checker = self.checker
-        delete_rows, insert_rows = self._batch_rows(inserts, deletes)
-        return _run_batch(
-            delete_rows,
-            insert_rows,
-            lambda instance, t: checker.delete(instance.schema.name, t),
-            lambda instance, values: checker.insert(instance.schema.name, values),
-            self._cache.note,
-        )
-
-
 #: Registry used by ``connect(backend="...")`` and the CLI's ``--engine``.
 BACKENDS: dict[str, type[BaseBackend]] = {
     "memory": MemoryBackend,
     "naive": NaiveBackend,
     "sql": SQLBackend,
     "sqlfile": SQLFileBackend,
-    "incremental": IncrementalBackend,
 }

@@ -11,15 +11,15 @@
     api.connect(db, sigma, backend="sql").check()     # same report, SQL
     api.connect(db, sigma, workers=4).check()         # same report, parallel
 
-    live = api.connect(db, sigma, backend="incremental")
-    live.insert("orders", {...})                      # O(touched groups)
-    live.is_clean()                                   # O(1)
+    live = api.connect(db, sigma)
+    live.insert("orders", {...})
+    live.delta()                     # the change, O(touched groups and keys)
 
 Every backend returns the same :class:`ViolationReport` shape (identical
 down to violation-list order — the cross-validation suite holds them to
 it), so choosing an engine is a performance decision, not an API decision.
 
-Sessions are *cheap to re-check*: the memory/incremental backends own a
+Sessions are *cheap to re-check*: the memory backend owns a
 mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 ``check()``/``count()``/``is_clean()`` over unchanged data replays
 memoized scan results instead of re-scanning, and after ``insert``/
@@ -184,9 +184,9 @@ class Session:
         delta: removed violations by their position in that report, added
         ones with their position in the current one.
 
-        The ``memory`` and ``incremental`` backends carry their scan cache
-        forward by the rows their DML changed and read the change off the
-        splice, re-evaluating only the groups and keys those rows touch.
+        The ``memory`` backend carries its scan cache forward by the rows
+        its DML changed and reads the change off the splice, re-evaluating
+        only the groups and keys those rows touch.
         ``None`` when the backend cannot tell: other backends, a session
         that never completed a report, or data changed behind the
         session's back (the next check re-scans what is stale).
@@ -214,18 +214,15 @@ class Session:
 
         Repair works on a copy; the repaired database comes back in the
         ``RepairResult``, the session's own database (or file) is
-        untouched. The repair engine opens its own session over the copy:
-        ``backend`` defaults to this session's backend (a file-backed
-        session repairs out-of-core via a staged temporary file) and
-        ``mode`` defaults to ``"auto"`` — delta-driven worklists wherever
-        a full re-check is not already the cheap path. The session's
-        ``options.workers`` carries over to the per-round detection
-        unless overridden explicitly.
+        untouched. Whatever this session's backend, the repair engine
+        repairs its copy through its own ``memory`` session (a file is
+        loaded read-only first). The session's ``options.workers``
+        carries over to the per-round detection unless overridden
+        explicitly.
         """
         from repro.cleaning.repair import repair as run_repair
 
         kwargs.setdefault("workers", self.options.workers)
-        kwargs.setdefault("backend", self.backend.name)
         return run_repair(self.db, self.sigma, **kwargs)
 
     # -- mutation ----------------------------------------------------------
@@ -235,9 +232,9 @@ class Session:
     ) -> bool:
         """Insert a tuple; ``False`` when it was already present.
 
-        On the incremental backend this updates violation state in time
-        proportional to the touched groups; other backends apply it to the
-        database and drop data-derived caches.
+        On the memory backend the next answer carries the scan cache
+        forward by this row; other backends apply it to the database and
+        drop data-derived caches.
         """
         self._ensure_open()
         return self.backend.insert(relation, row)
@@ -313,7 +310,7 @@ def connect(
     ``db`` is an in-memory :class:`DatabaseInstance`, or — with the
     ``sqlfile`` backend — the path of an existing sqlite database file to
     run detection in, out-of-core. ``backend`` is a registry name
-    (``memory``/``naive``/``sql``/``sqlfile``/``incremental``), a backend
+    (``memory``/``naive``/``sql``/``sqlfile``), a backend
     class, or a ready instance. Options come either as an
     :class:`ExecutionOptions` or as its fields directly::
 

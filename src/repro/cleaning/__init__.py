@@ -4,11 +4,8 @@ from repro.cleaning.detect import (
     DetectionResult,
     build_detection_result,
     compare_with_traditional,
-    detect_errors,
-    detect_errors_sql,
     is_clean,
 )
-from repro.cleaning.incremental import IncrementalChecker
 from repro.cleaning.planner import RepairPlanner, RoundPlan
 from repro.cleaning.repair import (
     RepairEdit,
@@ -20,7 +17,6 @@ from repro.cleaning.repair import (
 
 __all__ = [
     "DetectionResult",
-    "IncrementalChecker",
     "RepairEdit",
     "RepairPlanner",
     "RepairResult",
@@ -28,8 +24,6 @@ __all__ = [
     "RoundStats",
     "build_detection_result",
     "compare_with_traditional",
-    "detect_errors",
-    "detect_errors_sql",
     "is_clean",
     "repair",
     "replay_edits",

@@ -1,24 +1,20 @@
 """Constraint-based error detection (the data-cleaning side of the paper).
 
 Example 1.2's pitch: traditional FDs/INDs miss errors (tuple ``t12``) that
-CFDs/CINDs catch. Detection itself now lives behind the unified
+CFDs/CINDs catch. Detection itself lives behind the unified
 :mod:`repro.api` facade — ``api.connect(db, sigma, backend=...)`` — which
-fronts the shared-scan engine, the naive oracle, the SQL backend and the
-incremental checker with one report shape. This module keeps
+fronts the shared-scan engine, the naive oracle and the two SQL backends
+with one report shape. This module keeps
 
 * :class:`DetectionResult` — the per-tuple error table the repair step
   consumes — and :func:`build_detection_result` which derives it from any
   backend's ``ViolationReport``;
-* :func:`compare_with_traditional` — the Example 1.2 experiment;
-* thin **deprecated** shims (:func:`detect_errors`,
-  :func:`detect_errors_sql`) for the pre-facade entry points.
+* :func:`compare_with_traditional` — the Example 1.2 experiment.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.violations import ConstraintSet, ViolationReport
 from repro.engine import database_is_clean
@@ -76,24 +72,6 @@ def build_detection_result(report: ViolationReport) -> DetectionResult:
     return DetectionResult(report=report, dirty_tuples=dirty)
 
 
-def detect_errors(
-    db: DatabaseInstance, sigma: ConstraintSet, naive: bool = False
-) -> DetectionResult:
-    """Deprecated shim: use ``api.connect(db, sigma).detect()``.
-
-    ``naive=True`` maps to the ``naive`` backend (the reference oracle).
-    """
-    warnings.warn(
-        "detect_errors() is deprecated; use "
-        "repro.api.connect(db, sigma, backend=...).detect()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import connect
-
-    return connect(db, sigma, backend="naive" if naive else "memory").detect()
-
-
 def is_clean(db: DatabaseInstance, sigma: ConstraintSet) -> bool:
     """``D |= Σ`` without materializing violations (engine early-exit mode)."""
     return database_is_clean(db, sigma)
@@ -117,30 +95,6 @@ def detect_errors_in_file(path, sigma: ConstraintSet) -> DetectionResult:
         options=ExecutionOptions(readonly=True),
     ) as session:
         return session.detect()
-
-
-def detect_errors_sql(
-    db: DatabaseInstance, sigma: ConstraintSet
-) -> dict[str, set[tuple[Any, ...]]]:
-    """Deprecated shim: use ``api.connect(db, sigma, backend="sql")``.
-
-    Returns the historical shape (violating rows per constraint name,
-    zero-violation constraints omitted). The facade's
-    ``SQLBackend.violating_rows()`` keys every constraint instead, and
-    ``Session.check()`` gives a full cross-comparable ``ViolationReport``.
-    """
-    warnings.warn(
-        "detect_errors_sql() is deprecated; use "
-        'repro.api.connect(db, sigma, backend="sql").check() (or '
-        ".backend.violating_rows())",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import connect
-
-    with connect(db, sigma, backend="sql") as session:
-        rows = session.backend.violating_rows()
-    return {label: r for label, r in rows.items() if r}
 
 
 def compare_with_traditional(

@@ -1,4 +1,4 @@
-"""Round planning for the delta-driven repair engine.
+"""Round planning for the round-batched repair engine.
 
 :mod:`repro.cleaning.repair` used to fix violations *eagerly*: each
 violated CFD group and each witness-less CIND tuple paid its own
@@ -184,10 +184,9 @@ class _RoundOverlay:
 class RepairPlanner:
     """Plans one batch of repairs per round against a live overlay.
 
-    ``db`` is the planning instance — the working copy the repair engine
-    mutates (for file-backed sessions, its in-memory mirror). The planner
-    never writes to it; all intra-round state lives in the per-call
-    overlay sets.
+    ``db`` is the planning instance — the working copy the repair
+    engine's session mutates. The planner never writes to it; all
+    intra-round state lives in the per-call overlay sets.
     """
 
     def __init__(

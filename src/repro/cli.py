@@ -4,8 +4,9 @@ Three subcommands, all driven by two small text files plus a directory of
 CSVs (one per relation, named ``<relation>.csv``):
 
 * ``check``       — report CFD/CIND violations (any ``repro.api`` backend:
-  memory, naive, sql, incremental — all print the same report);
-* ``repair``      — write a repaired copy of the data;
+  memory, naive, sql, sqlfile — all print the same report);
+* ``repair``      — write a repaired copy of the data (``--data`` may also
+  name a sqlite database file, which is read and never written);
 * ``consistency`` — run the heuristic Checking algorithm on Σ itself;
 * ``lint-sigma``  — static analysis of Σ (no data needed): exact CFD
   consistency, duplicate/implied constraints, CIND chain diagnostics;
@@ -148,18 +149,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     schema, sigma = _load(args)
-    # Mirror cmd_check's source split: the sqlfile engine repairs a sqlite
-    # database file out-of-core (the input file is loaded read-only and
-    # never mutated; the engine stages its own working copy).
-    if args.engine == "sqlfile":
-        source = Path(args.data)
-        if source.is_dir():
-            raise ReproError(
-                "--engine sqlfile expects --data to be a sqlite database "
-                "file, not a CSV directory (build one with "
-                "repro.relational.csvio.database_csv_to_sqlite)"
-            )
-    else:
+    # A file (rather than a CSV directory) is a sqlite database: repair
+    # loads it read-only and never mutates it.
+    source = Path(args.data)
+    if not source.is_file():
         source = _load_data(schema, args)
     result = run_repair(
         source,
@@ -167,8 +160,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         cind_policy=args.cind_policy,
         max_rounds=args.max_rounds,
         workers=args.workers,
-        backend=args.engine,
-        mode=args.mode,
         tie_break=args.tie_break,
         rng=random.Random(args.seed),
     )
@@ -180,8 +171,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     )
     print(
         f"clean: {result.clean}; {result.cost} edit(s){kinds_text} in "
-        f"{result.rounds} round(s) [engine={result.backend}, "
-        f"mode={result.mode}]"
+        f"{result.rounds} round(s)"
     )
     if args.verbose:
         for stats in result.round_stats:
@@ -288,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_data:
             p.add_argument(
                 "--data", required=True,
-                help="directory of <relation>.csv files (or, with "
-                "--engine sqlfile, an existing sqlite database file)",
+                help="directory of <relation>.csv files, or a sqlite "
+                "database file (repair takes either; check takes a file "
+                "with --engine sqlfile)",
             )
         p.add_argument("-v", "--verbose", action="store_true")
 
@@ -301,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="memory",
         help="memory = shared-scan engine (default); naive = per-constraint "
         "reference evaluation; sql = sqlite3 backend; sqlfile = out-of-core "
-        "detection inside an existing sqlite file (--data names the file); "
-        "incremental = live checker (bulk-built here). All engines print "
-        "the same report.",
+        "detection inside an existing sqlite file (--data names the "
+        "file). All engines print the same report.",
     )
     p_check.add_argument(
         "--workers", type=_positive_int, default=1,
@@ -319,25 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument(
         "--workers", type=_positive_int, default=1,
         help="parallel scan-group workers for each detection round",
-    )
-    p_repair.add_argument(
-        "--engine",
-        choices=tuple(sorted(BACKENDS)),
-        default="memory",
-        help="detection/apply engine for the repair session (default "
-        "memory); sqlfile repairs a sqlite database file out-of-core "
-        "(--data names the file, which is never mutated). All engines "
-        "produce bit-identical repairs.",
-    )
-    p_repair.add_argument(
-        "--mode",
-        choices=("auto", "delta", "full"),
-        default="auto",
-        help="worklist source per round: delta = maintained violation "
-        "state (live incremental checker, or a shadow one on re-scan "
-        "engines); full = re-check every round; auto picks delta "
-        "everywhere except the memory engine (its versioned cache makes "
-        "re-checks the cheap path). Purely a performance choice.",
     )
     p_repair.add_argument(
         "--tie-break",

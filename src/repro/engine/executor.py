@@ -88,7 +88,7 @@ class DetectionSummary:
         )
 
 
-# -- shared scan primitives (also used by the incremental checker) ------------
+# -- shared scan primitives ---------------------------------------------------
 
 
 def witness_sets(

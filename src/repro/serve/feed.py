@@ -29,10 +29,10 @@ The pieces:
   sequence); ``publish()`` fans the delta out on the event loop.
 
 Deltas come from a :class:`SessionDeltaSource` over a session with a
-versioned scan cache: the tenant's own session on the
-``memory``/``incremental`` backends, and on the re-scan backends
-(``naive``/``sql``/``sqlfile``) a ``memory`` **mirror** session seeded
-with the same data at tenant creation that applies every batch too. After
+versioned scan cache: the tenant's own session on the ``memory``
+backend, and on the re-scan backends (``naive``/``sql``/``sqlfile``) a
+``memory`` **mirror** session seeded with the same data at tenant
+creation that applies every batch too. After
 a batch, the session carries its scan cache forward by the rows the batch
 touched (:func:`repro.engine.carry.carry_forward`): only the CFD groups,
 witness keys and CIND rows those rows reach are re-evaluated, and the
@@ -231,8 +231,8 @@ class DeltaSource:
 class SessionDeltaSource(DeltaSource):
     """Deltas from a scan-cache session's carry-forward.
 
-    *session* is the tenant's own session (``memory``/``incremental``
-    backends: the batch is already applied when ``commit`` runs) or, with
+    *session* is the tenant's own session (``memory`` backend: the
+    batch is already applied when ``commit`` runs) or, with
     ``mirror=True``, a ``memory`` session over a copy of the tenant's data
     that applies each batch itself (the re-scan backends, whose own
     ``check()`` is a full pass). Either way ``commit`` is

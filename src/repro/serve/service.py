@@ -24,8 +24,8 @@ being *scheduled*. Per tenant:
   and the replay contract is exact.
 
 Deltas come from a session with a versioned scan cache, chosen by
-backend at tenant creation: ``memory`` and ``incremental`` tenants use
-their own session; ``naive``/``sql``/``sqlfile`` tenants get a ``memory``
+backend at tenant creation: ``memory`` tenants use their own session;
+``naive``/``sql``/``sqlfile`` tenants get a ``memory``
 **mirror** session seeded with the same data that applies every batch
 too (a ``sqlfile`` tenant's mirror holds the file's rows in memory). After
 each batch the session carries its cache forward by the rows the batch
@@ -72,10 +72,6 @@ from repro.serve.feed import (
 from repro.serve.registry import ReaderPool, SessionRegistry, TenantHandle
 
 T = TypeVar("T")
-
-#: Backends whose own session doubles as the delta source (their scan
-#: cache carries forward by each batch's rows).
-_SELF_DELTA_BACKENDS = frozenset({"memory", "incremental"})
 
 
 class DetectionService:
@@ -135,7 +131,7 @@ class DetectionService:
         """Open a tenant: session + delta source + feed (+ reader pool).
 
         Session construction (loading a sqlite image, introspecting a
-        file, seeding incremental state) is CPU/IO-bound and runs on the
+        file, seeding the delta mirror) is CPU/IO-bound and runs on the
         executor. Raises :class:`~repro.errors.ServeError` on a duplicate
         name; past capacity the least-recently-used tenant is evicted.
         """
@@ -184,7 +180,8 @@ class DetectionService:
         sigma: ConstraintSet,
         backend: str,
     ) -> DeltaSource:
-        if backend in _SELF_DELTA_BACKENDS:
+        if backend == "memory":
+            # Its own scan cache carries forward by each batch's rows.
             return SessionDeltaSource(session)
         if isinstance(db, (str, Path)):
             # sqlfile: snapshot the file into an in-memory instance (rowid

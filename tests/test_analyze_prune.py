@@ -128,7 +128,7 @@ class TestAllBackendsBitIdentical:
 class TestGeneratorWorkload:
     def test_randomized_dirty_instance(self):
         """Generator Σ with appended duplicates + injected violations:
-        pruned memory/incremental backends == naive oracle, bit for bit."""
+        pruned memory backend == naive oracle, bit for bit."""
         rng = random.Random(1907)
         schema = random_schema(SchemaConfig(
             seed=7, n_relations=4, max_arity=5, finite_domain_size=(2, 6)
@@ -148,10 +148,5 @@ class TestGeneratorWorkload:
         reference = check_database_naive(db, extended)
         assert not reference.is_clean  # injections landed
         assert detection_prune_map(extended)  # duplicates detected
-        for name in ("memory", "incremental"):
-            with api.connect(
-                db, extended, backend=name, prune_implied=True
-            ) as session:
-                assert_reports_bit_identical(
-                    session.check(), reference, f"backend={name}"
-                )
+        with api.connect(db, extended, prune_implied=True) as session:
+            assert_reports_bit_identical(session.check(), reference)

@@ -1,14 +1,13 @@
 """Cross-validation of the `repro.api` Session/Backend facade.
 
 The facade's contract is that choosing a backend (memory / naive / sql /
-sqlfile / incremental) or turning on parallel dispatch is a *performance*
-decision: ``check()`` must return identical ``ViolationReport``s —
-identical down to violation-list order — everywhere. The reusable
-per-backend suite lives in :mod:`tests.conformance` (registered for all
-five backends in ``test_conformance.py``); this module keeps the
-Hypothesis cross-validation over random schemas/instances, the
-deprecation shims, and the facade plumbing (options, mutations,
-registry).
+sqlfile) or turning on parallel dispatch is a *performance* decision:
+``check()`` must return identical ``ViolationReport``s — identical down
+to violation-list order — everywhere. The reusable per-backend suite
+lives in :mod:`tests.conformance` (registered for all four backends in
+``test_conformance.py``); this module keeps the Hypothesis
+cross-validation over random schemas/instances and the facade plumbing
+(options, mutations, registry).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from repro import api
 from repro.api import ExecutionOptions, MemoryBackend, SQLBackend
 from repro.api.parallel import fork_available
-from repro.cleaning.detect import detect_errors, detect_errors_sql
 from repro.core.violations import ConstraintSet, check_database_naive, constraint_labels
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
@@ -141,15 +139,6 @@ class TestMutations:
         assert session.is_clean()
         session.close()
 
-    def test_incremental_live_counts(self, bank):
-        session = api.connect(
-            bank.db, bank.constraints, backend="incremental"
-        )
-        # Counter-based monitoring numbers exist and flag the dirty state;
-        # keyed by normalized Σ, so only compare emptiness, not labels.
-        assert session.backend.live_counts()
-        assert not session.is_clean()
-
 
 class TestSQLBackendAdapter:
     def test_violating_rows_keys_every_constraint(self, bank):
@@ -171,30 +160,6 @@ class TestSQLBackendAdapter:
             assert v.tuple_ in canonical
         for v in report.cfd_violations:
             assert set(v.tuples) <= canonical
-
-
-class TestDeprecationShims:
-    def test_detect_errors_warns_and_matches(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors(bank.db, bank.constraints)
-        new = api.connect(bank.db, bank.constraints).detect()
-        assert report_key(old.report) == report_key(new.report)
-        assert old.dirty_tuples == new.dirty_tuples
-
-    def test_detect_errors_naive_warns_and_matches(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors(bank.db, bank.constraints, naive=True)
-        new = api.connect(bank.db, bank.constraints, backend="naive").detect()
-        assert report_key(old.report) == report_key(new.report)
-
-    def test_detect_errors_sql_warns_and_keeps_old_shape(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors_sql(bank.db, bank.constraints)
-        # Historical shape: only violated constraints appear.
-        assert old and all(rows for rows in old.values())
-        with api.connect(bank.db, bank.constraints, backend="sql") as session:
-            normalized = session.backend.violating_rows()
-        assert old == {k: v for k, v in normalized.items() if v}
 
 
 class TestFacadePlumbing:

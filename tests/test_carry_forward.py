@@ -16,14 +16,17 @@ import asyncio
 import sys
 import threading
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.core.cfd import CFD
+from repro.core.cfd import CFD, standard_fd
 from repro.core.cind import CIND
+from repro.core.violations import ConstraintSet, check_database_naive
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
+from repro.relational.instance import DatabaseInstance
 from repro.relational.values import WILDCARD as _
 from repro.serve import DetectionService, record_delta, replay, report_records
 
@@ -45,7 +48,7 @@ class Harness:
         self.records = report_records(self.session.check())
 
     def step(self, inserts=(), deletes=(), delta=True):
-        self.session.apply(inserts=inserts, deletes=deletes)
+        result = self.session.apply(inserts=inserts, deletes=deletes)
         reference = self.reference
         changed: dict[str, int] = {}
         for relation, row in deletes:
@@ -80,6 +83,7 @@ class Harness:
         )
         assert self.session.is_clean() == clean
         self.records = records
+        return result
 
     def rows(self, relation):
         return [t.values for t in self.reference[relation]]
@@ -205,6 +209,84 @@ def test_bank_batches_match_a_cold_session(seed, batches):
                 if rows:
                     deletes.append((relation, rows[n % len(rows)]))
         h.step(inserts, deletes)
+
+
+# -- the named bank cases ------------------------------------------------------
+
+
+def _twin_fds(schema):
+    """Two unnamed, structurally equal FDs: equal reprs, separate labels."""
+    interest = schema.relation("interest")
+    twins = [standard_fd(interest, ("ab", "ct"), ("rt",)) for __ in range(2)]
+    assert repr(twins[0]) == repr(twins[1])
+    return ConstraintSet(schema, cfds=twins)
+
+
+TWIN = "CFD(interest: ab, ct -> rt, 1 pattern(s))"
+LON_9 = {"ab": "LON", "ct": "UK", "at": "saving", "rt": "9%"}
+
+#: name -> (start instance, Σ, batches); each batch is (inserts, deletes,
+#: rows it changes, violation counts after it).
+BANK_CASES = {
+    "empty_database_takes_inserts": ("empty", bank_constraints, [
+        ([("interest", ("NYC", "US", "checking", "1%")),
+          ("checking", ("01", "Ann", "NYC, 1", "555-0000001", "NYC"))],
+         [], 2, {}),
+        ([("checking", ("02", "Bob", "EDI, 2", "555-0000002", "EDI"))],
+         [], 1, {"psi4": 1, "psi6": 1}),
+        ([], [("interest", ("NYC", "US", "checking", "1%"))],
+         1, {"psi4": 2, "psi6": 2}),
+    ]),
+    "cind_violation_created_by_insert": ("clean", bank_constraints, [
+        ([("checking", ("99", "New Guy", "EDI, EH1", "131-0000000", "EDI"))],
+         [], 1, {}),
+        ([("checking", ("98", "Lost Guy", "???", "000", "MARS"))],
+         [], 1, {"psi4": 1}),
+    ]),
+    "cind_violation_fixed_by_insert": ("dirty", bank_constraints, [
+        ([("interest", ("EDI", "UK", "checking", "1.5%"))], [], 1, {"phi3": 2}),
+    ]),
+    "cfd_violation_removed_by_delete": ("dirty", bank_constraints, [
+        ([], [("interest", ("EDI", "UK", "checking", "10.5%"))], 1, {"psi6": 1}),
+    ]),
+    "cfd_pair_created_by_insert": ("clean", bank_constraints, [
+        ([("saving", ("01", "Impostor", "NYC, 19087", "212-5820844", "NYC"))],
+         [], 1, {"phi1": 1}),
+    ]),
+    "duplicate_insert_and_absent_delete_are_noops": ("clean", bank_constraints, [
+        ([("interest", ("NYC", "US", "saving", "4%"))],
+         [("interest", ("X", "Y", "saving", "0%"))], 0, {}),
+    ]),
+    "mapping_and_sequence_rows": ("clean", bank_constraints, [
+        ([("interest", dict(LON_9))], [], 1, {"phi3": 2}),
+        ([], [("interest", dict(LON_9))], 1, {}),
+        ([("interest", tuple(LON_9.values()))], [], 1, {"phi3": 2}),
+        ([("interest", {"ab": "NYC", "ct": "US", "at": "saving", "rt": "4%"})],
+         [("interest", list(LON_9.values()))], 1, {}),
+    ]),
+    "equal_repr_twins_counted_apart": ("dirty", _twin_fds, [
+        ([], [], 0, {f"{TWIN}@0": 2, f"{TWIN}@1": 2}),
+        ([], [("interest", ("EDI", "UK", "checking", "10.5%"))],
+         1, {f"{TWIN}@0": 1, f"{TWIN}@1": 1}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BANK_CASES))
+def test_bank_cases_match_a_cold_session(bank, case):
+    """Single-row inserts and deletes on the paper's bank instance, each
+    also held to the naive oracle and to the violation counts the case
+    is about."""
+    start, make_sigma, batches = BANK_CASES[case]
+    sigma = make_sigma(bank.schema)
+    db = {"dirty": bank.db, "clean": bank.clean_db}.get(start)
+    h = Harness(db.copy() if db else DatabaseInstance(bank.schema), sigma)
+    for inserts, deletes, changed, counts in batches:
+        assert h.step(inserts, deletes).changed == changed
+        assert h.session.count().by_constraint() == counts
+        assert report_key(h.session.check()) == report_key(
+            check_database_naive(h.reference, sigma)
+        )
 
 
 # -- the named cases -----------------------------------------------------------

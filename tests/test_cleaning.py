@@ -4,11 +4,8 @@ import random
 
 import pytest
 
-from repro.cleaning.detect import (
-    compare_with_traditional,
-    detect_errors,
-    detect_errors_sql,
-)
+from repro import api
+from repro.cleaning.detect import compare_with_traditional
 from repro.cleaning.repair import repair
 from repro.core.violations import ConstraintSet, check_database
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
@@ -16,7 +13,7 @@ from repro.datasets.bank import bank_constraints, scaled_bank_instance
 
 class TestDetection:
     def test_bank_detection(self, bank):
-        result = detect_errors(bank.db, bank.constraints)
+        result = api.connect(bank.db, bank.constraints).detect()
         assert not result.is_clean
         assert result.report.total == 2
         # t10 and t12 are the dirty tuples of the paper's story.
@@ -24,23 +21,24 @@ class TestDetection:
         assert dirty_relations == {"checking", "interest"}
 
     def test_dirty_tuple_attribution(self, bank):
-        result = detect_errors(bank.db, bank.constraints)
+        result = api.connect(bank.db, bank.constraints).detect()
         names = sorted(
             n for names in result.dirty_tuples.values() for n in names
         )
         assert names == ["phi3", "psi6"]
 
     def test_summary_readable(self, bank):
-        text = detect_errors(bank.db, bank.constraints).summary()
+        text = api.connect(bank.db, bank.constraints).detect().summary()
         assert "psi6" in text and "dirty" in text
 
     def test_sql_detection_agrees(self, bank):
-        mem = detect_errors(bank.db, bank.constraints)
-        sql = detect_errors_sql(bank.db, bank.constraints)
-        assert set(sql) == set(mem.report.by_constraint())
+        mem = api.connect(bank.db, bank.constraints).detect()
+        with api.connect(bank.db, bank.constraints, backend="sql") as session:
+            sql = session.detect()
+        assert sql.report.by_constraint() == mem.report.by_constraint()
 
     def test_clean_database(self, bank):
-        result = detect_errors(bank.clean_db, bank.constraints)
+        result = api.connect(bank.clean_db, bank.constraints).detect()
         assert result.is_clean
         assert result.dirty_count == 0
 

@@ -127,17 +127,24 @@ class TestRepairCommand:
         assert code == 0
 
     def test_engine_and_mode_flags(self, workspace, capsys):
+        """repair has no engine or mode to pick: both flags are usage
+        errors, and -v prints the per-round lines."""
         schema_file, rules_file, data_dir, tmp_path = workspace
-        out_dir = tmp_path / "repaired_incremental"
-        code = main([
+        out_dir = tmp_path / "repaired_verbose"
+        args = [
             "repair", "--schema", str(schema_file),
             "--constraints", str(rules_file), "--data", str(data_dir),
-            "--out", str(out_dir), "--engine", "incremental",
-            "--mode", "delta", "--tie-break", "first", "-v",
-        ])
+            "--out", str(out_dir), "--tie-break", "first", "-v",
+        ]
+        for flag in (["--engine", "memory"], ["--mode", "delta"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args + flag)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        code = main(args)
         out = capsys.readouterr().out
         assert code == 0
-        assert "engine=incremental" in out and "mode=delta" in out
+        assert "clean: True" in out
         assert "round 1:" in out  # per-round observability under -v
 
     def test_sqlfile_engine_repairs_database_file(
@@ -154,12 +161,12 @@ class TestRepairCommand:
         code = main([
             "repair", "--schema", str(schema_file),
             "--constraints", str(rules_file), "--data", str(db_file),
-            "--out", str(out_dir), "--engine", "sqlfile",
+            "--out", str(out_dir),
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "clean: True" in out
-        # Out-of-core repair stages a working copy; the input is pristine.
+        # A file is read as a sqlite database and never written.
         assert db_file.read_bytes() == before
         code = main([
             "check", "--schema", str(schema_file),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cleaning.detect import detect_errors
+from repro import api
 from repro.cleaning.repair import repair
 from repro.consistency.checking import checking
 from repro.core.violations import check_database
@@ -55,13 +55,13 @@ class TestDirtyInstance:
     def test_errors_detected(self, setting):
         schema, sigma = setting
         db = commerce_instance(300, error_rate=0.15, seed=4, schema=schema)
-        detection = detect_errors(db, sigma)
+        detection = api.connect(db, sigma).detect()
         assert not detection.is_clean
 
     def test_sql_engine_agrees(self, setting):
         schema, sigma = setting
         db = commerce_instance(200, error_rate=0.15, seed=5, schema=schema)
-        memory = detect_errors(db, sigma)
+        memory = api.connect(db, sigma).detect()
         sql = sql_check_database(db, sigma)
         assert set(sql) == set(memory.report.by_constraint())
 

@@ -53,12 +53,6 @@ class TestSQLContract(BackendContract):
         return _simple_factory("sql")
 
 
-class TestIncrementalContract(BackendContract):
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory("incremental")
-
-
 class TestParallelMemoryContract(BackendContract):
     """The memory backend under thread-pool scan-group dispatch."""
 
@@ -245,8 +239,8 @@ class TestMemoryServiceContract(ServiceContract):
 
 
 class TestNaiveServiceContract(ServiceContract):
-    """The oracle behind the service: deltas come from a shadow
-    incremental session, never from diffing naive re-checks."""
+    """The oracle behind the service: deltas come from a memory mirror
+    session, never from diffing naive re-checks."""
 
     @pytest.fixture
     def make_tenant(self):
@@ -259,16 +253,10 @@ class TestSQLServiceContract(ServiceContract):
         return _service_tenant_factory("sql")
 
 
-class TestIncrementalServiceContract(ServiceContract):
-    @pytest.fixture
-    def make_tenant(self):
-        return _service_tenant_factory("incremental")
-
-
 class TestSQLFileServiceContract(ServiceContract):
     """The out-of-core backend behind the service: tenants live in real
     sqlite files, reads fan out over the read-only connection pool, and
-    the delta shadow is seeded by loading the file back (rowid order)."""
+    the delta mirror is seeded by loading the file back (rowid order)."""
 
     @pytest.fixture
     def make_tenant(self, tmp_path):

@@ -10,9 +10,9 @@ per-constraint reference evaluation
   mode agrees on totals and per-constraint counts; the early-exit
   ``database_is_clean`` agrees on cleanliness;
 * replay: over randomized insert/delete sequences on both ready-made
-  datasets (bank and commerce), the engine, the naive iterators, and the
-  :class:`~repro.cleaning.incremental.IncrementalChecker` state agree on
-  the violation sets at every checkpoint.
+  datasets (bank and commerce), a ``memory`` session carrying its scan
+  cache forward by the same ops, a cold engine run, and the naive oracle
+  agree at every checkpoint, over Σ as given and over ``Σ.normalized()``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cleaning.incremental import IncrementalChecker
+from repro import api
 from repro.core.violations import (
     ConstraintSet,
     check_database_naive,
@@ -116,36 +116,40 @@ def _random_row(rng: random.Random, relation, pool: list[str]) -> list[str]:
     return row
 
 
-def _assert_three_way_agreement(checker: IncrementalChecker) -> None:
-    naive = check_database_naive(checker.db, checker.sigma)
-    engine = detect(checker.db, checker.sigma)
-    assert_reports_identical(engine, naive)
-    # The incremental state counts violated groups per normal-form CFD and
-    # violating tuples per normal-form CIND — exactly one violation each in
-    # the full reports, so the by-constraint dicts must agree verbatim.
-    assert checker.violations() == engine.by_constraint()
-    assert checker.is_clean == engine.is_clean
-    assert checker.violating_cind_tuples() == {
-        v.tuple_ for v in engine.cind_violations
-    }
+def _assert_three_way_agreement(db, forms, sessions) -> None:
+    for sigma, session in zip(forms, sessions):
+        naive = check_database_naive(db, sigma)
+        assert_reports_identical(detect(db, sigma), naive)
+        assert_reports_identical(session.check(), naive)
+        assert session.count().by_constraint() == naive.by_constraint()
+        assert session.is_clean() == naive.is_clean
 
 
 def _replay(db, sigma, seed: int, steps: int = 60) -> None:
+    """One-row ops on *db*, mirrored into one memory session per form of
+    Σ; the sessions see several ops between some checkpoints."""
     rng = random.Random(seed)
-    checker = IncrementalChecker(db, sigma)  # normalizes Σ internally
-    _assert_three_way_agreement(checker)
+    forms = (sigma, sigma.normalized())
+    sessions = [api.connect(db.copy(), form) for form in forms]
+    _assert_three_way_agreement(db, forms, sessions)
     pool = _string_pool(sigma)
     relations = [inst.schema for inst in db]
     for step in range(steps):
         relation = rng.choice(relations)
-        instance = checker.db[relation.name]
+        instance = db[relation.name]
         if instance.tuples and rng.random() < 0.45:
-            checker.delete(relation.name, rng.choice(instance.tuples))
+            victim = rng.choice(instance.tuples)
+            instance.discard(victim)
+            op = {"deletes": [(relation.name, victim)]}
         else:
-            checker.insert(relation.name, _random_row(rng, relation, pool))
+            row = _random_row(rng, relation, pool)
+            instance.add(row)
+            op = {"inserts": [(relation.name, row)]}
+        for session in sessions:
+            session.apply(**op)
         if step % 12 == 0:
-            _assert_three_way_agreement(checker)
-    _assert_three_way_agreement(checker)
+            _assert_three_way_agreement(db, forms, sessions)
+    _assert_three_way_agreement(db, forms, sessions)
 
 
 @settings(max_examples=6, deadline=None)

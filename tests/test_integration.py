@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.cleaning.detect import detect_errors
+from repro import api
 from repro.cleaning.repair import repair
 from repro.consistency.checking import checking
 from repro.consistency.random_checking import random_checking
@@ -71,7 +71,7 @@ class TestDirtyDataPipeline:
         if total_injected == 0:
             pytest.skip("seed produced no injectable violation sites")
 
-        detection = detect_errors(db, sigma)
+        detection = api.connect(db, sigma).detect()
         assert not detection.is_clean
 
         result = repair(db, sigma, cind_policy="insert", max_rounds=20)
@@ -85,7 +85,7 @@ class TestDirtyDataPipeline:
         rng = random.Random(seed + 1)
         inject_cfd_violations(db, sigma, 3, rng=rng)
         inject_cind_violations(db, sigma, 3, rng=rng)
-        memory = detect_errors(db, sigma)
+        memory = api.connect(db, sigma).detect()
         sql = sql_check_database(db, sigma)
         assert set(sql) == set(memory.report.by_constraint())
 
@@ -93,7 +93,7 @@ class TestDirtyDataPipeline:
 class TestBankFullCycle:
     def test_detect_repair_recheck_consistency(self, bank):
         # 1. dirty instance detected
-        detection = detect_errors(bank.db, bank.constraints)
+        detection = api.connect(bank.db, bank.constraints).detect()
         assert detection.report.total == 2
         # 2. repair to clean
         repaired = repair(bank.db, bank.constraints)

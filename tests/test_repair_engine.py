@@ -1,10 +1,11 @@
-"""Tests for the delta-driven repair engine (planner + worklist sources).
+"""Tests for the round-batched repair engine (planner + carried checks).
 
 Covers the three historical ``repair.py`` bugs (each test here fails on
 the pre-engine seed code), the one-invalidation-per-round batching
-contract, delta/full equivalence across all five backends, and the
-Hypothesis property suite: oracle-verified cleanliness, edit-log replay,
-and delta-vs-full final-database agreement.
+contract, reference comparisons (file inputs, multi-round chains,
+session routing), and the Hypothesis property suite: oracle-verified
+cleanliness, edit-log replay, and agreement with the historical eager
+loop.
 """
 
 import random
@@ -25,11 +26,10 @@ from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import WILDCARD as _
 
+from benchmarks._eager_repair import seed_eager_repair
 from tests.strategies import cfds as cfd_strategy
 from tests.strategies import cinds as cind_strategy
 from tests.strategies import database_schemas, instances
-
-BACKENDS = ("memory", "naive", "sql", "incremental")
 
 
 def snap(db):
@@ -39,6 +39,16 @@ def snap(db):
 
 def dirty_bank(n=120, error_rate=0.25, seed=17):
     return scaled_bank_instance(n, error_rate=error_rate, seed=seed)
+
+
+def self_feeding_cind():
+    """R[A] ⊆ R[B] over one row: every inserted witness needs a witness
+    of its own, so the default fill never converges."""
+    r = RelationSchema("R", ["A", "B"])
+    schema = DatabaseSchema([r])
+    cind = CIND(r, ("A",), (), r, ("B",), (), [((_,), (_,))], name="loop")
+    sigma = ConstraintSet(schema, cinds=[cind])
+    return DatabaseInstance(schema, {"R": [("a0", "b0")]}), sigma
 
 
 @pytest.fixture()
@@ -81,12 +91,7 @@ class TestRoundsReporting:
         assert 0 < result.rounds < 50
 
     def test_cap_reached_reports_cap(self):
-        # The self-feeding CIND never converges under the default fill.
-        r = RelationSchema("R", ["A", "B"])
-        schema = DatabaseSchema([r])
-        cind = CIND(r, ("A",), (), r, ("B",), (), [((_,), (_,))], name="loop")
-        sigma = ConstraintSet(schema, cinds=[cind])
-        db = DatabaseInstance(schema, {"R": [("a0", "b0")]})
+        db, sigma = self_feeding_cind()
         result = repair(db, sigma, cind_policy="insert", max_rounds=4)
         assert result.rounds == 4
         assert not result.clean
@@ -206,7 +211,7 @@ class TestBatching:
             return original(self)
 
         monkeypatch.setattr(MemoryBackend, "_invalidate", counting)
-        result = repair(bank.db, bank.constraints, backend="memory")
+        result = repair(bank.db, bank.constraints)
         assert result.clean
         # Both violations were on the round-1 worklist (the CFD rewrite
         # happens to create the CIND's witness, so one edit fixes both).
@@ -216,8 +221,8 @@ class TestBatching:
     def test_round_stats_observability(self):
         db = dirty_bank(200, 0.3, 5)
         sigma = bank_constraints()
-        result = repair(db, sigma, backend="incremental", mode="delta")
-        assert result.backend == "incremental" and result.mode == "delta"
+        result = repair(db, sigma)
+        assert result.clean
         assert len(result.round_stats) == result.rounds
         total_edits = 0
         for stats in result.round_stats:
@@ -225,36 +230,26 @@ class TestBatching:
             assert stats.worklist_size == stats.cfd_items + stats.cind_items
             assert stats.batch_deletes + stats.batch_inserts > 0
             total_edits += sum(stats.edits.values())
-            # Delta sizes are measured on the checker-fed path.
             assert stats.delta_removed >= 0 and stats.delta_added >= 0
         assert total_edits == len(result.edits)
-
-    def test_auto_mode_resolution(self):
-        db = dirty_bank(60, 0.2, 3)
-        sigma = bank_constraints()
-        assert repair(db.copy(), sigma, backend="memory").mode == "full"
-        for backend in ("naive", "sql", "incremental"):
-            assert repair(db.copy(), sigma, backend=backend).mode == "delta"
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            repair(dirty_bank(), bank_constraints(), mode="wat")
+        # The check after the last batch found nothing left.
+        last = result.round_stats[-1]
+        assert last.delta_removed > 0 and last.delta_added == 0
+        assert last.cache_hits + last.cache_misses > 0
+        # A capped run takes its verdict from one more carried check, so
+        # its last round's delta is measured too: each witness the loop
+        # CIND inserts resolves one violation and needs a witness itself.
+        db, sigma = self_feeding_cind()
+        capped = repair(db, sigma, max_rounds=3)
+        assert capped.rounds == 3 and not capped.clean
+        assert [(s.delta_removed, s.delta_added) for s in capped.round_stats] == [
+            (1, 1), (1, 1), (1, 1)
+        ]
 
 
 class TestDeltaFullEquivalence:
-    def test_bank_identical_across_backends_and_modes(self):
-        db = dirty_bank(300, 0.25, 9)
-        sigma = bank_constraints()
-        reference = repair(db.copy(), sigma, backend="memory", mode="full")
-        assert reference.clean
-        ref_snap = snap(reference.db)
-        ref_edits = [repr(e) for e in reference.edits]
-        for backend in BACKENDS:
-            for mode in ("full", "delta"):
-                result = repair(db.copy(), sigma, backend=backend, mode=mode)
-                assert snap(result.db) == ref_snap, (backend, mode)
-                assert [repr(e) for e in result.edits] == ref_edits
-                assert result.rounds == reference.rounds
+    """The engine's carried checks (one delta per round) against the full
+    re-checks of the eager loop and of an in-memory repair."""
 
     def test_sqlfile_identical(self, tmp_path):
         from repro.sql.loader import create_database_file, read_database_file
@@ -262,13 +257,11 @@ class TestDeltaFullEquivalence:
         db = dirty_bank(150, 0.25, 4)
         sigma = bank_constraints()
         reference = repair(db.copy(), sigma)
-        for mode in ("full", "delta"):
-            result = repair(db.copy(), sigma, backend="sqlfile", mode=mode)
-            assert snap(result.db) == snap(reference.db), mode
-        # Path input: the source file is loaded, never mutated.
+        assert snap(reference.db) == snap(seed_eager_repair(db, sigma)[0])
+        # Path input: the source file is loaded read-only, never mutated.
         path = tmp_path / "dirty.sqlite"
         create_database_file(path, db)
-        result = repair(path, sigma, backend="sqlfile", mode="delta")
+        result = repair(path, sigma)
         assert snap(result.db) == snap(reference.db)
         assert snap(read_database_file(path, sigma.schema)) == snap(db)
 
@@ -284,19 +277,17 @@ class TestDeltaFullEquivalence:
         db = DatabaseInstance(
             schema, {"S": [("k1", "x"), ("k2", "y")], "T": [("k2", "ok")]}
         )
-        reference = repair(db.copy(), sigma, backend="memory", mode="full")
-        assert reference.clean and reference.rounds == 2
-        for backend in BACKENDS:
-            result = repair(db.copy(), sigma, backend=backend, mode="delta")
-            assert snap(result.db) == snap(reference.db), backend
-            assert result.rounds == 2
+        reference, __, reference_clean = seed_eager_repair(db, sigma)
+        assert reference_clean
+        result = repair(db.copy(), sigma)
+        assert result.clean and result.rounds == 2
+        assert snap(result.db) == snap(reference)
 
     def test_session_repair_routes_backend(self):
         db = dirty_bank(80, 0.25, 6)
         sigma = bank_constraints()
-        with connect(db, sigma, backend="incremental") as session:
+        with connect(db, sigma, backend="sql") as session:
             result = session.repair()
-        assert result.backend == "incremental" and result.mode == "delta"
         assert result.clean
         assert snap(result.db) == snap(repair(db.copy(), sigma).db)
         # The session's own database is untouched.
@@ -334,16 +325,14 @@ class TestRepairProperties:
         result = repair(db.copy(), sigma, max_rounds=6)
         assert snap(replay_edits(db, result.edits)) == snap(result.db)
 
-    @settings(max_examples=12, deadline=None,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(data=st.data())
-    def test_delta_and_full_agree_on_all_backends(self, data):
+    def test_matches_the_eager_loop(self, data):
+        """Final database (iteration order included) and verdict equal
+        the historical eager loop's, capped runs included."""
         sigma, db = _draw_sigma_and_db(data)
-        reference = repair(db.copy(), sigma, max_rounds=5, mode="full")
-        ref_snap = snap(reference.db)
-        for backend in BACKENDS:
-            result = repair(
-                db.copy(), sigma, max_rounds=5, backend=backend, mode="delta"
-            )
-            assert snap(result.db) == ref_snap, backend
-            assert result.clean == reference.clean
+        result = repair(db.copy(), sigma, max_rounds=5)
+        eager_db, __, eager_clean = seed_eager_repair(db, sigma, max_rounds=5)
+        assert snap(result.db) == snap(eager_db)
+        assert result.clean == eager_clean

@@ -10,11 +10,10 @@ The columnar execution layer rests on two invariants:
    ``is_clean`` must answer exactly like a cold naive run over the current
    data, on every backend.
 
-The Hypothesis tests drive randomized ``insert``/``delete`` (all four
-backends, persistent sessions so the caches live across mutations) and
-``replace_value`` (memory backend — the chase's in-place rewrite, which the
-incremental checker's bookkeeping deliberately does not model) against the
-fresh-oracle answer after every observation.
+The Hypothesis tests drive randomized ``insert``/``delete`` (every
+in-memory backend, persistent sessions so the caches live across
+mutations) and ``replace_value`` (memory backend — the chase's in-place
+rewrite) against the fresh-oracle answer after every observation.
 """
 
 from __future__ import annotations

@@ -511,19 +511,6 @@ class TestBatchInvalidation:
         fresh.close()
         session.close()
 
-    def test_incremental_batch_updates_live_state(self, bank):
-        session = api.connect(
-            bank.clean_db.copy(), bank.constraints, backend="incremental"
-        )
-        assert session.is_clean()
-        result = session.apply(inserts=[("interest", dict(DIRTY_ROW))])
-        assert result.inserted == 1
-        assert not session.is_clean()          # O(1) off live counters
-        result = session.apply(deletes=[("interest", dict(DIRTY_ROW))])
-        assert result.deleted == 1
-        assert session.is_clean()
-        session.close()
-
     def test_apply_deletes_before_inserts(self, bank):
         """A row both deleted and re-inserted in one batch ends present
         (deletes run first — the documented order)."""

@@ -109,8 +109,7 @@ class TestAttachAndIntrospect:
         with api.connect(bank_file, bank.constraints, backend="sqlfile") as s:
             result = s.repair()
         assert result.clean
-        assert result.backend == "sqlfile"
-        # Repair stages a working copy; the attached file stays pristine.
+        # Repair loads the file read-only; the attached file stays pristine.
         assert bank_file.read_bytes() == before
 
 

@@ -104,7 +104,7 @@ MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     ),
     # The repair planner is pure decision logic: constraint types,
     # pattern matching, and relational values in — a RoundPlan out. It
-    # must never touch a Session, a backend, or the checker; keeping it
+    # must never touch a Session or a backend; keeping it
     # side-effect-free is what makes planned batches provably equivalent
     # to the historical eager loop (and trivially testable).
     "repro.cleaning.planner": (
