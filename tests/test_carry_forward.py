@@ -13,6 +13,7 @@ records it gives the new ones.
 from __future__ import annotations
 
 import asyncio
+import random
 import sys
 import threading
 
@@ -26,7 +27,7 @@ from repro.core.cind import CIND
 from repro.core.violations import ConstraintSet, check_database_naive
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Tuple
 from repro.relational.values import WILDCARD as _
 from repro.serve import DetectionService, record_delta, replay, report_records
 
@@ -211,6 +212,41 @@ def test_bank_batches_match_a_cold_session(seed, batches):
         h.step(inserts, deletes)
 
 
+def _random_bank_op(rng, h: Harness, relations):
+    """One insert or delete as the random-sequence test draws it: deletes
+    pick a stored row, inserts draw from pools small enough to collide."""
+    relation = rng.choice(relations)
+    rows = h.rows(relation)
+    if rows and rng.random() < 0.45:
+        return [], [(relation, rng.choice(rows))]
+    if relation == "interest":
+        row = [
+            rng.choice(("NYC", "EDI", "LON")),
+            rng.choice(("US", "UK")),
+            rng.choice(("saving", "checking")),
+            rng.choice(("1%", "1.5%", "4%", "4.5%")),
+        ]
+    else:
+        arity = h.reference.schema.relation(relation).arity
+        row = [f"v{rng.randint(0, 8)}" for __ in range(arity - 1)]
+        if relation.startswith("account"):
+            row.append(rng.choice(("saving", "checking")))
+        else:
+            row.append(rng.choice(("NYC", "EDI", "LON")))
+    return [(relation, row)], []
+
+
+@pytest.mark.parametrize("seed", [2, 8, 21])
+def test_random_bank_sequences_match_a_cold_session(seed):
+    """120 random single-row inserts and deletes, each its own batch."""
+    rng = random.Random(seed)
+    sigma = bank_constraints()
+    h = Harness(scaled_bank_instance(40, error_rate=0.1, seed=seed), sigma)
+    relations = list(sigma.schema.relation_names)
+    for __ in range(120):
+        h.step(*_random_bank_op(rng, h, relations))
+
+
 # -- the named bank cases ------------------------------------------------------
 
 
@@ -224,6 +260,10 @@ def _twin_fds(schema):
 
 TWIN = "CFD(interest: ab, ct -> rt, 1 pattern(s))"
 LON_9 = {"ab": "LON", "ct": "UK", "at": "saving", "rt": "9%"}
+LON_45 = dict(LON_9, rt="4.5%")
+#: The clean bank's only NYC savings rate: the last witness of psi5.
+NYC_SAVING = ("NYC", "US", "saving", "4%")
+_INTEREST = bank_constraints().schema.relation("interest")
 
 #: name -> (start instance, Σ, batches); each batch is (inserts, deletes,
 #: rows it changes, violation counts after it).
@@ -253,16 +293,27 @@ BANK_CASES = {
         ([("saving", ("01", "Impostor", "NYC, 19087", "212-5820844", "NYC"))],
          [], 1, {"phi1": 1}),
     ]),
-    "duplicate_insert_and_absent_delete_are_noops": ("clean", bank_constraints, [
-        ([("interest", ("NYC", "US", "saving", "4%"))],
-         [("interest", ("X", "Y", "saving", "0%"))], 0, {}),
+    "last_witness_deleted": ("clean", bank_constraints, [
+        ([], [("interest", NYC_SAVING)], 1, {"psi5": 1}),
     ]),
-    "mapping_and_sequence_rows": ("clean", bank_constraints, [
+    "duplicate_insert_is_a_noop": ("clean", bank_constraints, [
+        ([("interest", NYC_SAVING)], [], 0, {}),
+    ]),
+    "absent_delete_is_a_noop": ("clean", bank_constraints, [
+        ([], [("interest", Tuple(_INTEREST, ("X", "Y", "saving", "0%")))], 0, {}),
+    ]),
+    "mapping_shaped_row": ("clean", bank_constraints, [
         ([("interest", dict(LON_9))], [], 1, {"phi3": 2}),
         ([], [("interest", dict(LON_9))], 1, {}),
+    ]),
+    "sequence_shaped_row": ("clean", bank_constraints, [
         ([("interest", tuple(LON_9.values()))], [], 1, {"phi3": 2}),
-        ([("interest", {"ab": "NYC", "ct": "US", "at": "saving", "rt": "4%"})],
-         [("interest", list(LON_9.values()))], 1, {}),
+        ([], [("interest", list(LON_9.values()))], 1, {}),
+    ]),
+    "canonical_tuple_semantics": ("clean", bank_constraints, [
+        ([("interest", dict(zip(LON_9, NYC_SAVING)))], [], 0, {}),
+        ([("interest", dict(LON_45))], [], 1, {}),
+        ([], [("interest", Tuple(_INTEREST, tuple(LON_45.values())))], 1, {}),
     ]),
     "equal_repr_twins_counted_apart": ("dirty", _twin_fds, [
         ([], [], 0, {f"{TWIN}@0": 2, f"{TWIN}@1": 2}),
@@ -283,6 +334,10 @@ def test_bank_cases_match_a_cold_session(bank, case):
     h = Harness(db.copy() if db else DatabaseInstance(bank.schema), sigma)
     for inserts, deletes, changed, counts in batches:
         assert h.step(inserts, deletes).changed == changed
+        for relation, row in inserts:
+            # Every row shape lands under its canonical value tuple.
+            stored = h.session.db[relation]
+            assert stored.row_id(stored.coerce(row)) is not None
         assert h.session.count().by_constraint() == counts
         assert report_key(h.session.check()) == report_key(
             check_database_naive(h.reference, sigma)
