@@ -19,8 +19,8 @@ dataset generators and times three evaluations of the same workload:
 * ``sqlfile``/``sqlfile_warm`` — the out-of-core backend over a sqlite
   file built from the same data: cold = a fresh session's first
   ``check()`` (the default one-pass window-function scans inside
-  sqlite), warm = the same session's second ``check()`` (the
-  fingerprint-keyed SQLScanCache skips SQL entirely);
+  sqlite), warm = the same session's second ``check()`` (its scan
+  cache, kept while ``PRAGMA data_version`` stands, skips SQL entirely);
 * ``sqlfile_legacy`` — the same cold check with
   ``window_functions="off"``: the GROUP-BY-then-self-join SQL that was
   the only path before the one-pass rewrite. ``sqlfile_window_speedup``
@@ -290,8 +290,8 @@ def run_case(
     warm_s, warm_report2 = _best_time(session.check, repeats)
 
     # Out-of-core: the same data as a sqlite file. Cold = a fresh session
-    # per repeat (empty SQLScanCache, pushed-down scans run in sqlite);
-    # warm = a persistent session's second check (fingerprints unchanged,
+    # per repeat (empty scan cache, pushed-down scans run in sqlite);
+    # warm = a persistent session's second check (data_version unchanged,
     # every scan unit answers from the cache without touching the file).
     cpu_count = os.cpu_count() or 1
     with tempfile.TemporaryDirectory() as tmp:
@@ -782,7 +782,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: {worst_file['label']} sqlfile warm re-check speedup "
             f"{worst_file['sqlfile_warm_speedup']:.2f}x < required "
-            f"{args.min_sqlfile_warm_speedup:.2f}x (the fingerprint cache "
+            f"{args.min_sqlfile_warm_speedup:.2f}x (the scan cache "
             f"must beat re-running the pushed-down scans)",
             file=sys.stderr,
         )

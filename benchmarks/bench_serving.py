@@ -25,9 +25,14 @@ computation — and gates on it:
 * ``commit split`` — *informational, ungated*: single-row commits on a
   subscribed bank@``--base-size`` tenant (memory and sqlfile), the p50 of
   the tenant's ``Session.apply`` beside the p50 of the feed's delta
-  (``ViolationFeed.commit``: the carry-forward of the session's scan
-  cache — on sqlfile, of the memory mirror after it applied the row too —
-  plus record building), and their ratio.
+  (``ViolationFeed.commit``: the carry-forward of the tenant session's
+  scan cache plus record building), their ratio, and the p50 of the read
+  (``service.check()``) after each commit. Each row also gives the
+  tenant's resident state once its commits are done: the GC-tracked
+  containers it adds to the process (``len(gc.get_objects())`` against
+  the count before the service existed) and the time of one full
+  ``gc.collect()`` with the tenant alive — what every full collection
+  in a serving process walks.
 
 ``--min-batch-speedup X`` fails the run (exit 1) when the service-level
 batch-vs-singles speedup on **either** gated backend (memory, sqlfile)
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import json
 import statistics
 import sys
@@ -58,7 +64,7 @@ from repro.sql.loader import create_database_file
 
 #: The service-level comparison gates these backends; naive and sql
 #: tenants hold their data in memory like ``memory`` and take their
-#: deltas from a memory mirror like ``sqlfile``.
+#: deltas from a memory mirror.
 GATED_BACKENDS = ("memory", "sqlfile")
 
 
@@ -188,13 +194,16 @@ async def bench_commit_split(
     backend: str, base_db, sigma, commits: int, tmp: Path
 ) -> dict:
     """Single-row commit cost split into the tenant's ``Session.apply``
-    and the feed's delta, each timed around its own call."""
+    and the feed's delta, each timed around its own call, the read after
+    each commit, and the tenant's resident state."""
     source = (
         str(create_database_file(tmp / "split.db", base_db))
         if backend == "sqlfile"
         else base_db.copy()
     )
-    times: dict[str, list[float]] = {"apply": [], "delta": []}
+    times: dict[str, list[float]] = {"apply": [], "delta": [], "read": []}
+    gc.collect()
+    idle_containers = len(gc.get_objects())
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
@@ -215,13 +224,21 @@ async def bench_commit_split(
         handle.feed.commit = timed(handle.feed.commit, "delta")
         # Stationary: each row is inserted by one commit, deleted by the next.
         for op in batch_ops(commits // 2):
-            await service.apply("split", inserts=[op])
-            await service.apply("split", deletes=[op])
+            for batch in ({"inserts": [op]}, {"deletes": [op]}):
+                await service.apply("split", **batch)
+                start = time.perf_counter()
+                await service.check("split")
+                times["read"].append(time.perf_counter() - start)
         records = sub.baseline
         for __ in times["delta"]:
             records = replay(records, await sub.__anext__())
         if records != report_records(await service.check("split")):
             raise AssertionError(f"{backend}: replayed deltas differ")
+        gc.collect()
+        containers = len(gc.get_objects())
+        start = time.perf_counter()
+        gc.collect()
+        collect_s = time.perf_counter() - start
     apply_p50 = statistics.median(times["apply"])
     delta_p50 = statistics.median(times["delta"])
     return {
@@ -231,6 +248,9 @@ async def bench_commit_split(
         "apply_p50_ms": apply_p50 * 1e3,
         "delta_p50_ms": delta_p50 * 1e3,
         "delta_over_apply": delta_p50 / apply_p50 if apply_p50 > 0 else None,
+        "read_p50_ms": statistics.median(times["read"]) * 1e3,
+        "tenant_gc_containers": containers - idle_containers,
+        "gc_collect_ms": collect_s * 1e3,
     }
 
 
@@ -309,7 +329,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"commit split/{backend:<8} bank@{args.base_size}: "
                 f"apply p50={row['apply_p50_ms']:.3f}ms "
                 f"delta p50={row['delta_p50_ms']:.3f}ms -> "
-                f"{row['delta_over_apply']:.1f}x apply (informational)"
+                f"{row['delta_over_apply']:.1f}x apply; "
+                f"read p50={row['read_p50_ms']:.3f}ms; tenant holds "
+                f"{row['tenant_gc_containers']} GC containers, one "
+                f"gc.collect() {row['gc_collect_ms']:.1f}ms (informational)"
             )
 
     read_db = scaled_bank_instance(args.read_size, error_rate=0.01, seed=7)

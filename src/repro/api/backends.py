@@ -28,25 +28,30 @@ How each backend earns its keep:
   replays the engine's violation semantics over just the dirty groups, so
   its report is tuple-for-tuple comparable with the others.
 * :class:`SQLFileBackend` — detection pushed down as SQL into an existing
-  sqlite database file, out-of-core.
+  sqlite database file, out-of-core, with the memory backend's scan cache
+  kept by its own DML and cleared by another connection's commit.
 
-After DML, the memory backend carries its scan cache forward by the
-changed rows (:mod:`repro.engine.carry`): the next answer re-evaluates
-only the CFD groups, witness keys and CIND rows they touch, and
-:meth:`MemoryBackend.delta` reports the change by position.
+After DML, the memory and sqlfile backends carry their scan cache
+forward by the changed rows (:mod:`repro.engine.carry`): the next answer
+re-evaluates only the CFD groups, witness keys and CIND rows they touch,
+and ``delta()`` reports the change by position.
 """
 
 from __future__ import annotations
 
+import sqlite3
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Iterable,
     Iterator,
     Mapping,
     Protocol,
     Sequence,
+    TypeVar,
     runtime_checkable,
 )
 
@@ -69,7 +74,6 @@ from repro.engine import (
     DetectionSummary,
     ReportDelta,
     ScanCache,
-    SQLScanCache,
     assemble_report,
     assemble_summary,
     attribute_positions,
@@ -81,19 +85,16 @@ from repro.engine import (
     plan_has_violation,
     projection_column_keys,
 )
+from repro.engine.carry import run_carry
 from repro.errors import SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
-from repro.sql.ddl import quote_identifier, row_predicate
-from repro.sql.loader import (
-    connect_file,
-    data_version,
-    introspect_schema,
-    table_content_fingerprint,
-    table_fingerprint,
-)
-from repro.sql.violations import SQLPlanExecutor, SQLViolationDetector
+from repro.sql.ddl import quote_identifier, row_predicate, select_columns
+from repro.sql.loader import connect_file, data_version, introspect_schema
+from repro.sql.violations import SQLCarry, SQLPlanExecutor, SQLViolationDetector
 from repro.sql.windows import ReadonlyConnectionPool
 
+
+_T = TypeVar("_T")
 
 #: One batch-DML operation: ``(relation name, row)``. Inserts take any row
 #: shape the backend's ``insert`` takes; deletes are coerced to ``Tuple``.
@@ -178,6 +179,10 @@ class BaseBackend:
     """
 
     name = "base"
+    #: Bumped each time the backend sees its data changed by someone
+    #: other than itself (only file-backed backends can): a consumer
+    #: that tracks the backend's reports by its deltas must re-check.
+    data_epoch = 0
 
     def __init__(
         self,
@@ -416,7 +421,10 @@ class MemoryBackend(BaseBackend):
         deleted: list[tuple[int, tuple[Any, ...]]],
         inserted: list[tuple[int, tuple[Any, ...]]],
     ) -> None:
-        self._cache.note(instance, before, deleted, inserted)
+        self._cache.note(
+            instance.schema.name, before, instance.version, len(instance),
+            deleted, inserted,
+        )
 
     def close(self) -> None:
         # The persistent pool holds worker processes and /dev/shm
@@ -651,25 +659,39 @@ class SQLFileBackend(BaseBackend):
     including list order — to the memory backend over equivalent data
     (rowid order standing in for tuple insertion order).
 
-    Repeated checks are nearly free: a :class:`~repro.engine.cache.SQLScanCache`
-    keyed by sqlite's ``PRAGMA data_version`` plus per-table
-    max-rowid/count fingerprints memoizes every scan unit's answer, so a
-    warm re-check of an unchanged file runs one PRAGMA and no data SQL at
-    all. :meth:`insert`/:meth:`delete` route through SQL DML and
-    invalidate only the touched table's entries; writes committed by
-    *other* connections are caught by the ``data_version`` bump on the
-    next call. ``options.readonly`` opens the file read-only and makes
-    mutations fail loudly.
+    Scan results live in the same :class:`~repro.engine.cache.ScanCache`
+    the memory backend uses, versioned by per-table counters this session
+    bumps. The session's own connection is the authority on the file:
 
-    ``options.workers > 1`` makes ``check``/``count`` split every *cold*
-    scan unit into contiguous rowid windows run concurrently on a bounded
-    pool of read-only connections
+    * its own DML (:meth:`apply`, and ``insert``/``delete`` through it)
+      notes every changed row as ``(rowid, values)``, and the next
+      ``check``/``count``/``is_clean`` — or :meth:`delta` — carries the
+      cache forward by them (:class:`~repro.sql.violations.SQLCarry`):
+      only the touched CFD groups, witness keys and CIND rows are
+      re-evaluated, each by one key-restricted query. Its inserts take
+      rowids above every rowid the session has seen, so a deleted
+      newest row's rowid is never reused behind the carry's back. The
+      witness key sets a carry reads are taken before the first batch
+      that needs them, so a check that never sees DML never pays for
+      them;
+    * ``PRAGMA data_version`` moves exactly when *another* connection
+      commits, and then the cache is cleared: every unit re-scans at the
+      next call. A warm re-check of an unchanged file runs that one
+      PRAGMA and no data SQL at all.
+
+    Calls serialize on one lock, because readers share the connection and
+    its temp tables. Nothing here creates an index or writes to the file
+    except the DML itself. ``options.readonly`` opens the file read-only
+    and makes mutations fail loudly.
+
+    ``options.workers > 1`` makes ``check``/``count`` split every scan
+    unit that stays cold after the carry into contiguous rowid windows
+    run concurrently on a bounded pool of read-only connections
     (:func:`~repro.api.parallel.execute_sqlfile_windows`; sqlite releases
     the GIL inside queries, so the pool is always thread-based regardless
-    of ``options.executor``) and merge the partial states bit-identically;
-    the merged group-level results land in the cache under exactly the
-    serial keys, so a warm re-check is still one PRAGMA.
-    ``options.shards`` forces the per-relation window count.
+    of ``options.executor``) and merge the partial states bit-identically
+    into the serial entry shapes. ``options.shards`` forces the
+    per-relation window count.
     """
 
     name = "sqlfile"
@@ -693,29 +715,25 @@ class SQLFileBackend(BaseBackend):
         self.conn = connect_file(self.path, readonly=self.options.readonly)
         try:
             introspect_schema(self.conn, sigma.schema)
-        except SQLBackendError:
+            self._data_version = data_version(self.conn)
+        except (SQLBackendError, sqlite3.Error):
             self.conn.close()
             raise
         self._plan = build_plan(sigma, self.options)
+        self._cache = ScanCache(self._plan)
+        #: table -> version counter: bumped by each own batch touching the
+        #: table, and for every table when another connection commits.
+        self._versions = dict.fromkeys(sigma.schema.relation_names, 0)
         self._executor = SQLPlanExecutor(
             self.conn, self._plan,
             window_functions=self.options.window_functions,
+            cache=self._cache, versions=self._versions,
         )
-        self._cache = SQLScanCache()
-        self._tables = tuple(sigma.schema.relation_names)
-        # options.fingerprint picks the invalidation detector consulted
-        # after a foreign commit: "rowid" = the O(1) (max rowid, COUNT(*))
-        # heuristic, "content" = a per-row CRC32 sum computed inside SQL
-        # that also catches delete+reinsert writes hiding behind an
-        # unchanged rowid envelope.
-        if self.options.fingerprint == "content":
-            self._fingerprint = lambda table: table_content_fingerprint(
-                self.conn, table
-            )
-        else:
-            self._fingerprint = lambda table: table_fingerprint(
-                self.conn, table
-            )
+        #: table -> row count, counted on first need and kept by own DML.
+        self._sizes: dict[str, int] = {}
+        #: table -> the highest rowid this session inserted or deleted.
+        self._high: dict[str, int] = {}
+        self._lock = threading.RLock()
         # options.pool == "persistent": one read-only connection pool for
         # every windowed prefetch this session runs (built lazily on the
         # first cold parallel call; warm traffic stops paying per-call
@@ -735,67 +753,65 @@ class SQLFileBackend(BaseBackend):
         return self._plan
 
     @property
-    def cache(self) -> SQLScanCache:
+    def cache(self) -> ScanCache:
         return self._cache
 
     # -- cache bookkeeping -------------------------------------------------
 
-    def _begin(self) -> None:
-        """Sync the cache with the file (one PRAGMA when nothing changed)."""
-        self._cache.begin(
-            data_version(self.conn), self._tables, self._fingerprint
-        )
+    def _sync(self) -> None:
+        """Clear the cache if another connection committed since the last
+        call (one PRAGMA when nothing changed)."""
+        current = data_version(self.conn)
+        if current != self._data_version:
+            self._data_version = current
+            self.data_epoch += 1
+            for table in self._versions:
+                self._versions[table] += 1
+            self._sizes.clear()
+            self._cache.clear()
 
-    def _touch(self, relation: str) -> None:
-        self._touch_tables((relation,))
+    def _carry(self, delta: bool = False) -> ReportDelta | None:
+        return run_carry(SQLCarry(
+            self._plan, self._cache, delta, self._executor, self._versions
+        ))
 
-    def _touch_tables(self, relations: Iterable[str]) -> None:
-        """Invalidate exactly the touched tables after our own DML.
-
-        One cache filter pass for the whole set (the batch ``apply`` path
-        touches several tables per commit). The rowid fingerprint is
-        O(1), so it is refreshed in place; the content fingerprint costs
-        a full-table aggregate scan, so it is *forgotten* instead —
-        mutations stay O(1) and the next foreign commit re-fingerprints
-        (and conservatively re-invalidates) the table in ``begin()``.
-        """
-        relations = tuple(relations)
-        self._cache.invalidate_tables(relations)
-        for relation in relations:
-            if self.options.fingerprint == "content":
-                self._cache.forget_fingerprint(relation)
-            else:
-                self._cache.record_fingerprint(
-                    relation, self._fingerprint(relation)
-                )
+    def _size(self, table: str) -> int:
+        size = self._sizes.get(table)
+        if size is None:
+            [(size,)] = self.conn.execute(
+                f"SELECT COUNT(*) FROM {quote_identifier(table)}"
+            ).fetchall()
+            self._sizes[table] = size
+        return size
 
     # -- scan units (cached) -----------------------------------------------
 
     def _prefetch_parallel(self) -> None:
-        """Fill the cache's cold scan units via rowid-window dispatch.
+        """Fill the scan units that stay cold after the carry via
+        rowid-window dispatch.
 
-        Only with ``options.workers > 1``, and only for units the cache
-        cannot answer (``peek`` leaves the hit/miss counters alone —
-        prefetch is an execution strategy, not a cache consumer). Merged
-        group-level hits are stored under exactly the keys the serial
-        methods below use, so after a prefetch they find every unit warm;
-        a fully-warm call skips the pool entirely and ``is_clean`` stays
+        Only with ``options.workers > 1``. The window path yields no
+        first rowids for CFD keys, so a group it filled re-scans once, on
+        the first carry that touches it; its CIND hits keep their rowids.
+        A fully-warm call skips the pool entirely and ``is_clean`` stays
         serial — its point is to stop at the first hit, which a fan-out
         would race past.
         """
         if self.options.workers <= 1:
             return
+        plan, cache, versions = self._plan, self._cache, self._versions
         cold_groups = [
             i
-            for i, group in enumerate(self._plan.cfd_groups)
-            if self._cache.peek(
-                ("cfd", group.relation, group.lhs_positions)
-            ) is None
+            for i, group in enumerate(plan.cfd_groups)
+            if (entry := cache.cfd_entry(group)) is None
+            or entry[0] != versions[group.relation]
         ]
         cold_cind = [
             relation
-            for relation in self._plan.cind_scans
-            if self._cache.peek(("cind", relation)) is None
+            for relation, tasks in plan.cind_scans.items()
+            if (entry := cache.cind_entry(relation)) is None
+            or entry[0] != versions[relation]
+            or entry[1] != cache.cind_deps(tasks, versions.__getitem__)
         ]
         if not cold_groups and not cold_cind:
             return
@@ -804,7 +820,7 @@ class SQLFileBackend(BaseBackend):
                 self.path, self.options.workers
             )
         cfd_hits, cind_hits = execute_sqlfile_windows(
-            self._plan,
+            plan,
             self.sigma.schema,
             self.path,
             cold_groups,
@@ -816,135 +832,161 @@ class SQLFileBackend(BaseBackend):
             steal_granularity=self.options.steal_granularity,
         )
         for i, hits in cfd_hits.items():
-            group = self._plan.cfd_groups[i]
-            self._cache.store(
-                ("cfd", group.relation, group.lhs_positions),
-                (group.relation,),
-                hits,
+            group = plan.cfd_groups[i]
+            cache.store_cfd_hits(group, versions[group.relation], hits)
+        for relation, pairs in cind_hits.items():
+            tasks = plan.cind_scans[relation]
+            slot = {id(task): i for i, task in enumerate(tasks)}
+            buckets: list[list[int]] = [[] for __ in tasks]
+            for task, (rowid, __) in pairs:
+                buckets[slot[id(task)]].append(rowid)
+            cache.store_cind_hits(
+                relation, versions[relation],
+                cache.cind_deps(tasks, versions.__getitem__),
+                [(task, t) for task, (__, t) in pairs], buckets,
             )
-        for relation, hits in cind_hits.items():
-            self._cache.store(
-                ("cind", relation),
-                self._cind_deps(relation, self._plan.cind_scans[relation]),
-                hits,
-            )
 
-    def _cfd_hits(self, group) -> list:
-        key = ("cfd", group.relation, group.lhs_positions)
-        hits = self._cache.get(key)
-        if hits is None:
-            hits = self._executor.cfd_group_hits(group)
-            self._cache.store(key, (group.relation,), hits)
-        return hits
-
-    def _cfd_tuples(self, group, hits) -> dict:
-        key = ("cfd-groups", group.relation, group.lhs_positions)
-        groups = self._cache.get(key)
-        if groups is None:
-            keys = dict.fromkeys(k for __, k, __kind in hits)
-            groups = self._executor.cfd_group_tuples(group, keys)
-            self._cache.store(key, (group.relation,), groups)
-        return groups
-
-    def _cind_deps(self, relation: str, tasks) -> tuple[str, ...]:
-        witness_tables = dict.fromkeys(
-            task.witness.rhs_relation for task in tasks
+    def _keep_witness_sets(self, relations: set[str]) -> None:
+        """Before a batch on *relations*, store the witness key sets a
+        carry over it will read and the cache lacks: those on the
+        relations and those their CIND rows probe. A scan does not keep
+        them (a cold check would pay for sets no carry reads); they are
+        taken here, while the file still holds the synced state of
+        their relation, and carried from then on."""
+        cache, versions = self._cache, self._versions
+        if cache.synced is None:
+            return
+        specs = {
+            spec
+            for relation, relation_specs in self._plan.witness_specs.items()
+            if relation in relations
+            for spec in relation_specs
+        }
+        specs.update(
+            task.witness
+            for relation, tasks in self._plan.cind_scans.items()
+            if relation in relations
+            for task in tasks
         )
-        return (relation, *witness_tables)
+        try:
+            for spec in specs:
+                relation = spec.rhs_relation
+                entry = cache.witness_entry(spec)
+                if (
+                    (entry is None or entry[0] != versions[relation])
+                    and relation not in cache.log
+                ):
+                    cache.store_witness_set(
+                        spec, versions[relation], self._executor.witness_keys(spec)
+                    )
+        finally:
+            self._executor.release_witnesses()
 
-    def _cind_hits(self, relation: str, tasks) -> list:
-        key = ("cind", relation)
-        hits = self._cache.get(key)
-        if hits is None:
-            hits = self._executor.cind_relation_hits(relation, tasks)
-            self._cache.store(key, self._cind_deps(relation, tasks), hits)
-        return hits
+    def _execute(self, assemble: Callable[[list, list], _T]) -> _T:
+        """Carry, scan what stays cold (the executor answers warm units
+        from the cache), and *assemble* the per-unit hit lists — all
+        under the session lock."""
+        with self._lock:
+            self._sync()
+            try:
+                self._carry()
+                self._prefetch_parallel()
+                executor = self._executor
+                cfd_hits = [
+                    (group, executor.cfd_group_hits(group))
+                    for group in self._plan.cfd_groups
+                ]
+                cind_hits = [
+                    executor.cind_relation_hits(relation, tasks)
+                    for relation, tasks in self._plan.cind_scans.items()
+                ]
+                self._cache.mark_synced(self._plan, self._versions.__getitem__)
+                return assemble(cfd_hits, cind_hits)
+            finally:
+                # Witness materializations mirror the file's current
+                # content; they are valid for exactly one execution.
+                self._executor.release_witnesses()
+
+    def _report(self, cfd_hits: list, cind_hits: list) -> ViolationReport:
+        cfd_buckets: dict[int, list[CFDViolation]] = {}
+        for group, hits in cfd_hits:
+            if not hits:
+                continue
+            groups = self._executor.cfd_group_tuples(
+                group, dict.fromkeys(key for __, key, __k in hits)
+            )
+            for task, key, kind in hits:
+                cfd_buckets.setdefault(id(task), []).append(
+                    CFDViolation(
+                        cfd=task.cfd,
+                        pattern_index=task.row_index,
+                        lhs_values=key,
+                        tuples=groups[key],
+                        kind=kind,
+                    )
+                )
+        cind_buckets: dict[int, list[CINDViolation]] = {}
+        for hits in cind_hits:
+            for task, t in hits:
+                cind_buckets.setdefault(id(task), []).append(
+                    CINDViolation(
+                        cind=task.cind, pattern_index=task.row_index, tuple_=t
+                    )
+                )
+        return assemble_report(self._plan, cfd_buckets, cind_buckets)
+
+    def _summary(self, cfd_hits: list, cind_hits: list) -> DetectionSummary:
+        # Count-only: the same cached hit lists, no group-tuple fetches.
+        cfd_counts: dict[int, int] = {}
+        for __, hits in cfd_hits:
+            for task, __k, __kind in hits:
+                cfd_counts[task.cfd_index] = cfd_counts.get(task.cfd_index, 0) + 1
+        cind_counts: dict[int, int] = {}
+        for hits in cind_hits:
+            for task, __t in hits:
+                cind_counts[task.cind_index] = cind_counts.get(task.cind_index, 0) + 1
+        return assemble_summary(self._plan, cfd_counts, cind_counts)
 
     # -- detection ---------------------------------------------------------
 
     def check(self) -> ViolationReport:
-        self._begin()
-        self._prefetch_parallel()
-        try:
-            cfd_buckets: dict[int, list[CFDViolation]] = {}
-            for group in self._plan.cfd_groups:
-                hits = self._cfd_hits(group)
-                if not hits:
-                    continue
-                groups = self._cfd_tuples(group, hits)
-                for task, key, kind in hits:
-                    cfd_buckets.setdefault(id(task), []).append(
-                        CFDViolation(
-                            cfd=task.cfd,
-                            pattern_index=task.row_index,
-                            lhs_values=key,
-                            tuples=groups[key],
-                            kind=kind,
-                        )
-                    )
-            cind_buckets: dict[int, list[CINDViolation]] = {}
-            for relation, tasks in self._plan.cind_scans.items():
-                for task, t in self._cind_hits(relation, tasks):
-                    cind_buckets.setdefault(id(task), []).append(
-                        CINDViolation(
-                            cind=task.cind,
-                            pattern_index=task.row_index,
-                            tuple_=t,
-                        )
-                    )
-            return assemble_report(self._plan, cfd_buckets, cind_buckets)
-        finally:
-            # Witness materializations mirror the file's current content;
-            # they are valid for exactly one execution (the hit caches
-            # answer warm calls before any witness is needed again).
-            self._executor.release_witnesses()
+        return self._execute(self._report)
 
     def count(self) -> DetectionSummary:
-        # Count-only: the same cached hit lists, no group-tuple fetches.
-        self._begin()
-        self._prefetch_parallel()
-        try:
-            cfd_counts: dict[int, int] = {}
-            for group in self._plan.cfd_groups:
-                for task, __, __kind in self._cfd_hits(group):
-                    cfd_counts[task.cfd_index] = (
-                        cfd_counts.get(task.cfd_index, 0) + 1
-                    )
-            cind_counts: dict[int, int] = {}
-            for relation, tasks in self._plan.cind_scans.items():
-                for task, __ in self._cind_hits(relation, tasks):
-                    cind_counts[task.cind_index] = (
-                        cind_counts.get(task.cind_index, 0) + 1
-                    )
-            return assemble_summary(self._plan, cfd_counts, cind_counts)
-        finally:
-            self._executor.release_witnesses()
+        return self._execute(self._summary)
 
     def is_clean(self) -> bool:
         # Early exit: stop at the first scan unit with a hit. CFD hit
         # lists are computed (and cached) whole — the pushed-down queries
         # already return only violating candidates — while CIND buckets
-        # use EXISTS probes; a clean probe pass proves the hit list is
-        # empty, so the cache is warmed for free (mirroring the engine's
-        # plan_has_violation).
-        self._begin()
-        try:
-            for group in self._plan.cfd_groups:
-                if self._cfd_hits(group):
-                    return False
-            for relation, tasks in self._plan.cind_scans.items():
-                key = ("cind", relation)
-                hits = self._cache.get(key)
-                if hits is not None:
-                    if hits:
+        # use EXISTS probes, which store the empty hit list they prove.
+        with self._lock:
+            self._sync()
+            try:
+                self._carry()
+                executor = self._executor
+                for group in self._plan.cfd_groups:
+                    if executor.cfd_group_hits(group):
                         return False
-                    continue
-                if not self._executor.cind_relation_clean(relation, tasks):
-                    return False
-                self._cache.store(key, self._cind_deps(relation, tasks), [])
-            return True
-        finally:
-            self._executor.release_witnesses()
+                for relation, tasks in self._plan.cind_scans.items():
+                    if not executor.cind_relation_clean(relation, tasks):
+                        return False
+                self._cache.mark_synced(self._plan, self._versions.__getitem__)
+                return True
+            finally:
+                self._executor.release_witnesses()
+
+    def delta(self) -> ReportDelta | None:
+        """Carry the cache forward by this session's noted DML and return
+        how the report changed, by position; ``None`` when the cache was
+        never complete or another connection committed since (the next
+        check then re-scans every unit)."""
+        with self._lock:
+            self._sync()
+            try:
+                return self._carry(delta=True)
+            finally:
+                self._executor.release_witnesses()
 
     # -- mutation (SQL DML) ------------------------------------------------
 
@@ -965,66 +1007,21 @@ class SQLFileBackend(BaseBackend):
                 "(ExecutionOptions(readonly=True))"
             )
 
-    def insert(self, relation, row) -> bool:
-        """INSERT into the file (set semantics); False if already present.
-
-        The presence check and the INSERT run inside one ``BEGIN
-        IMMEDIATE`` transaction: the connection is otherwise autocommit,
-        and a concurrent writer slipping between the two statements could
-        otherwise plant a duplicate row no in-memory backend can
-        represent.
-        """
-        self._ensure_writable()
-        t = self._coerce(relation, row)
-        names = list(t.schema.attribute_names)
-        pred = row_predicate(names, "t")
-        table = quote_identifier(relation)
-        self.conn.execute("BEGIN IMMEDIATE")
-        try:
-            present = self.conn.execute(
-                f"SELECT 1 FROM {table} t WHERE {pred} LIMIT 1", t.values
-            ).fetchall()
-            if present:
-                self.conn.execute("ROLLBACK")
-                return False
-            placeholders = ", ".join("?" for __ in names)
-            self.conn.execute(
-                f"INSERT INTO {table} VALUES ({placeholders})", t.values
-            )
-            self.conn.execute("COMMIT")
-        except BaseException:
-            self.conn.execute("ROLLBACK")
-            raise
-        self._touch(relation)
-        return True
-
-    def delete(self, relation: str, row: Any) -> bool:
-        """DELETE from the file; False if no such row existed.
-
-        A single statement on an autocommit connection — atomic as is.
-        """
-        self._ensure_writable()
-        t = self._coerce(relation, row)
-        pred = row_predicate(list(t.schema.attribute_names), "t")
-        cursor = self.conn.execute(
-            f"DELETE FROM {quote_identifier(relation)} AS t WHERE {pred}",
-            t.values,
-        )
-        if cursor.rowcount == 0:
-            return False
-        self._touch(relation)
-        return True
-
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
     ) -> ApplyResult:
-        """Batch DML in **one** transaction with one invalidation pass.
+        """Batch DML in **one** transaction, each changed row noted.
 
-        All deletes, then all inserts (set semantics per row, as in the
-        single-row paths), inside a single ``BEGIN IMMEDIATE`` — so a 1k
-        row batch pays one commit, one fsync, and one per-touched-table
-        cache invalidation instead of 1k of each, and concurrent readers
-        of the file never observe a half-applied batch.
+        All deletes, then all inserts (set semantics per row: the
+        presence check and the INSERT share the ``BEGIN IMMEDIATE``
+        transaction, so a concurrent writer cannot plant a duplicate in
+        between) — a 1k row batch pays one commit and one fsync instead
+        of 1k, and concurrent readers of the file never observe a
+        half-applied batch. Every row is checked before the first
+        statement, so a malformed row leaves the file as it was. Each
+        changed row is noted as ``(rowid, values as stored)`` for the
+        carry; an insert takes the rowid after the highest one the
+        session has seen.
         """
         self._ensure_writable()
         delete_ops = [
@@ -1035,50 +1032,91 @@ class SQLFileBackend(BaseBackend):
         ]
         if not delete_ops and not insert_ops:
             return ApplyResult(inserted=0, deleted=0)
-        touched: dict[str, None] = {}
-        inserted = deleted = 0
-        self.conn.execute("BEGIN IMMEDIATE")
-        try:
-            for relation, t in delete_ops:
-                pred = row_predicate(list(t.schema.attribute_names), "t")
-                cursor = self.conn.execute(
-                    f"DELETE FROM {quote_identifier(relation)} AS t "
-                    f"WHERE {pred}",
-                    t.values,
-                )
-                if cursor.rowcount:
+        with self._lock:
+            self._sync()
+            self._keep_witness_sets(
+                {relation for relation, __ in delete_ops + insert_ops}
+            )
+            noted: dict[str, tuple[list, list]] = {}
+            inserted = deleted = 0
+            conn = self.conn
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                for relation, t in delete_ops:
+                    table = quote_identifier(relation)
+                    cols = select_columns(t.schema)
+                    pred = row_predicate(list(t.schema.attribute_names), "t")
+                    found = conn.execute(
+                        f"SELECT t.rowid, {cols} FROM {table} t WHERE {pred}",
+                        t.values,
+                    ).fetchall()
+                    if not found:
+                        continue
+                    for row in found:
+                        conn.execute(f"DELETE FROM {table} WHERE rowid = ?", (row[0],))
                     deleted += 1
-                    touched[relation] = None
-            for relation, t in insert_ops:
-                names = list(t.schema.attribute_names)
-                pred = row_predicate(names, "t")
-                table = quote_identifier(relation)
-                present = self.conn.execute(
-                    f"SELECT 1 FROM {table} t WHERE {pred} LIMIT 1", t.values
-                ).fetchall()
-                if present:
-                    continue
-                placeholders = ", ".join("?" for __ in names)
-                self.conn.execute(
-                    f"INSERT INTO {table} VALUES ({placeholders})", t.values
+                    noted.setdefault(relation, ([], []))[0].extend(
+                        (row[0], row[1:]) for row in found
+                    )
+                    self._high[relation] = max(
+                        self._high.get(relation, 0), *(row[0] for row in found)
+                    )
+                tops: dict[str, int] = {}
+                for relation, t in insert_ops:
+                    table = quote_identifier(relation)
+                    names = list(t.schema.attribute_names)
+                    pred = row_predicate(names, "t")
+                    present = conn.execute(
+                        f"SELECT 1 FROM {table} t WHERE {pred} LIMIT 1", t.values
+                    ).fetchall()
+                    if present:
+                        continue
+                    top = tops.get(relation)
+                    if top is None:
+                        [(top,)] = conn.execute(
+                            f"SELECT COALESCE(MAX(rowid), 0) FROM {table}"
+                        ).fetchall()
+                    rowid = max(top, self._high.get(relation, 0)) + 1
+                    tops[relation] = self._high[relation] = rowid
+                    columns = ", ".join(quote_identifier(n) for n in names)
+                    placeholders = ", ".join("?" for __ in names)
+                    conn.execute(
+                        f"INSERT INTO {table} (rowid, {columns}) "
+                        f"VALUES (?, {placeholders})",
+                        (rowid, *t.values),
+                    )
+                    # Note the values as stored (column affinity may have
+                    # converted them), which is what scans read back.
+                    [stored] = conn.execute(
+                        f"SELECT {select_columns(t.schema)} FROM {table} t "
+                        "WHERE t.rowid = ?",
+                        (rowid,),
+                    ).fetchall()
+                    inserted += 1
+                    noted.setdefault(relation, ([], []))[1].append((rowid, stored))
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+            for relation, (gone, new) in noted.items():
+                before = self._versions[relation]
+                self._versions[relation] = before + 1
+                if relation in self._sizes:
+                    self._sizes[relation] += len(new) - len(gone)
+                self._cache.note(
+                    relation, before, before + 1,
+                    lambda relation=relation: self._size(relation), gone, new,
                 )
-                inserted += 1
-                touched[relation] = None
-            self.conn.execute("COMMIT")
-        except BaseException:
-            self.conn.execute("ROLLBACK")
-            raise
-        if touched:
-            self._touch_tables(touched)
-        return ApplyResult(inserted=inserted, deleted=deleted)
+            return ApplyResult(inserted=inserted, deleted=deleted)
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            if self._window_pool is not None:
-                self._window_pool.close()
-                self._window_pool = None
-            self.conn.close()
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                if self._window_pool is not None:
+                    self._window_pool.close()
+                    self._window_pool = None
+                self.conn.close()
 
     def __repr__(self) -> str:
         return (

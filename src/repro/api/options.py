@@ -22,9 +22,6 @@ MODES = ("full", "count", "early-exit")
 #: fork is available, else ``thread``).
 EXECUTORS = ("auto", "process", "thread")
 
-#: How the ``sqlfile`` backend fingerprints tables for cache invalidation.
-FINGERPRINTS = ("rowid", "content")
-
 #: Whether the ``sqlfile`` backend may use sqlite window functions for its
 #: one-pass CFD detection queries (``auto`` probes the library at connect
 #: time and silently falls back to the legacy GROUP-BY-then-join SQL when
@@ -117,15 +114,6 @@ class ExecutionOptions:
         (benchmark baselines, differential tests); ``"require"`` raises
         :class:`~repro.errors.SQLBackendError` instead of falling back.
         Results are bit-identical either way. Other backends ignore it.
-    fingerprint:
-        How the ``sqlfile`` backend fingerprints tables when validating
-        its cache after a foreign commit: ``"rowid"`` (default) compares
-        cheap ``(max rowid, COUNT(*))`` pairs — O(1) per table but blind
-        to a writer that deletes and re-inserts behind the same rowid
-        envelope; ``"content"`` sums per-row CRC32 hashes inside SQL —
-        one aggregate scan per table per foreign commit, closes the
-        delete+reinsert hole. In-memory backends ignore it (their
-        mutation counters are exact).
     readonly:
         Only meaningful for file-backed backends (``sqlfile``): open the
         database file read-only, so ``insert``/``delete`` fail loudly and
@@ -158,7 +146,6 @@ class ExecutionOptions:
     min_shard_rows: int = 8192
     shards: int = 0
     window_functions: str = "auto"
-    fingerprint: str = "rowid"
     readonly: bool = False
     validate: bool = False
     prune_implied: bool = False
@@ -200,11 +187,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"window_functions must be one of {WINDOW_FUNCTIONS}, got "
                 f"{self.window_functions!r}"
-            )
-        if self.fingerprint not in FINGERPRINTS:
-            raise ValueError(
-                f"fingerprint must be one of {FINGERPRINTS}, got "
-                f"{self.fingerprint!r}"
             )
         if not isinstance(self.readonly, bool):
             raise ValueError(

@@ -532,7 +532,7 @@ def _execute_parallel(
             hits = cache.cind_hits(
                 relation,
                 db[relation].version,
-                cache.cind_deps(tasks, db),
+                cache.cind_deps(tasks, db.version_of),
             )
             if hits is not None:
                 cind_hit_lists[relation] = hits
@@ -736,7 +736,7 @@ def _execute_parallel(
                     cache.store_cind_hits(
                         relation,
                         db[relation].version,
-                        cache.cind_deps(tasks, db),
+                        cache.cind_deps(tasks, db.version_of),
                         hits,
                         buckets,
                     )
@@ -754,7 +754,7 @@ def _execute_parallel(
         _EXECUTION_LOCK.release()
 
     if cache is not None:
-        cache.mark_synced(plan, db)
+        cache.mark_synced(plan, db.version_of)
     return assemble_from_hits(
         plan,
         db,
@@ -801,9 +801,10 @@ def execute_sqlfile_windows(
     (:class:`~repro.sql.windows.SeededWitnesses`).
 
     Returns ``(cfd hits by group index, cind hits by relation)`` for the
-    requested cold units — shaped exactly like the serial executor's
-    ``cfd_group_hits`` / ``cind_relation_hits`` results, so the caller
-    caches them under the same keys.
+    requested cold units: CFD hits shaped exactly like the serial
+    executor's ``cfd_group_hits``, CIND hits as ``(task, (rowid,
+    tuple))`` pairs in task-major rowid order, so the caller caches both
+    in the serial entry shapes.
 
     A persistent *conn_pool* (the backend's session-scoped
     :class:`~repro.sql.windows.ReadonlyConnectionPool`) is borrowed and
@@ -954,7 +955,7 @@ def execute_sqlfile_windows(
                             {spec: witnesses[spec] for spec in relation_specs},
                         )
                         return cind_window_state(
-                            conn, rel, tasks, window, tables
+                            conn, rel, tasks, window, tables, rowids=True
                         )
                 return run
 

@@ -19,7 +19,7 @@ Every backend returns the same :class:`ViolationReport` shape (identical
 down to violation-list order — the cross-validation suite holds them to
 it), so choosing an engine is a performance decision, not an API decision.
 
-Sessions are *cheap to re-check*: the memory backend owns a
+Sessions are *cheap to re-check*: the memory and sqlfile backends own a
 mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 ``check()``/``count()``/``is_clean()`` over unchanged data replays
 memoized scan results instead of re-scanning, and after ``insert``/
@@ -184,12 +184,13 @@ class Session:
         delta: removed violations by their position in that report, added
         ones with their position in the current one.
 
-        The ``memory`` backend carries its scan cache forward by the rows
-        its DML changed and reads the change off the splice, re-evaluating
-        only the groups and keys those rows touch.
+        The ``memory`` and ``sqlfile`` backends carry their scan cache
+        forward by the rows their DML changed and read the change off the
+        splice, re-evaluating only the groups and keys those rows touch.
         ``None`` when the backend cannot tell: other backends, a session
         that never completed a report, or data changed behind the
-        session's back (the next check re-scans what is stale).
+        session's back — on ``sqlfile``, another connection's commit (the
+        next check re-scans what is stale).
         """
         self._ensure_open()
         return self.backend.delta()

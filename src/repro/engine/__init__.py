@@ -66,7 +66,7 @@ all modes against the naive oracle on randomized instances.
 from __future__ import annotations
 
 from repro.core.violations import ConstraintSet, ViolationReport
-from repro.engine.cache import ScanCache, SQLScanCache, projection_column_keys
+from repro.engine.cache import ScanCache, projection_column_keys
 from repro.engine.carry import ReportDelta, carry_forward
 from repro.engine.executor import (
     DetectionSummary,
@@ -113,7 +113,6 @@ __all__ = [
     "DetectionSummary",
     "PruneMap",
     "ReportDelta",
-    "SQLScanCache",
     "ScanCache",
     "ShardSpec",
     "WitnessSpec",

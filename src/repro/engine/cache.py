@@ -5,20 +5,24 @@ overwhelmingly common read path and push the bookkeeping onto the rare
 write path. Detection has the same skew: a ``Session`` re-checks the same
 database far more often than it mutates it (monitoring loops, repair
 rounds where most relations are untouched, ``check`` followed by
-``count``/``is_clean``). Every relation instance already pays the "write
-path" cost — a monotonic :attr:`~repro.relational.instance.RelationInstance.version`
-bump per mutation — so a scan result tagged with the version it was
-computed at can be replayed for free while the version stands still.
+``count``/``is_clean``). Every relation already pays the "write path"
+cost — a monotonic version counter bumped per mutation (an in-memory
+:attr:`~repro.relational.instance.RelationInstance.version`, or the
+per-table counter a ``sqlfile`` session bumps on its own DML) — so a scan
+result tagged with the version it was computed at can be replayed for
+free while the version stands still.
 
 :class:`ScanCache` memoizes, per plan scan unit:
 
 * **projection key lists** keyed by ``(relation, positions, version)`` —
   the columnar per-tuple keys that group-bys, witness passes, and CIND
-  probes all consume (each distinct projection is computed once per
-  version, shared across scan units);
+  probes all consume (in-memory scans only; each distinct projection is
+  computed once per version, shared across scan units);
 * **CFD group hits** keyed by ``(relation, X-positions, version)`` — the
-  evaluated ``(task, group key, kind)`` list of one CFD scan group, plus
-  the violating groups' tuples once a full report materialized them;
+  evaluated ``(task, group key, kind)`` list of one CFD scan group, its
+  hit count per task, and (for file-backed sessions, whose rows have no
+  in-memory index to ask) each hit key's first row id; plus the
+  violating groups' tuples once a full report materialized them;
 * **witness key sets** keyed by ``(spec, version)`` — one semijoin key
   set per :class:`~repro.engine.planner.WitnessSpec`;
 * **CIND hit lists** keyed by ``(relation, version, witness-versions)`` —
@@ -30,6 +34,8 @@ A cache is bound to one :class:`~repro.engine.planner.DetectionPlan`
 (entries reference the plan's task/spec objects); the executor refuses a
 cache built for a different plan. Stale entries are overwritten in place
 on recompute, so the cache never grows beyond one entry per scan unit.
+The ``memory`` and ``sqlfile`` backends share this one class; only how
+a unit is scanned differs.
 
 **Carrying entries forward.** A version mismatch alone would force a
 re-scan of every unit over a touched relation. The session's batch DML
@@ -41,7 +47,8 @@ there, as long as every version step since is covered by noted rows,
 groups, witness keys and CIND rows those rows touch and splices the
 results into the entries. A mutation that bypasses the session leaves a
 version step no note covers, and the cache falls back to re-scanning
-the stale units.
+the stale units; a ``sqlfile`` session sees another connection's commit
+as a moved ``PRAGMA data_version`` and clears the cache.
 
 The payoff is measured by ``benchmarks/bench_detection.py``: a warm
 re-check of an unchanged database skips every relation scan and only
@@ -52,7 +59,7 @@ the number of violations, not the number of tuples).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
     from repro.engine.planner import CFDScanGroup, CINDRowTask, DetectionPlan, WitnessSpec
@@ -62,6 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
 #: One value sequence per attribute, in row order: a relation's columns or
 #: a row-range slice of them.
 Columns = Sequence[Sequence[Any]]
+
+#: Relation name -> its current version counter.
+VersionOf = Callable[[str], int]
 
 
 def projection_column_keys(
@@ -104,8 +114,11 @@ class ScanCache:
         #: (relation, positions) -> (version, key list)
         self._projections: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
         #: (relation, X positions) -> (version, [(task, key, kind), ...],
-        #: hit count per task of the group)
-        self._cfd: dict[tuple[str, tuple[int, ...]], tuple[int, list, tuple]] = {}
+        #: hit count per task of the group, {hit key: first row id} or
+        #: None where an index answers that)
+        self._cfd: dict[
+            tuple[str, tuple[int, ...]], tuple[int, list, tuple, dict | None]
+        ] = {}
         #: (relation, X positions) -> (version, {group key: group tuples})
         self._groups: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
         #: spec -> (version, witness key set)
@@ -147,8 +160,8 @@ class ScanCache:
         self.synced = None
         self.log = {}
 
-    def mark_synced(self, plan: "DetectionPlan", db: "DatabaseInstance") -> None:
-        """Record that every unit of *plan* now holds an entry for *db*'s
+    def mark_synced(self, plan: "DetectionPlan", version_of: VersionOf) -> None:
+        """Record that every unit of *plan* now holds an entry for the
         current versions (called after an execution visited them all)."""
         relations = dict.fromkeys(
             [group.relation for group in plan.cfd_groups]
@@ -156,29 +169,30 @@ class ScanCache:
             + list(plan.cind_scans)
         )
         with self.lock:
-            self.synced = {name: db[name].version for name in relations}
+            self.synced = {name: version_of(name) for name in relations}
             self.log = {}
 
     def note(
         self,
-        instance: "RelationInstance",
+        name: str,
         before: int,
+        after: int,
+        size: int | Callable[[], int],
         deleted: list[tuple[int, tuple[Any, ...]]],
         inserted: list[tuple[int, tuple[Any, ...]]],
     ) -> None:
-        """Record one batch's changed rows of *instance*.
+        """Record one batch's changed rows of relation *name*.
 
         *deleted*/*inserted* are the ``(row id, values)`` pairs the batch
-        actually removed and added, and *before* the relation's version
-        before the batch. A batch that does not continue the noted chain
-        (some mutation bypassed :meth:`note`) unsyncs the cache, and so
-        does a log holding more rows than the relation: re-scanning it
-        reads fewer.
+        actually removed and added, and *before*/*after* the relation's
+        version before and after it. A batch that does not continue the
+        noted chain (some mutation bypassed :meth:`note`) unsyncs the
+        cache, and so does a log holding more rows than the relation
+        (*size*, or a callable giving it): re-scanning it reads fewer.
         """
         synced = self.synced
         if synced is None:
             return
-        name = instance.schema.name
         if name not in synced:
             return  # no scan unit reads this relation
         entry = self.log.get(name)
@@ -187,10 +201,10 @@ class ScanCache:
             return
         if entry is None:
             entry = self.log[name] = [before, [], []]
-        entry[0] = instance.version
+        entry[0] = after
         entry[1].extend(deleted)
         entry[2].extend(inserted)
-        if len(entry[1]) + len(entry[2]) > len(instance):
+        if len(entry[1]) + len(entry[2]) > (size() if callable(size) else size):
             self.unsync()
 
     def release_projections(self) -> None:
@@ -229,23 +243,39 @@ class ScanCache:
         self.misses += 1
         return None
 
-    def store_cfd_hits(self, group: "CFDScanGroup", version: int, hits: list) -> None:
+    def store_cfd_hits(
+        self,
+        group: "CFDScanGroup",
+        version: int,
+        hits: list,
+        firsts: dict | None = None,
+    ) -> None:
         slot = {id(task): i for i, task in enumerate(group.tasks)}
         counts = [0] * len(group.tasks)
         for task, __, __k in hits:
             counts[slot[id(task)]] += 1
         self._cfd[(group.relation, group.lhs_positions)] = (
-            version, hits, tuple(counts),
+            version, hits, tuple(counts), firsts,
         )
 
-    def cfd_entry(self, group: "CFDScanGroup") -> tuple[int, list, tuple] | None:
-        """The raw ``(version, hits, per-task counts)`` entry of *group*."""
+    def cfd_entry(
+        self, group: "CFDScanGroup"
+    ) -> tuple[int, list, tuple, dict | None] | None:
+        """The raw ``(version, hits, per-task counts, first row ids)``
+        entry of *group*; it counts as neither a hit nor a miss."""
         return self._cfd.get((group.relation, group.lhs_positions))
 
     def put_cfd_entry(
-        self, group: "CFDScanGroup", version: int, hits: list, counts: tuple
+        self,
+        group: "CFDScanGroup",
+        version: int,
+        hits: list,
+        counts: tuple,
+        firsts: dict | None,
     ) -> None:
-        self._cfd[(group.relation, group.lhs_positions)] = (version, hits, counts)
+        self._cfd[(group.relation, group.lhs_positions)] = (
+            version, hits, counts, firsts,
+        )
 
     def group_tuples_entry(self, group: "CFDScanGroup") -> tuple[int, dict] | None:
         return self._groups.get((group.relation, group.lhs_positions))
@@ -284,11 +314,11 @@ class ScanCache:
 
     @staticmethod
     def cind_deps(
-        tasks: Iterable["CINDRowTask"], db: "DatabaseInstance"
+        tasks: Iterable["CINDRowTask"], version_of: VersionOf
     ) -> tuple[int, ...]:
         """Witness-side version vector a CIND hit list depends on."""
         specs = dict.fromkeys(task.witness for task in tasks)
-        return tuple(db[spec.rhs_relation].version for spec in specs)
+        return tuple(version_of(spec.rhs_relation) for spec in specs)
 
     def cind_hits(
         self, relation: str, version: int, deps: tuple[int, ...]
@@ -315,6 +345,8 @@ class ScanCache:
     def cind_entry(
         self, relation: str
     ) -> tuple[int, tuple[int, ...], list, list] | None:
+        """The raw entry of *relation*'s CIND scan; it counts as neither
+        a hit nor a miss."""
         return self._cind.get(relation)
 
     def __repr__(self) -> str:
@@ -322,149 +354,4 @@ class ScanCache:
             f"<ScanCache {len(self._cfd)} CFD, {len(self._witness)} witness, "
             f"{len(self._cind)} CIND entr(ies); {self.hits} hit(s), "
             f"{self.misses} miss(es), {self.carried} carried>"
-        )
-
-
-class SQLScanCache:
-    """Fingerprint-keyed result memo for the out-of-core ``sqlfile`` backend.
-
-    The in-memory :class:`ScanCache` leans on each relation's mutation
-    ``version`` counter; a sqlite *file* has no such counter, so this cache
-    builds the same read-biased protocol out of what sqlite does offer:
-
-    * ``PRAGMA data_version`` — moves whenever **another** connection
-      commits to the file, so an unchanged value makes a warm re-check one
-      PRAGMA away from skipping SQL entirely;
-    * per-table ``(max rowid, row count)`` fingerprints — consulted only
-      after a ``data_version`` bump, to invalidate just the tables that
-      actually moved;
-    * explicit :meth:`invalidate_table` calls from the owning backend's own
-      DML (a connection's own writes never move its own ``data_version``).
-
-    Entries are keyed by scan-unit tuples chosen by the backend; each
-    records the set of tables it was computed from. The *fingerprint*
-    callable is the backend's choice
-    (``ExecutionOptions(fingerprint=...)``): the default ``(max rowid,
-    row count)`` pair is heuristic by design — a foreign writer that
-    restores both, i.e. delete-the-last-row-then-insert, slips through —
-    while the ``"content"`` mode
-    (:func:`repro.sql.loader.table_content_fingerprint`, a per-row CRC32
-    sum computed inside SQL) closes that hole at the cost of one
-    aggregate scan per table per foreign commit. The backend's own
-    mutations always invalidate explicitly and exactly either way.
-    """
-
-    __slots__ = ("_entries", "_fingerprints", "_data_version", "hits", "misses")
-
-    def __init__(self):
-        #: key -> (frozenset of table names, value)
-        self._entries: dict[Any, tuple[frozenset, Any]] = {}
-        #: table -> (max rowid, count) as of the last sync/record
-        self._fingerprints: dict[str, tuple] = {}
-        self._data_version: int | None = None
-        self.hits = 0
-        self.misses = 0
-
-    def begin(
-        self,
-        version: int,
-        tables: Iterable[str],
-        fingerprint,
-    ) -> None:
-        """Synchronize with the file before a read.
-
-        *version* is the connection's current ``PRAGMA data_version``;
-        *fingerprint* is a callable ``table -> (max rowid, count)`` invoked
-        only when the version moved (i.e. some other connection committed):
-        tables whose fingerprint changed lose their entries, the rest stay
-        warm.
-        """
-        if self._data_version is None:
-            self._data_version = version
-            for table in tables:
-                self._fingerprints[table] = fingerprint(table)
-            return
-        if version == self._data_version:
-            return
-        self._data_version = version
-        for table in tables:
-            current = fingerprint(table)
-            known = self._fingerprints.get(table)
-            if known is None or known != current:
-                self.invalidate_table(table)
-            self._fingerprints[table] = current
-
-    def get(self, key: Any) -> Any | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[1]
-
-    def peek(self, key: Any) -> Any | None:
-        """Like :meth:`get` but without touching the hit/miss counters.
-
-        The parallel rowid-window prefetch uses it to decide which scan
-        units still need computing; the decision is bookkeeping, not a
-        read, and must not skew the cache statistics the benchmarks and
-        tests assert on.
-        """
-        entry = self._entries.get(key)
-        return None if entry is None else entry[1]
-
-    def store(self, key: Any, tables: Iterable[str], value: Any) -> None:
-        self._entries[key] = (frozenset(tables), value)
-
-    def invalidate_table(self, table: str) -> None:
-        """Drop every entry that was computed from *table*."""
-        self.invalidate_tables((table,))
-
-    def invalidate_tables(self, tables: Iterable[str]) -> None:
-        """Drop every entry computed from *any* of *tables*, in one pass.
-
-        Invalidation rebuilds the entry dict, so a batch mutation that
-        touched N relations must not pay N rebuilds — the batch ``apply``
-        path hands all touched tables over at once and the filter runs
-        exactly once per batch.
-        """
-        touched = frozenset(tables)
-        if not touched:
-            return
-        self._entries = {
-            key: entry
-            for key, entry in self._entries.items()
-            if not (touched & entry[0])
-        }
-
-    def record_fingerprint(self, table: str, fp: tuple) -> None:
-        """Refresh *table*'s fingerprint after the backend's own DML (which
-        moves the fingerprint but not this connection's data_version)."""
-        self._fingerprints[table] = fp
-
-    def forget_fingerprint(self, table: str) -> None:
-        """Drop *table*'s stored fingerprint (recorded as "unknown").
-
-        For fingerprint modes whose computation is O(table) — the content
-        CRC sum — re-fingerprinting after every own-DML statement would
-        make mutations O(table size). Forgetting instead is always safe:
-        :meth:`begin` treats a missing fingerprint as changed, so the
-        table's entries are (re-)invalidated at the next foreign commit —
-        a spurious extra invalidation there, in exchange for O(1) own
-        writes (which already invalidated the table exactly).
-        """
-        self._fingerprints.pop(table, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._fingerprints.clear()
-        self._data_version = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"<SQLScanCache {len(self._entries)} entr(ies); "
-            f"{self.hits} hit(s), {self.misses} miss(es)>"
         )

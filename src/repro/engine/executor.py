@@ -257,7 +257,7 @@ def _cind_relation_hits(
     if cache is None:
         return list(cind_scan_hits(tasks, instance, witnesses))
     version = instance.version
-    deps = cache.cind_deps(tasks, db)
+    deps = cache.cind_deps(tasks, db.version_of)
     cached = cache.cind_hits(relation, version, deps)
     if cached is not None:
         return cached
@@ -434,7 +434,7 @@ def execute_plan(
             for relation, tasks in plan.cind_scans.items()
         ]
         if cache is not None:
-            cache.mark_synced(plan, db)
+            cache.mark_synced(plan, db.version_of)
         return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode, cache)
     finally:
         if cache is not None:
@@ -530,7 +530,7 @@ def plan_has_violation(
         for relation, tasks in plan.cind_scans.items():
             instance = db[relation]
             if cache is not None:
-                deps = cache.cind_deps(tasks, db)
+                deps = cache.cind_deps(tasks, db.version_of)
                 hits = cache.cind_hits(relation, instance.version, deps)
                 if hits is not None:
                     if hits:
@@ -547,7 +547,7 @@ def plan_has_violation(
                     relation, instance.version, deps, [], [[] for __ in tasks]
                 )
         if cache is not None:
-            cache.mark_synced(plan, db)
+            cache.mark_synced(plan, db.version_of)
         return False
     finally:
         if cache is not None:

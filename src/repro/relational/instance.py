@@ -60,6 +60,12 @@ class Tuple:
         self._values = vals
         self._hash: int | None = None
 
+    @classmethod
+    def from_row(cls, schema: RelationSchema, values: tuple[Any, ...]) -> "Tuple":
+        """A tuple over *values*, a stored row of *schema* (its arity and
+        order already hold, so nothing is checked)."""
+        return _row_view(schema, values)
+
     def __getitem__(self, attribute: str) -> Any:
         try:
             return self._values[self.schema.positions[attribute]]
@@ -447,6 +453,10 @@ class DatabaseInstance:
 
     def __iter__(self) -> Iterator[RelationInstance]:
         return iter(self._relations.values())
+
+    def version_of(self, name: str) -> int:
+        """Relation *name*'s mutation version (a scan cache's clock)."""
+        return self[name].version
 
     def relations(self) -> dict[str, RelationInstance]:
         return dict(self._relations)

@@ -29,8 +29,8 @@ The pieces:
   sequence); ``publish()`` fans the delta out on the event loop.
 
 Deltas come from a :class:`SessionDeltaSource` over a session with a
-versioned scan cache: the tenant's own session on the ``memory``
-backend, and on the re-scan backends (``naive``/``sql``/``sqlfile``) a
+versioned scan cache: the tenant's own session on the ``memory`` and
+``sqlfile`` backends, and on the re-scan backends (``naive``/``sql``) a
 ``memory`` **mirror** session seeded with the same data at tenant
 creation that applies every batch too. After
 a batch, the session carries its scan cache forward by the rows the batch
@@ -41,11 +41,12 @@ directly. :meth:`ViolationFeed.commit` turns that into a
 :class:`ViolationDelta` — removed records are read from the feed's
 current records by position, only the added violations become new
 records — with no report assembly and no diff. A scan unit whose touched
-buckets hold more rows than its relation is re-scanned instead, its
+keys would cost more to patch than to re-scan is re-scanned instead, its
 delta still restricted to the touched keys. Only when the session cannot
-carry forward at all (its data changed outside its DML) does the feed
-fall back to a full check diffed with :func:`diff_records`, which
-otherwise serves, with :func:`replay`, as the test oracle.
+carry forward at all (its data changed outside its DML — on ``sqlfile``,
+another connection committed to the file) does the feed fall back to a
+full check diffed with :func:`diff_records`, which otherwise serves,
+with :func:`replay`, as the test oracle.
 """
 
 from __future__ import annotations
@@ -231,28 +232,43 @@ class DeltaSource:
 class SessionDeltaSource(DeltaSource):
     """Deltas from a scan-cache session's carry-forward.
 
-    *session* is the tenant's own session (``memory`` backend: the
-    batch is already applied when ``commit`` runs) or, with
+    *session* is the tenant's own session (``memory`` and ``sqlfile``
+    backends: the batch is already applied when ``commit`` runs) or, with
     ``mirror=True``, a ``memory`` session over a copy of the tenant's data
-    that applies each batch itself (the re-scan backends, whose own
-    ``check()`` is a full pass). Either way ``commit`` is
+    that applies each batch itself (the ``naive``/``sql`` backends, whose
+    own ``check()`` is a full pass). Either way ``commit`` is
     :meth:`~repro.api.Session.delta`: the session re-evaluates only what
-    the batch's rows touch and reports the change by position.
+    the batch's rows touch and reports the change by position, or
+    returns ``None`` when its data changed behind it (a ``sqlfile``
+    tenant's file took another connection's commit) and the feed falls
+    back to a check and a diff.
     """
 
     def __init__(self, session: Session, mirror: bool = False):
         self.session = session
         self.mirror = mirror
+        #: The backend's data epoch at the feed's last records: a read in
+        #: between that saw a foreign commit re-based the session's
+        #: deltas on a report the feed never recorded.
+        self._epoch = self._data_epoch()
+
+    def _data_epoch(self) -> int:
+        return getattr(self.session.backend, "data_epoch", 0)
 
     def commit(
         self, inserts: Sequence[DMLOp], deletes: Sequence[DMLOp]
     ) -> ReportDelta | None:
         if self.mirror:
             self.session.apply(inserts=inserts, deletes=deletes)
-        return self.session.delta()
+        rebased = self._data_epoch() != self._epoch
+        change = self.session.delta()
+        self._epoch = self._data_epoch()
+        return None if rebased else change
 
     def baseline(self) -> tuple[ViolationRecord, ...]:
-        return report_records(self.session.check())
+        records = report_records(self.session.check())
+        self._epoch = self._data_epoch()
+        return records
 
     def close(self) -> None:
         if self.mirror:

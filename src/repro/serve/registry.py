@@ -13,9 +13,11 @@ backend choice) plus the concurrency state the service needs around it:
 * a :class:`~repro.serve.feed.ViolationFeed` — the per-tenant delta
   publisher, created with the session so subscribers and writers always
   agree on commit numbering;
-* an optional :class:`ReaderPool` of ``readonly=True`` sessions for
-  file-backed tenants — audits fan out over those connections and never
-  touch the writer lock at all (sqlite isolates them at the file level).
+* an optional :class:`ReaderPool` of ``readonly=True`` sessions for a
+  read-only file-backed tenant — audits fan out over those connections
+  and never touch the tenant lock at all (sqlite isolates them at the
+  file level). A writable tenant reads from its own session, whose cache
+  its commits carry forward.
 
 The registry itself is plain synchronous code driven from the event loop
 (creation/lookup/eviction are O(1) dictionary work); only the per-tenant

@@ -15,24 +15,26 @@ being *scheduled*. Per tenant:
   is released — so deltas reach subscribers in exact commit order.
 * **reads** (:meth:`check`/:meth:`count`/:meth:`is_clean`) take the read
   side of the lock — concurrent with each other, excluded only while a
-  writer holds the lock. ``sqlfile`` tenants do even better: reads fan
-  out over a small pool of ``readonly=True`` connections and skip the
-  tenant lock entirely, because sqlite already isolates readers from the
-  writer at the file level.
+  writer holds the lock — and are answered by the tenant's own session,
+  whose scan cache the last commit already carried forward. Only a
+  ``readonly=True`` ``sqlfile`` tenant, which has no writer whose cache
+  could answer, reads through a small pool of read-only sessions that
+  skip the tenant lock (sqlite isolates them at the file level).
 * **streams** (:meth:`subscribe`) capture their baseline under the read
   lock, so baseline-vs-sequence-number is atomic with respect to commits
   and the replay contract is exact.
 
-Deltas come from a session with a versioned scan cache, chosen by
-backend at tenant creation: ``memory`` tenants use their own session;
-``naive``/``sql``/``sqlfile`` tenants get a ``memory``
-**mirror** session seeded with the same data that applies every batch
-too (a ``sqlfile`` tenant's mirror holds the file's rows in memory). After
-each batch the session carries its cache forward by the rows the batch
-touched and hands the feed the report positions of the removed and added
-violations (see :mod:`repro.serve.feed`), so a commit's delta costs the
-touched groups and keys — not a check and a diff of the whole report —
-whatever the primary backend's check costs.
+Deltas come from a session with a carried scan cache: ``memory`` and
+``sqlfile`` tenants use their own session, so a ``sqlfile`` tenant keeps
+one copy of its state — the file plus the session's cache. The re-scan
+backends (``naive``/``sql``) get a ``memory`` **mirror** session seeded
+with the same data that applies every batch too. After each batch the
+session carries its cache forward by the rows the batch touched and
+hands the feed the report positions of the removed and added violations
+(see :mod:`repro.serve.feed`), so a commit's delta costs the touched
+groups and keys — not a check and a diff of the whole report. When
+another connection committed to a ``sqlfile`` tenant's file, its session
+cannot tell the change, and the feed falls back to a check and a diff.
 
 Parallel tenants (``workers > 1`` in the tenant's options) compose with
 the session-persistent worker pool (the ``pool="persistent"`` default):
@@ -80,10 +82,10 @@ class DetectionService:
     ``capacity`` bounds the registry (LRU eviction past it),
     ``max_workers`` sizes the shared thread executor, and
     ``reader_pool_size`` is how many read-only connections each
-    ``sqlfile`` tenant gets for lock-free reads. ``max_pending_writes``
-    (``None`` = unbounded, the historical behaviour) caps how many
-    :meth:`apply` batches may be queued on one tenant's writer lock at
-    once — batch N+1 fails fast with
+    ``readonly=True`` ``sqlfile`` tenant gets for lock-free reads.
+    ``max_pending_writes`` (``None`` = unbounded, the historical
+    behaviour) caps how many :meth:`apply` batches may be queued on one
+    tenant's writer lock at once — batch N+1 fails fast with
     :class:`~repro.errors.ServiceOverloadedError` instead of joining an
     unbounded queue, giving callers a typed, retryable backpressure
     signal (the NDJSON protocol maps it to an ``{"ok": false, "kind":
@@ -131,7 +133,7 @@ class DetectionService:
         """Open a tenant: session + delta source + feed (+ reader pool).
 
         Session construction (loading a sqlite image, introspecting a
-        file, seeding the delta mirror) is CPU/IO-bound and runs on the
+        file, seeding a delta mirror) is CPU/IO-bound and runs on the
         executor. Raises :class:`~repro.errors.ServeError` on a duplicate
         name; past capacity the least-recently-used tenant is evicted.
         """
@@ -143,19 +145,14 @@ class DetectionService:
             session = connect(db, sigma, backend=backend, options=options)
             source = self._build_delta_source(session, db, sigma, backend)
             readers: ReaderPool | None = None
-            if backend == "sqlfile" and self.reader_pool_size:
-                # Pooled readers see every tenant write as a *foreign*
-                # commit, validated by fingerprint alone — the O(1) rowid
-                # heuristic misses delete-last-row-then-reinsert sequences
-                # (same max rowid and count, different content), so a
-                # reader that skipped a commit would serve stale scans.
-                # The content CRC fingerprint is collision-proof there.
-                ro_options = replace(
-                    session.options,
-                    readonly=True,
-                    validate=False,
-                    fingerprint="content",
-                )
+            if (
+                backend == "sqlfile"
+                and session.options.readonly
+                and self.reader_pool_size
+            ):
+                # No writer session whose carried cache could answer:
+                # reads fan out over read-only sessions of their own.
+                ro_options = replace(session.options, validate=False)
                 readers = ReaderPool(
                     factory=lambda: connect(
                         db, sigma, backend="sqlfile", options=ro_options
@@ -180,18 +177,11 @@ class DetectionService:
         sigma: ConstraintSet,
         backend: str,
     ) -> DeltaSource:
-        if backend == "memory":
+        if backend in ("memory", "sqlfile"):
             # Its own scan cache carries forward by each batch's rows.
             return SessionDeltaSource(session)
-        if isinstance(db, (str, Path)):
-            # sqlfile: snapshot the file into an in-memory instance (rowid
-            # order preserves report order).
-            from repro.sql.loader import read_database_file
-
-            mirror_db = read_database_file(db, sigma.schema)
-        else:
-            mirror_db = db.copy()
-        mirror = connect(mirror_db, sigma, options=ExecutionOptions())
+        assert isinstance(db, DatabaseInstance)  # naive/sql take no paths
+        mirror = connect(db.copy(), sigma, options=ExecutionOptions())
         return SessionDeltaSource(mirror, mirror=True)
 
     async def evict(self, tenant: str) -> bool:
@@ -270,8 +260,8 @@ class DetectionService:
     async def _read(self, tenant: str, call: Callable[[Session], T]) -> T:
         handle = self.registry.get(tenant)
         if handle.readers is not None:
-            # File-backed tenants: read-only pooled connections, no tenant
-            # lock — sqlite file locking isolates them from the writer.
+            # Read-only file tenants: pooled read-only connections, no
+            # tenant lock — sqlite file locking isolates them.
             async with handle.readers.acquire() as session:
                 return await self._run(lambda: call(session))
         async with handle.lock.reading():

@@ -1,4 +1,4 @@
-"""Loading, attaching, and fingerprinting sqlite3 databases.
+"""Loading and attaching sqlite3 databases.
 
 Two ways of getting a connection:
 
@@ -12,15 +12,13 @@ Two ways of getting a connection:
 
 :func:`create_database_file` writes an instance out as a sqlite file
 (rowid order = tuple insertion order, which is what keeps file-backed
-reports bit-identical to the in-memory engine), and
-:func:`table_fingerprint` / :func:`data_version` supply the cheap change
-detectors that key the ``sqlfile`` backend's result cache.
+reports bit-identical to the in-memory engine), and :func:`data_version`
+is how a ``sqlfile`` session notices another connection's commit.
 """
 
 from __future__ import annotations
 
 import sqlite3
-import zlib
 from pathlib import Path
 
 from repro.errors import SQLBackendError
@@ -115,8 +113,8 @@ def data_version(conn: sqlite3.Connection) -> int:
     """sqlite's ``PRAGMA data_version`` counter.
 
     It moves whenever *another* connection commits a change to the file —
-    the signal the ``sqlfile`` cache uses to notice out-of-band writes.
-    (A connection's own writes do not move its own counter.)
+    the signal on which a ``sqlfile`` session clears its cache. (A
+    connection's own writes do not move its own counter.)
 
     ``fetchall`` (here and in every other single-row helper) matters: it
     exhausts the statement, releasing sqlite's read lock — a half-stepped
@@ -124,22 +122,6 @@ def data_version(conn: sqlite3.Connection) -> int:
     """
     [(value,)] = conn.execute("PRAGMA data_version").fetchall()
     return value
-
-
-def table_fingerprint(
-    conn: sqlite3.Connection, table: str
-) -> tuple[int, int]:
-    """A cheap ``(max rowid, row count)`` change detector for one table.
-
-    Any insert/delete moves at least one component in practice (appends
-    grow both, deletes shrink the count), so comparing fingerprints after
-    a ``data_version`` bump tells the cache *which* tables to invalidate
-    without hashing their contents.
-    """
-    [row] = conn.execute(
-        f"SELECT COALESCE(MAX(rowid), 0), COUNT(*) FROM {q(table)}"
-    ).fetchall()
-    return (row[0], row[1])
 
 
 def table_rowid_bounds(
@@ -161,51 +143,6 @@ def table_rowid_bounds(
     return (row[0], row[1], row[2])
 
 
-def _row_crc(*values) -> int:
-    """Order-insensitive-summable CRC32 of one row's values.
-
-    ``repr`` keeps types apart (``1`` vs ``'1'`` vs ``1.0`` hash
-    differently) and CRC32 is stable across processes and Python runs —
-    unlike ``hash()``, whose string salting would make fingerprints
-    incomparable across sessions reading the same file.
-    """
-    return zlib.crc32(repr(values).encode("utf-8", "surrogatepass"))
-
-
-def ensure_content_hash_function(conn: sqlite3.Connection) -> None:
-    """Register the ``repro_row_crc`` SQL function on *conn* (idempotent)."""
-    conn.create_function("repro_row_crc", -1, _row_crc, deterministic=True)
-
-
-def table_content_fingerprint(
-    conn: sqlite3.Connection, table: str
-) -> tuple[str, int, int]:
-    """A content-sensitive change detector: ``(COUNT(*), SUM(row CRC32))``.
-
-    The rowid heuristic of :func:`table_fingerprint` misses a foreign
-    writer that deletes the newest row and re-inserts a different one —
-    sqlite reuses the vacated max rowid, so both components come back
-    unchanged. Summing a per-row CRC32 over the *values* (computed inside
-    one SQL aggregate via a registered deterministic function) closes
-    that hole: any change to any row's content moves the sum with
-    overwhelming probability, and the sum is insertion-order-independent,
-    matching the instance's set semantics. One full-table aggregate scan
-    per call — consulted only after a ``data_version`` bump, i.e. per
-    foreign commit, never on the warm path. Tagged ``"content"`` so a
-    fingerprint from one mode can never compare equal to the other's.
-    """
-    ensure_content_hash_function(conn)
-    cols = ", ".join(
-        q(row[1])
-        for row in conn.execute(f"PRAGMA table_info({q(table)})").fetchall()
-    )
-    [row] = conn.execute(
-        f"SELECT COUNT(*), COALESCE(SUM(repro_row_crc({cols})), 0) "
-        f"FROM {q(table)}"
-    ).fetchall()
-    return ("content", row[0], row[1])
-
-
 def read_database_file(
     path: str | Path, schema: DatabaseSchema
 ) -> DatabaseInstance:
@@ -214,9 +151,8 @@ def read_database_file(
     The inverse of :func:`create_database_file`: rows are read in rowid
     order, so tuple insertion order — and therefore every order-sensitive
     detection report over the loaded instance — matches what the
-    file-backed ``sqlfile`` backend produces over the file itself. The
-    serving layer uses this to build the in-memory mirror session that
-    computes violation deltas for file-backed tenants.
+    file-backed ``sqlfile`` backend produces over the file itself.
+    ``repair()`` uses this to repair a file's rows in memory.
     """
     conn = connect_file(path, readonly=True)
     try:

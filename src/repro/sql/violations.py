@@ -28,21 +28,33 @@ one tableau temp table per CFD across every constraint in the group) and
 one witness anti-join per deduplicated CIND signature — instead of the
 per-constraint full-table rescans above, with count-only and
 ``EXISTS``-based early-exit variants mirroring the in-memory engine's
-scan modes.
+scan modes. Its scans keep the row ids a carried cache needs: each CFD
+hit key's first rowid and each CIND hit's rowid.
+
+:class:`SQLCarry` carries a ``sqlfile`` session's
+:class:`~repro.engine.cache.ScanCache` forward by the rows its own DML
+changed (:mod:`repro.engine.carry`): each touched unit runs one
+key-restricted query in rowid order (``WHERE (X) IN (VALUES ...)``) —
+the touched CFD groups' rows, the touched witness keys, the LHS rows
+whose ``X``-key lost its last witness — and creates no index, so the
+user's file is never written by a read.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
 from repro.core.violations import ConstraintSet, constraint_labels
+from repro.engine.cache import ScanCache
+from repro.engine.carry import Carry, Rescan
 from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
     DetectionPlan,
+    WitnessSpec,
     passes,
 )
 from repro.errors import SQLBackendError
@@ -371,6 +383,16 @@ class SQLPlanExecutor:
     backend. Count-only callers use the same hits without fetching group
     tuples; :meth:`cind_relation_clean` is the ``EXISTS``-based early-exit
     variant for ``is_clean``.
+
+    With a session's *cache* and its per-table *versions* counters, the
+    unit methods (:meth:`cfd_group_hits`, :meth:`cfd_group_tuples`,
+    :meth:`cind_relation_hits`, :meth:`cind_relation_clean`) answer from
+    the :class:`~repro.engine.cache.ScanCache` at the table's current
+    version and scan only on a miss, memoizing the result — as the
+    in-memory executor's unit functions do against a relation's version.
+    The uncached scans (:meth:`scan_cfd_group`, :meth:`fetch_group_tuples`,
+    :meth:`scan_cind_relation`) also serve a carry, which stages its own
+    entries.
     """
 
     def __init__(
@@ -378,10 +400,16 @@ class SQLPlanExecutor:
         conn: sqlite3.Connection,
         plan: DetectionPlan,
         window_functions: str = "auto",
+        cache: ScanCache | None = None,
+        versions: Mapping[str, int] | None = None,
     ):
+        if (cache is None) != (versions is None):
+            raise ValueError("a scan cache needs the per-table versions")
         self.conn = conn
         self.plan = plan
         self.schema = plan.sigma.schema
+        self.cache = cache
+        self.versions = versions
         if window_functions == "off":
             self.use_window_functions = False
         else:
@@ -473,9 +501,27 @@ class SQLPlanExecutor:
     def cfd_group_hits(
         self, group: CFDScanGroup
     ) -> list[tuple[Any, tuple[Any, ...], str]]:
+        """Every violating ``(task, key, kind)`` of *group*: the cached
+        hit list at the table's version, else :meth:`scan_cfd_group`
+        (memoized with its keys' first rowids)."""
+        cache = self.cache
+        if cache is None:
+            return self.scan_cfd_group(group)
+        version = self.versions[group.relation]
+        hits = cache.cfd_hits(group, version)
+        if hits is None:
+            firsts: dict = {}
+            hits = self.scan_cfd_group(group, firsts)
+            cache.store_cfd_hits(group, version, hits, firsts)
+        return hits
+
+    def scan_cfd_group(
+        self, group: CFDScanGroup, firsts: dict | None = None
+    ) -> list[tuple[Any, tuple[Any, ...], str]]:
         """One pushed-down scan of *group*: every violating
         ``(task, key, kind)``, tasks in group order, keys in
         first-occurrence rowid order — the in-memory executor's order.
+        A *firsts* dict receives each hit key's first rowid.
 
         Dispatches to the one-pass prefilter + window-function path when
         the connection supports it (``None`` from the one-pass scan means
@@ -483,7 +529,7 @@ class SQLPlanExecutor:
         queries below answer it identically)."""
         rel = self.schema.relation(group.relation)
         if self.use_window_functions:
-            hits = cfd_onepass_hits(self.conn, rel, group)
+            hits = cfd_onepass_hits(self.conn, rel, group, first_rowids=firsts)
             if hits is not None:
                 return hits
         disagree = {
@@ -516,9 +562,27 @@ class SQLPlanExecutor:
                 )
             task_hits.sort(key=lambda hit: hit[0])
             hits.extend((task, key, kind) for __, key, kind in task_hits)
+            if firsts is not None:
+                firsts.update((key, fr) for fr, key, __ in task_hits)
         return hits
 
     def cfd_group_tuples(
+        self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
+    ) -> dict[tuple[Any, ...], tuple[Tuple, ...]]:
+        """The tuple group of each of *keys*, in rowid order. With a
+        cache the result is the group's report memo at the table's
+        version (it may hold more keys): only the keys it lacks are
+        fetched (:meth:`fetch_group_tuples`), then memoized."""
+        cache = self.cache
+        if cache is None:
+            return self.fetch_group_tuples(group, keys)
+        memo = cache.cfd_group_tuples(group, self.versions[group.relation])
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            memo.update(self.fetch_group_tuples(group, missing))
+        return memo
+
+    def fetch_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
     ) -> dict[tuple[Any, ...], tuple[Tuple, ...]]:
         """The full tuple group per violating key, in rowid (scan) order.
@@ -526,7 +590,8 @@ class SQLPlanExecutor:
         One scan of the relation buckets every violating key's group (the
         base tables carry no indexes, so a per-key ``WHERE X = ?`` query
         would cost a full scan *each* — O(violations · tuples) instead of
-        this single pass).
+        this single pass); the scan returns only the wanted keys' rows
+        when they fit one key-restricted query.
         """
         rel = self.schema.relation(group.relation)
         wanted: dict[tuple[Any, ...], list[Tuple]] = {
@@ -536,11 +601,13 @@ class SQLPlanExecutor:
             return {}
         cols = select_columns(rel)
         positions = group.lhs_positions
-        sql = f"SELECT {cols} FROM {q(rel.name)} t ORDER BY t.rowid"
-        for row in self.conn.execute(sql):
+        restrict = _keys_clause(group.lhs, wanted, "t")
+        where, params = (f" WHERE {restrict[0]}", restrict[1]) if restrict else ("", [])
+        sql = f"SELECT {cols} FROM {q(rel.name)} t{where} ORDER BY t.rowid"
+        for row in self.conn.execute(sql, params):
             bucket = wanted.get(tuple(row[p] for p in positions))
             if bucket is not None:
-                bucket.append(Tuple(rel, row))
+                bucket.append(Tuple.from_row(rel, row))
         return {key: tuple(rows) for key, rows in wanted.items()}
 
     # -- CIND buckets ------------------------------------------------------
@@ -644,41 +711,76 @@ class SQLPlanExecutor:
         )
         return sql, params
 
+    def _cind_version(
+        self, relation: str, tasks: list[CINDRowTask]
+    ) -> tuple[int, tuple[int, ...]]:
+        """An LHS relation's version and its witness-side versions."""
+        versions = self.versions
+        return versions[relation], ScanCache.cind_deps(tasks, versions.__getitem__)
+
     def cind_relation_hits(
         self, relation: str, tasks: list[CINDRowTask]
     ) -> list[tuple[CINDRowTask, Tuple]]:
-        """Every violating ``(task, tuple)`` of one LHS relation.
+        """Every violating ``(task, tuple)`` of one LHS relation: the
+        cached hits at its and its witnesses' versions, else
+        :meth:`scan_cind_relation` (memoized with its rowid buckets)."""
+        cache = self.cache
+        if cache is None:
+            return self.scan_cind_relation(relation, tasks)[0]
+        version, deps = self._cind_version(relation, tasks)
+        hits = cache.cind_hits(relation, version, deps)
+        if hits is None:
+            hits, buckets = self.scan_cind_relation(relation, tasks)
+            cache.store_cind_hits(relation, version, deps, hits, buckets)
+        return hits
+
+    def scan_cind_relation(
+        self, relation: str, tasks: list[CINDRowTask]
+    ) -> tuple[list[tuple[CINDRowTask, Tuple]], list[list[int]]]:
+        """Every violating ``(task, tuple)`` of one LHS relation, and
+        each task's violating rowids (aligned with *tasks*).
 
         One anti-join per deduplicated signature (structurally identical
         pattern rows share it, like the engine's ``cind_scan_hits``);
         tuples come back in rowid order within each task.
         """
         rel = self.schema.relation(relation)
-        cols = select_columns(rel, "t1")
-        evaluated: dict[tuple, list[Tuple]] = {}
-        out: list[tuple[CINDRowTask, Tuple]] = []
+        cols = f"t1.rowid, {select_columns(rel, 't1')}"
+        evaluated: dict[tuple, tuple[list[Tuple], list[int]]] = {}
+        hits: list[tuple[CINDRowTask, Tuple]] = []
+        buckets: list[list[int]] = []
         for task in tasks:
             signature = (task.lhs_checks, task.x_positions, task.witness)
-            rows = evaluated.get(signature)
-            if rows is None:
+            found = evaluated.get(signature)
+            if found is None:
                 sql, params = self._cind_sql(
                     task, cols, suffix=" ORDER BY t1.rowid"
                 )
-                if sql is None:
-                    rows = []
-                else:
-                    rows = [
-                        Tuple(rel, row)
-                        for row in self.conn.execute(sql, params)
-                    ]
-                evaluated[signature] = rows
-            out.extend((task, t) for t in rows)
-        return out
+                rows = [] if sql is None else self.conn.execute(sql, params).fetchall()
+                found = evaluated[signature] = (
+                    [Tuple.from_row(rel, row[1:]) for row in rows],
+                    [row[0] for row in rows],
+                )
+            hits.extend((task, t) for t in found[0])
+            buckets.append(found[1])
+        return hits, buckets
 
     def cind_relation_clean(
         self, relation: str, tasks: list[CINDRowTask]
     ) -> bool:
-        """``EXISTS``-based early exit: False at the first violating pair."""
+        """``EXISTS``-based early exit: False at the first violating pair.
+
+        With a cache, cached hits answer first; a clean probe pass proves
+        the hit list empty, so it is stored (the cache warms for free, as
+        the engine's ``plan_has_violation`` does)."""
+        cache = self.cache
+        version, deps = (
+            self._cind_version(relation, tasks) if cache is not None else (0, ())
+        )
+        if cache is not None:
+            hits = cache.cind_hits(relation, version, deps)
+            if hits is not None:
+                return not hits
         seen: set[tuple] = set()
         for task in tasks:
             signature = (task.lhs_checks, task.x_positions, task.witness)
@@ -688,7 +790,68 @@ class SQLPlanExecutor:
             sql, params = self._cind_sql(task, "1", suffix=" LIMIT 1")
             if sql is not None and self.conn.execute(sql, params).fetchall():
                 return False
+        if cache is not None:
+            cache.store_cind_hits(relation, version, deps, [], [[] for __ in tasks])
         return True
+
+    def witness_keys(self, spec: WitnessSpec) -> set[tuple[Any, ...]]:
+        """*spec*'s whole witness key set (read off its temp table)."""
+        self._witness_ready(spec)
+        if not spec.y_positions:
+            return {()} if self._witness_nonempty[spec] else set()
+        table = q(self._witness_tables[spec])
+        return set(self.conn.execute(f"SELECT * FROM {table}").fetchall())
+
+    # -- key-restricted queries (carrying a cache forward) -----------------
+
+    def key_rows(
+        self,
+        relation: str,
+        attributes: tuple[str, ...],
+        keys: Iterable[tuple[Any, ...]],
+        checks: tuple[tuple[int, Any], ...] = (),
+    ) -> list[tuple[int, tuple[Any, ...]]] | None:
+        """``(rowid, values)`` of *relation*'s rows whose *attributes*
+        projection is one of *keys* and that pass *checks*, in rowid
+        order; ``None`` when the keys do not fit one query."""
+        rel = self.schema.relation(relation)
+        restrict = _keys_clause(attributes, keys, "t")
+        if restrict is None:
+            return None
+        conds, params = [restrict[0]], restrict[1]
+        for pos, const in checks:
+            conds.append(f"t.{q(rel.attribute_names[pos])} = ?")
+            params.append(const)
+        sql = (
+            f"SELECT t.rowid, {select_columns(rel)} FROM {q(rel.name)} t "
+            f"WHERE {' AND '.join(conds)} ORDER BY t.rowid"
+        )
+        return [(row[0], row[1:]) for row in self.conn.execute(sql, params)]
+
+    def present_keys(
+        self, spec: WitnessSpec, keys: Iterable[tuple[Any, ...]]
+    ) -> set[tuple[Any, ...]] | None:
+        """The *keys* that still have a ``Yp``-matching witness row;
+        ``None`` when they do not fit one query."""
+        rel = self.schema.relation(spec.rhs_relation)
+        names = rel.attribute_names
+        conds = [f"t.{q(names[pos])} = ?" for pos, __ in spec.yp_checks]
+        params = [const for __, const in spec.yp_checks]
+        if not spec.y_positions:
+            where = " AND ".join(conds) or "1=1"
+            rows = self.conn.execute(
+                f"SELECT 1 FROM {q(rel.name)} t WHERE {where} LIMIT 1", params
+            ).fetchall()
+            return {()} if rows else set()
+        y = tuple(names[p] for p in spec.y_positions)
+        restrict = _keys_clause(y, keys, "t")
+        if restrict is None:
+            return None
+        sql = (
+            f"SELECT DISTINCT {select_columns_named(rel, y)} "
+            f"FROM {q(rel.name)} t WHERE {' AND '.join([restrict[0], *conds])}"
+        )
+        return set(self.conn.execute(sql, restrict[1] + params).fetchall())
 
     def close(self) -> None:
         """Drop the executor's temp tables (the connection is the caller's)."""
@@ -696,6 +859,188 @@ class SQLPlanExecutor:
         self._tableaux.drop_all()
 
 
+#: Most values one key-restricted query binds (sqlite's historical
+#: ``SQLITE_MAX_VARIABLE_NUMBER``); more keys than fit re-scan instead.
+MAX_KEY_PARAMS = 999
+
+
+def _keys_clause(
+    attributes: Iterable[str], keys: Iterable[tuple[Any, ...]], alias: str
+) -> tuple[str, list[Any]] | None:
+    """``(alias.A, ...) IN (VALUES (?, ...), ...)`` over *keys* with its
+    parameters; ``None`` when the keys do not fit :data:`MAX_KEY_PARAMS`,
+    the projection is empty, or a key holds a NULL (which ``IN`` never
+    matches)."""
+    columns = [f"{alias}.{q(a)}" for a in attributes]
+    keys = list(keys)
+    if not columns or not keys or len(keys) * len(columns) > MAX_KEY_PARAMS:
+        return None
+    params = [value for key in keys for value in key]
+    if any(value is None for value in params):
+        return None
+    row = f"({', '.join('?' for __ in columns)})"
+    lhs = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
+    return f"{lhs} IN (VALUES {', '.join([row] * len(keys))})", params
+
+
 def select_columns_named(rel: RelationSchema, names: Iterable[str]) -> str:
     """``t."A", t."B", ...`` for the given attribute names."""
     return ", ".join(f"t.{q(n)}" for n in names)
+
+
+class SQLCarry(Carry):
+    """A :class:`~repro.engine.carry.Carry` over a sqlite file.
+
+    Each touched unit runs one key-restricted query in rowid order on the
+    session's connection; a unit whose touched keys do not fit one query
+    (or whose ``X`` is empty, so its one key is the whole relation)
+    re-runs its pushed-down scan instead. *versions* are the session's
+    per-table counters.
+    """
+
+    eager_tuples = True
+
+    def __init__(
+        self,
+        plan: DetectionPlan,
+        cache: ScanCache,
+        delta: bool,
+        executor: SQLPlanExecutor,
+        versions: Mapping[str, int],
+    ):
+        super().__init__(plan, cache, delta)
+        self.executor = executor
+        self.versions = versions
+        #: relation -> {rowid: tuple} of the rows this carry noted or read
+        self.rows: dict[str, dict[int, Tuple]] = {}
+        #: (relation, X positions) -> {touched key: its group's tuples},
+        #: for the groups this carry patched
+        self.fetched: dict[tuple, dict] = {}
+
+    def version(self, name: str) -> int:
+        return self.versions[name]
+
+    def view(self, relation: str) -> Callable[[int], Tuple]:
+        rows = self.rows.setdefault(relation, {})
+        changes = self.changes.get(relation)
+        if changes is not None:
+            rel = self.executor.schema.relation(relation)
+            for rowid, values in changes.inserted:
+                if rowid not in rows:
+                    rows[rowid] = Tuple.from_row(rel, values)
+        return rows.__getitem__
+
+    def cfd_rows(self, group, touched, noted, firsts):
+        """A touched key whose group the report memo holds, and whose
+        first row survived, is patched from the memo and the noted rows
+        (own inserts take the highest rowids, so they append); the other
+        touched keys' rows are fetched by one key-restricted query."""
+        if firsts is None or not group.lhs_positions:
+            raise Rescan
+        relation, positions = group.relation, group.lhs_positions
+        rel = self.executor.schema.relation(relation)
+        changes = self.changes[relation]
+        entry = self.cache.group_tuples_entry(group)
+        memo = entry[1] if entry is not None and entry[0] == self.synced[relation] else {}
+        gone: dict[tuple[Any, ...], set] = {}
+        for values in changes.deleted.values():
+            gone.setdefault(tuple([values[p] for p in positions]), set()).add(values)
+        new: dict[tuple[Any, ...], list] = {}
+        for __, values in changes.inserted:
+            new.setdefault(tuple([values[p] for p in positions]), []).append(values)
+        #: key -> (its group's tuples in rowid order, its first rowid)
+        known: dict[tuple[Any, ...], tuple[list[Tuple], int]] = {}
+        wanted = []
+        for key in touched:
+            tuples, start = memo.get(key), firsts.get(key)
+            if tuples is None or start is None or start in changes.deleted:
+                wanted.append(key)
+                continue
+            drop = gone.get(key)
+            kept = [t for t in tuples if t.values not in drop] if drop else list(tuples)
+            kept.extend(Tuple.from_row(rel, values) for values in new.get(key, ()))
+            if kept:
+                known[key] = (kept, start)
+        if wanted:
+            fetched = self.executor.key_rows(relation, group.lhs, wanted)
+            if fetched is None:
+                raise Rescan
+            for rowid, values in fetched:
+                key = tuple([values[p] for p in positions])
+                found = known.get(key)
+                if found is None:
+                    found = known[key] = ([], rowid)
+                found[0].append(Tuple.from_row(rel, values))
+        order = sorted(known, key=lambda key: known[key][1])
+        rows = [t.values for key in order for t in known[key][0]]
+        keys = [key for key in order for __ in known[key][0]]
+        self.fetched[(relation, positions)] = {
+            key: tuple(tuples) for key, (tuples, __) in known.items()
+        }
+
+        def first(key: tuple[Any, ...]) -> int:
+            found = known.get(key)
+            return firsts[key] if found is None else found[1]
+
+        return rows, keys, first
+
+    def cfd_rescan(self, group):
+        firsts: dict = {}
+        return self.executor.scan_cfd_group(group, firsts), firsts
+
+    def cfd_tuples(self, group, keys):
+        found = self.fetched.get((group.relation, group.lhs_positions))
+        if found is None:
+            return self.executor.fetch_group_tuples(group, keys)
+        return {key: found[key] for key in keys}
+
+    def witness_present(self, spec, touched, noted):
+        present = self.executor.present_keys(spec, touched)
+        if present is None:
+            raise Rescan
+        return present
+
+    def witness_rescan(self, spec, touched):
+        return self.executor.witness_keys(spec) & touched
+
+    def cind_rescan(self, relation, tasks):
+        hits, buckets = self.executor.scan_cind_relation(relation, tasks)
+        rows = self.rows.setdefault(relation, {})
+        flat = [rowid for bucket in buckets for rowid in bucket]
+        for (__, t), rowid in zip(hits, flat):
+            rows[rowid] = t
+        return buckets
+
+    def cind_flipped(self, relation, task, before, flip, fresh, shared):
+        gained, lost = flip
+        xs = task.x_positions
+        gone: set[int] = set()
+        if gained:
+            # A hit whose key gained a witness is a hit no more; the
+            # entry's hit tuples give each hit row's key.
+            held = shared.get("held")
+            if held is None:
+                __, __d, hits, buckets = self.cache.cind_entry(relation)
+                flat = [rowid for bucket in buckets for rowid in bucket]
+                held = shared["held"] = {
+                    rowid: t.values for (__t, t), rowid in zip(hits, flat)
+                }
+            gone = {
+                rowid
+                for rowid in before
+                if tuple([held[rowid][p] for p in xs]) in gained
+            }
+        found: list[int] = []
+        if lost:
+            fetched = self.executor.key_rows(
+                relation, task.cind.x, lost, task.lhs_checks
+            )
+            if fetched is None:
+                raise Rescan
+            rel = self.executor.schema.relation(relation)
+            rows = self.rows.setdefault(relation, {})
+            for rowid, values in fetched:
+                if rowid not in fresh:
+                    found.append(rowid)
+                    rows[rowid] = Tuple.from_row(rel, values)
+        return gone, found

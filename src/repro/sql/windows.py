@@ -389,13 +389,15 @@ def cfd_onepass_hits(
     rel: RelationSchema,
     group: CFDScanGroup,
     max_candidates: int = MAX_REFINE_CANDIDATES,
+    first_rowids: dict | None = None,
 ) -> list[tuple[Any, tuple[Any, ...], str]] | None:
     """The one-pass CFD scan of one group: prefilter, then refine.
 
     Returns the violating ``(task, key, kind)`` triples in exactly the
     legacy executor's (= the in-memory engine's) order, or ``None`` when
     the group is too dirty for the bounded refinement (the caller falls
-    back to the legacy queries — same answer, different plan).
+    back to the legacy queries — same answer, different plan). A
+    *first_rowids* dict receives each hit key's first rowid.
     """
     staged = cfd_candidate_sql(rel, group)
     if staged is None:
@@ -452,6 +454,8 @@ def cfd_onepass_hits(
                     task_hits.append((frs[key], key, "single"))
         task_hits.sort(key=lambda hit: hit[0])
         hits.extend((task, key, kind) for __, key, kind in task_hits)
+        if first_rowids is not None:
+            first_rowids.update((key, fr) for fr, key, __ in task_hits)
     return hits
 
 
@@ -640,13 +644,17 @@ def cind_window_state(
     tasks: Sequence[CINDRowTask],
     window: RowidWindow,
     witness_tables: dict[WitnessSpec, Any],
+    rowids: bool = False,
 ) -> CINDScanState:
     """One window's :class:`~repro.engine.shards.CINDScanState` for one
     LHS relation: per-task violation buckets in rowid order, probing the
     connection's seeded witness tables with the serial executor's
-    anti-join shape (deduplicated per task signature)."""
+    anti-join shape (deduplicated per task signature). With *rowids*,
+    each bucket holds ``(rowid, tuple)`` pairs instead of tuples."""
     names = rel.attribute_names
     cols = ", ".join(f"t1.{q(n)}" for n in names)
+    if rowids:
+        cols = f"t1.rowid, {cols}"
     evaluated: dict[tuple, list[Tuple]] = {}
     buckets: list[list[Tuple]] = []
     for task in tasks:
@@ -680,7 +688,13 @@ def cind_window_state(
                 f"WHERE {' AND '.join(conds)}{anti} "
                 f"ORDER BY t1.rowid"
             )
-            rows = [Tuple(rel, row) for row in conn.execute(sql, params)]
+            if rowids:
+                rows = [
+                    (row[0], Tuple(rel, row[1:]))
+                    for row in conn.execute(sql, params)
+                ]
+            else:
+                rows = [Tuple(rel, row) for row in conn.execute(sql, params)]
             evaluated[signature] = rows
         buckets.append(rows)
     return CINDScanState(buckets)

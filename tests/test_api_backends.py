@@ -185,12 +185,8 @@ class TestFacadePlumbing:
             ExecutionOptions(min_shard_rows=0)
         with pytest.raises(ValueError):
             ExecutionOptions(shards=-1)
-        with pytest.raises(ValueError):
-            ExecutionOptions(fingerprint="sha512")
-        # The shard/fingerprint knobs accept their documented values.
-        opts = ExecutionOptions(
-            workers=2, min_shard_rows=1, shards=4, fingerprint="content"
-        )
+        # The shard knobs accept their documented values.
+        opts = ExecutionOptions(workers=2, min_shard_rows=1, shards=4)
         assert opts.parallel and opts.shards == 4
 
     def test_options_and_fields_are_exclusive(self, bank):

@@ -1,21 +1,26 @@
 """Carrying the scan cache forward by a batch's touched keys.
 
-After a batch, a ``memory`` session re-evaluates only the CFD groups,
-witness keys and CIND rows the batch's rows touch
-(:mod:`repro.engine.carry`) and reads its report delta off the splice.
-Every test here holds the session, after every batch, to a fresh cold
-session over the same data — ``check()`` bit-identical including order,
-``count()`` and ``is_clean()`` equal — and holds the batch's
-position-tagged delta to the replay contract: replayed over the previous
-records it gives the new ones.
+After a batch, a ``memory`` session — and a ``sqlfile`` session over a
+file holding the same data — re-evaluates only the CFD groups, witness
+keys and CIND rows the batch's rows touch (:mod:`repro.engine.carry`)
+and reads its report delta off the splice. Every test here holds each
+session, after every batch, to a fresh cold session over the same data —
+``check()`` bit-identical including order, ``count()`` and
+``is_clean()`` equal — and holds the batch's position-tagged delta to
+the replay contract: replayed over the previous records it gives the new
+ones. Tests that count the memory backend's bucket-index rule run on
+``memory`` alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import shutil
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +35,7 @@ from repro.datasets.commerce import commerce_constraints, commerce_instance
 from repro.relational.instance import DatabaseInstance, Tuple
 from repro.relational.values import WILDCARD as _
 from repro.serve import DetectionService, record_delta, replay, report_records
+from repro.sql.loader import create_database_file
 
 from tests.conformance import report_key
 
@@ -38,18 +44,59 @@ ITEMS = tuple(f"sku{i}" for i in range(8))
 PRICES = {item: str(10 + 3 * i) for i, item in enumerate(ITEMS)}
 
 
-class Harness:
-    """A session under test beside a reference copy of its data that
-    takes the same DML and is checked cold after every batch."""
+BACKENDS = ("memory", "sqlfile")
 
-    def __init__(self, db, sigma, options=None):
+
+class Harness:
+    """Sessions under test — one per backend in *backends*, a
+    ``sqlfile`` one over a file written from *db* — beside a reference
+    copy of the data that takes the same DML and is checked cold after
+    every batch. ``session`` is the ``memory`` one."""
+
+    def __init__(self, db, sigma, options=None, backends=BACKENDS):
         self.sigma = sigma
         self.reference = db.copy()
-        self.session = api.connect(db, sigma, options=options)
-        self.records = report_records(self.session.check())
+        self.sessions = {}
+        self._tmp = None
+        for backend in backends:
+            if backend == "sqlfile":
+                self._tmp = tempfile.mkdtemp(prefix="carry-")
+                path = create_database_file(Path(self._tmp) / "db.sqlite", db)
+                self.sessions[backend] = api.connect(
+                    path, sigma, backend="sqlfile", options=options
+                )
+            else:
+                self.sessions[backend] = api.connect(db, sigma, options=options)
+        self.session = self.sessions.get("memory")
+        records = {
+            backend: report_records(session.check())
+            for backend, session in self.sessions.items()
+        }
+        (self.records,) = set(records.values())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        for session in self.sessions.values():
+            session.close()
+        if self._tmp is not None:
+            shutil.rmtree(self._tmp, ignore_errors=True)
+
+    def apply(self, inserts=(), deletes=()):
+        """The batch on every session, unchecked and unreferenced."""
+        results = {
+            session.apply(inserts=inserts, deletes=deletes)
+            for session in self.sessions.values()
+        }
+        (result,) = results
+        return result
 
     def step(self, inserts=(), deletes=(), delta=True):
-        result = self.session.apply(inserts=inserts, deletes=deletes)
+        result = self.apply(inserts, deletes)
         reference = self.reference
         changed: dict[str, int] = {}
         for relation, row in deletes:
@@ -66,23 +113,24 @@ class Harness:
             summary = cold.count()
             clean = cold.is_clean()
         records = report_records(expected)
-        if delta:
-            change = self.session.delta()
-            # Only a batch changing more rows of a relation than it then
-            # holds is not carried (re-scanning that relation reads less).
-            oversized = any(
-                n > len(reference[relation]) for relation, n in changed.items()
-            )
-            assert (change is None) == oversized
-            if change is not None:
-                delta = record_delta(1, self.records, change)
-                assert replay(self.records, delta) == records
-        assert report_key(self.session.check()) == report_key(expected)
-        got = self.session.count()
-        assert (got.total, got.by_constraint()) == (
-            summary.total, summary.by_constraint()
+        # Only a batch changing more rows of a relation than it then
+        # holds is not carried (re-scanning that relation reads less).
+        oversized = any(
+            n > len(reference[relation]) for relation, n in changed.items()
         )
-        assert self.session.is_clean() == clean
+        for backend, session in self.sessions.items():
+            if delta:
+                change = session.delta()
+                assert (change is None) == oversized, backend
+                if change is not None:
+                    replayed = replay(self.records, record_delta(1, self.records, change))
+                    assert replayed == records, backend
+            assert report_key(session.check()) == report_key(expected), backend
+            got = session.count()
+            assert (got.total, got.by_constraint()) == (
+                summary.total, summary.by_constraint()
+            ), backend
+            assert session.is_clean() == clean, backend
         self.records = records
         return result
 
@@ -163,14 +211,14 @@ def test_commerce_batches_match_a_cold_session(seed, prune, batches):
         sigma.add_cind(CIND(sigma.schema.relation("orders"), ("cust",), (),
                             sigma.schema.relation("customers"), ("cust",), (),
                             [((_,), (_,))], name="dup_fk"))
-    h = Harness(
+    with Harness(
         commerce_instance(n_orders=60, error_rate=0.2, seed=seed),
         sigma,
         api.ExecutionOptions(prune_implied=prune),
-    )
-    for ops, delta in batches:
-        inserts, deletes = _commerce_batch(h, ops)
-        h.step(inserts, deletes, delta=delta)
+    ) as h:
+        for ops, delta in batches:
+            inserts, deletes = _commerce_batch(h, ops)
+            h.step(inserts, deletes, delta=delta)
 
 
 def _bank_row(relation, n):
@@ -196,20 +244,20 @@ def _bank_row(relation, n):
 )
 def test_bank_batches_match_a_cold_session(seed, batches):
     sigma = bank_constraints()
-    h = Harness(scaled_bank_instance(8, error_rate=0.2, seed=seed), sigma)
-    names = h.reference.schema.relation_names
-    for batch in batches:
-        inserts, deletes = [], []
-        for insert, n in batch:
-            relation = names[n % len(names)]
-            if insert:
-                schema = h.reference.schema.relation(relation)
-                inserts.append((relation, _bank_row(schema, n)))
-            else:
-                rows = h.rows(relation)
-                if rows:
-                    deletes.append((relation, rows[n % len(rows)]))
-        h.step(inserts, deletes)
+    with Harness(scaled_bank_instance(8, error_rate=0.2, seed=seed), sigma) as h:
+        names = h.reference.schema.relation_names
+        for batch in batches:
+            inserts, deletes = [], []
+            for insert, n in batch:
+                relation = names[n % len(names)]
+                if insert:
+                    schema = h.reference.schema.relation(relation)
+                    inserts.append((relation, _bank_row(schema, n)))
+                else:
+                    rows = h.rows(relation)
+                    if rows:
+                        deletes.append((relation, rows[n % len(rows)]))
+            h.step(inserts, deletes)
 
 
 def _random_bank_op(rng, h: Harness, relations):
@@ -241,10 +289,10 @@ def test_random_bank_sequences_match_a_cold_session(seed):
     """120 random single-row inserts and deletes, each its own batch."""
     rng = random.Random(seed)
     sigma = bank_constraints()
-    h = Harness(scaled_bank_instance(40, error_rate=0.1, seed=seed), sigma)
-    relations = list(sigma.schema.relation_names)
-    for __ in range(120):
-        h.step(*_random_bank_op(rng, h, relations))
+    with Harness(scaled_bank_instance(40, error_rate=0.1, seed=seed), sigma) as h:
+        relations = list(sigma.schema.relation_names)
+        for __ in range(120):
+            h.step(*_random_bank_op(rng, h, relations))
 
 
 # -- the named bank cases ------------------------------------------------------
@@ -331,17 +379,17 @@ def test_bank_cases_match_a_cold_session(bank, case):
     start, make_sigma, batches = BANK_CASES[case]
     sigma = make_sigma(bank.schema)
     db = {"dirty": bank.db, "clean": bank.clean_db}.get(start)
-    h = Harness(db.copy() if db else DatabaseInstance(bank.schema), sigma)
-    for inserts, deletes, changed, counts in batches:
-        assert h.step(inserts, deletes).changed == changed
-        for relation, row in inserts:
-            # Every row shape lands under its canonical value tuple.
-            stored = h.session.db[relation]
-            assert stored.row_id(stored.coerce(row)) is not None
-        assert h.session.count().by_constraint() == counts
-        assert report_key(h.session.check()) == report_key(
-            check_database_naive(h.reference, sigma)
-        )
+    with Harness(db.copy() if db else DatabaseInstance(bank.schema), sigma) as h:
+        for inserts, deletes, changed, counts in batches:
+            assert h.step(inserts, deletes).changed == changed
+            for relation, row in inserts:
+                # Every row shape lands under its canonical value tuple.
+                stored = h.session.db[relation]
+                assert stored.row_id(stored.coerce(row)) is not None
+            oracle = report_key(check_database_naive(h.reference, sigma))
+            for session in h.sessions.values():
+                assert session.count().by_constraint() == counts
+                assert report_key(session.check()) == oracle
 
 
 # -- the named cases -----------------------------------------------------------
@@ -356,61 +404,61 @@ def test_deleting_a_groups_first_row_moves_its_key():
     earlier one moves its key behind the other in scan order."""
     db = _commerce()
     first = [row for row in (t.values for t in db["customers"])][:2]
-    h = Harness(db, commerce_constraints())
-    # Make both groups violate, with rows appended after both first rows:
-    # two more countries for the first customer, one for the second.
-    extra = [
-        (cust, other, tier)
-        for (cust, country, tier), n in zip(first, (2, 1))
-        for other in [c for c in ("JP", "DE", "UK") if c != country][:n]
-    ]
-    h.step(inserts=[("customers", row) for row in extra])
-    assert [r[3] for r in h.records if r[0] == "cfd"][:2] == [
-        (first[0][0],), (first[1][0],)
-    ]
-    h.step(deletes=[("customers", first[0])])
-    keys = [r[3] for r in h.records if r[0] == "cfd" and r[1] == "customer_key"]
-    assert keys.index((first[1][0],)) < keys.index((first[0][0],))
+    with Harness(db, commerce_constraints()) as h:
+        # Make both groups violate, with rows appended after both first rows:
+        # two more countries for the first customer, one for the second.
+        extra = [
+            (cust, other, tier)
+            for (cust, country, tier), n in zip(first, (2, 1))
+            for other in [c for c in ("JP", "DE", "UK") if c != country][:n]
+        ]
+        h.step(inserts=[("customers", row) for row in extra])
+        assert [r[3] for r in h.records if r[0] == "cfd"][:2] == [
+            (first[0][0],), (first[1][0],)
+        ]
+        h.step(deletes=[("customers", first[0])])
+        keys = [r[3] for r in h.records if r[0] == "cfd" and r[1] == "customer_key"]
+        assert keys.index((first[1][0],)) < keys.index((first[0][0],))
 
 
 def test_last_witness_deleted_then_reinserted():
     db = _commerce()
-    h = Harness(db, commerce_constraints())
-    orders = h.rows("orders")
-    cust = orders[0][1]
-    (customer,) = [row for row in h.rows("customers") if row[0] == cust]
-    h.step(deletes=[("customers", customer)])
-    fk = [r for r in h.records if r[1] == "fk_customer" and r[3][1] == cust]
-    assert len(fk) == sum(1 for row in orders if row[1] == cust)
-    h.step(inserts=[("customers", customer)])
-    assert not [r for r in h.records if r[1] == "fk_customer" and r[3][1] == cust]
+    with Harness(db, commerce_constraints()) as h:
+        orders = h.rows("orders")
+        cust = orders[0][1]
+        (customer,) = [row for row in h.rows("customers") if row[0] == cust]
+        h.step(deletes=[("customers", customer)])
+        fk = [r for r in h.records if r[1] == "fk_customer" and r[3][1] == cust]
+        assert len(fk) == sum(1 for row in orders if row[1] == cust)
+        h.step(inserts=[("customers", customer)])
+        assert not [r for r in h.records if r[1] == "fk_customer" and r[3][1] == cust]
 
 
 def test_delete_and_reinsert_moves_a_hit_to_the_end():
     db = _commerce()
-    h = Harness(db, commerce_constraints())
-    h.step(inserts=[("orders", ("z1", "ghost", "UK", "sku1", "13", "paid")),
-                    ("orders", ("z2", "ghost", "UK", "sku1", "13", "paid"))])
-    first = [r for r in h.records if r[1] == "fk_customer"]
-    assert [r[3][0] for r in first[-2:]] == ["z1", "z2"]
-    row = first[-2][3]
-    h.step(inserts=[("orders", row)], deletes=[("orders", row)])
-    moved = [r for r in h.records if r[1] == "fk_customer"]
-    assert [r[3][0] for r in moved[-2:]] == ["z2", "z1"]
+    with Harness(db, commerce_constraints()) as h:
+        h.step(inserts=[("orders", ("z1", "ghost", "UK", "sku1", "13", "paid")),
+                        ("orders", ("z2", "ghost", "UK", "sku1", "13", "paid"))])
+        first = [r for r in h.records if r[1] == "fk_customer"]
+        assert [r[3][0] for r in first[-2:]] == ["z1", "z2"]
+        row = first[-2][3]
+        h.step(inserts=[("orders", row)], deletes=[("orders", row)])
+        moved = [r for r in h.records if r[1] == "fk_customer"]
+        assert [r[3][0] for r in moved[-2:]] == ["z2", "z1"]
 
 
 def test_one_batch_touches_both_sides_of_a_cind():
     db = _commerce()
-    h = Harness(db, commerce_constraints())
-    victim = next(row for row in h.rows("customers")
-                  if any(o[1] == row[0] for o in h.rows("orders")))
-    h.step(
-        inserts=[("orders", ("z9", "newcomer", "FR", "sku2", "16", "paid")),
-                 ("customers", ("newcomer", "FR", "vip"))],
-        deletes=[("customers", victim)],
-    )
-    assert not [r for r in h.records if r[0] == "cind" and r[3][1] == "newcomer"]
-    assert [r for r in h.records if r[1] == "fk_customer" and r[3][1] == victim[0]]
+    with Harness(db, commerce_constraints()) as h:
+        victim = next(row for row in h.rows("customers")
+                      if any(o[1] == row[0] for o in h.rows("orders")))
+        h.step(
+            inserts=[("orders", ("z9", "newcomer", "FR", "sku2", "16", "paid")),
+                     ("customers", ("newcomer", "FR", "vip"))],
+            deletes=[("customers", victim)],
+        )
+        assert not [r for r in h.records if r[0] == "cind" and r[3][1] == "newcomer"]
+        assert [r for r in h.records if r[1] == "fk_customer" and r[3][1] == victim[0]]
 
 
 def test_prune_implied_duplicates_keep_their_slots():
@@ -419,154 +467,203 @@ def test_prune_implied_duplicates_keep_their_slots():
     sigma.add_cind(CIND(schema.relation("orders"), ("cust",), (),
                         schema.relation("customers"), ("cust",), (),
                         [((_,), (_,))], name="fk_again"))
-    h = Harness(_commerce(), sigma, api.ExecutionOptions(prune_implied=True))
-    assert h.session.backend.plan.pruned_task_count == 1
-    h.step(inserts=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
-    assert {r[1] for r in h.records if r[0] == "cind" and r[3][1] == "ghost"} == {
-        "fk_customer", "fk_again"
-    }
-    h.step(deletes=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
+    with Harness(_commerce(), sigma, api.ExecutionOptions(prune_implied=True)) as h:
+        assert h.session.backend.plan.pruned_task_count == 1
+        h.step(inserts=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
+        assert {r[1] for r in h.records if r[0] == "cind" and r[3][1] == "ghost"} == {
+            "fk_customer", "fk_again"
+        }
+        h.step(deletes=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
 
 
 def test_empty_x_cind_follows_its_witness():
     """uk_shipping_row has an empty X: every shipped UK order shares the
     key (), so losing the UK shipping row flips them all at once."""
     db = _commerce()
-    h = Harness(db, commerce_constraints())
-    uk = ("UK", "eu", "5")
-    shipped_uk = [o for o in h.rows("orders") if o[2] == "UK" and o[5] == "shipped"]
-    assert shipped_uk
-    h.step(deletes=[("shipping", uk)])
-    assert len([r for r in h.records if r[1] == "uk_shipping_row"]) == len(shipped_uk)
-    h.step(inserts=[("orders", ("z4", "ghost", "UK", "sku0", "10", "shipped"))])
-    h.step(inserts=[("shipping", uk)])
-    assert not [r for r in h.records if r[1] == "uk_shipping_row"]
+    with Harness(db, commerce_constraints()) as h:
+        uk = ("UK", "eu", "5")
+        shipped_uk = [o for o in h.rows("orders") if o[2] == "UK" and o[5] == "shipped"]
+        assert shipped_uk
+        h.step(deletes=[("shipping", uk)])
+        assert len([r for r in h.records if r[1] == "uk_shipping_row"]) == len(shipped_uk)
+        h.step(inserts=[("orders", ("z4", "ghost", "UK", "sku0", "10", "shipped"))])
+        h.step(inserts=[("shipping", uk)])
+        assert not [r for r in h.records if r[1] == "uk_shipping_row"]
 
 
 # -- exact counts ---------------------------------------------------------------
 
 
-def test_one_row_commit_rescans_no_unit():
-    """A served one-row commit carries every unit forward: its delta and
-    the read after it re-scan nothing."""
+def test_one_row_commit_rescans_no_unit(tmp_path):
+    """A served one-row commit carries every unit forward, on a memory
+    and on a sqlfile tenant: its delta and the read after it re-scan
+    nothing."""
     db = _commerce(n_orders=200)
     sigma = commerce_constraints()
+    path = create_database_file(tmp_path / "t.db", db)
+    for backend, source in (("memory", db), ("sqlfile", path)):
+        asyncio.run(_one_row_commit(backend, source, db, sigma))
 
-    async def scenario():
-        async with DetectionService() as service:
-            handle = await service.create_tenant("t", db, sigma)
-            sub = await service.subscribe("t")
-            cache = handle.session.backend.cache
-            misses, carried = cache.misses, cache.carried
-            order = ("z5", db["orders"].tuples[0].values[1], "FR", "sku4",
-                     "999", "paid")
-            __, delta = await service.apply("t", inserts=[("orders", order)])
-            assert not delta.empty
-            assert cache.misses == misses and cache.carried > carried
+
+async def _one_row_commit(backend, source, db, sigma):
+    async with DetectionService() as service:
+        handle = await service.create_tenant("t", source, sigma, backend=backend)
+        sub = await service.subscribe("t")
+        cache = handle.session.backend.cache
+        misses, carried = cache.misses, cache.carried
+        order = ("z5", db["orders"].tuples[0].values[1], "FR", "sku4",
+                 "999", "paid")
+        __, delta = await service.apply("t", inserts=[("orders", order)])
+        assert not delta.empty
+        assert cache.misses == misses and cache.carried > carried, backend
+        await service.check("t")
+        assert cache.misses == misses, backend
+        got = await sub.__anext__()
+        assert replay(sub.baseline, got) == report_records(
             await service.check("t")
-            assert cache.misses == misses
-            got = await sub.__anext__()
-            assert replay(sub.baseline, got) == report_records(
-                await service.check("t")
-            )
-
-    asyncio.run(scenario())
+        )
 
 
 def test_units_past_the_derived_size_rescan():
     """Losing the UK shipping row touches the empty key on both sides of
     uk_shipping_row; an empty key's bucket is its whole relation, so
     exactly the witness spec and the orders CIND unit re-scan."""
-    h = Harness(_commerce(), commerce_constraints())
-    # The country_zone group's bucket index exists, so only the size rule
-    # can send a unit back to a scan.
-    h.session.db["shipping"].index_on(("country",))
-    cache = h.session.backend.cache
-    misses = cache.misses
-    h.step(deletes=[("shipping", ("UK", "eu", "5"))])
-    assert cache.misses == misses + 2
-    # A batch noting more rows than the relation then holds is never
-    # carried: every shipping unit re-scans.
-    misses = cache.misses
-    rows = h.rows("shipping")
-    h.step(deletes=[("shipping", row) for row in rows],
-           inserts=[("shipping", ("UK", "eu", "5"))], delta=False)
-    assert cache.misses > misses
-    assert h.session.delta() is not None  # synced again by the check
+    with Harness(_commerce(), commerce_constraints(), backends=("memory",)) as h:
+        # The country_zone group's bucket index exists, so only the size rule
+        # can send a unit back to a scan.
+        h.session.db["shipping"].index_on(("country",))
+        cache = h.session.backend.cache
+        misses = cache.misses
+        h.step(deletes=[("shipping", ("UK", "eu", "5"))])
+        assert cache.misses == misses + 2
+        # A batch noting more rows than the relation then holds is never
+        # carried: every shipping unit re-scans.
+        misses = cache.misses
+        rows = h.rows("shipping")
+        h.step(deletes=[("shipping", row) for row in rows],
+               inserts=[("shipping", ("UK", "eu", "5"))], delta=False)
+        assert cache.misses > misses
+        assert h.session.delta() is not None  # synced again by the check
 
 
 def test_batches_between_checks_net_out():
     """Rows inserted then deleted (and deleted then re-inserted) across
     batches with no check between carry forward as their net change."""
-    h = Harness(_commerce(), commerce_constraints())
-    ghost = ("z7", "ghost", "UK", "sku1", "13", "paid")
-    victim = next(row for row in h.rows("customers")
-                  if any(o[1] == row[0] for o in h.rows("orders")))
-    before = h.records
-    h.session.apply(inserts=[("orders", ghost)])
-    h.session.apply(deletes=[("customers", victim)])
-    h.session.apply(deletes=[("orders", ghost)])
-    h.step(inserts=[("customers", victim)])
-    assert h.records == before
+    with Harness(_commerce(), commerce_constraints()) as h:
+        ghost = ("z7", "ghost", "UK", "sku1", "13", "paid")
+        victim = next(row for row in h.rows("customers")
+                      if any(o[1] == row[0] for o in h.rows("orders")))
+        before = h.records
+        h.apply(inserts=[("orders", ghost)])
+        h.apply(deletes=[("customers", victim)])
+        h.apply(deletes=[("orders", ghost)])
+        h.step(inserts=[("customers", victim)])
+        assert h.records == before
+
+
+#: A violating order: its customer does not exist.
+GHOST_ORDER = ("z8", "ghost", "DE", "sku2", "999", "shipped")
+
+
+def test_newest_row_replaced_in_one_batch():
+    """Deleting a relation's newest row and inserting a different
+    violating row in one batch: on a file, the new row must not take the
+    deleted row's rowid behind the carry's back."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        newest = h.rows("orders")[-1]
+        h.step(deletes=[("orders", newest)], inserts=[("orders", GHOST_ORDER)])
+        assert [r for r in h.records if r[0] == "cind" and r[3] == GHOST_ORDER]
+
+
+def test_newest_row_replaced_across_two_batches():
+    """The same replacement as two batches with no check between them."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        newest = h.rows("orders")[-1]
+        h.apply(deletes=[("orders", newest)])
+        h.reference["orders"].discard(h.reference["orders"].coerce(newest))
+        h.step(inserts=[("orders", GHOST_ORDER)])
+        assert [r for r in h.records if r[0] == "cind" and r[3] == GHOST_ORDER]
 
 
 def test_a_change_behind_the_session_falls_back_to_scans():
     """A mutation the session never saw leaves a version step no note
     covers: the cache cannot carry forward, and stale units re-scan."""
-    h = Harness(_commerce(), commerce_constraints())
-    row = h.rows("customers")[0]
-    behind = (row[0], "JP" if row[1] != "JP" else "UK", row[2])
-    h.session.db["customers"].add(behind)
-    h.reference["customers"].add(behind)
-    # The next noted batch on the same relation does not start where the
-    # cache synced.
-    h.session.apply(inserts=[("customers", ("ghost", "FR", "vip"))])
-    h.reference["customers"].add(("ghost", "FR", "vip"))
-    assert h.session.delta() is None
-    with api.connect(h.reference.copy(), h.sigma) as cold:
-        assert report_key(h.session.check()) == report_key(cold.check())
+    with Harness(_commerce(), commerce_constraints(), backends=("memory",)) as h:
+        row = h.rows("customers")[0]
+        behind = (row[0], "JP" if row[1] != "JP" else "UK", row[2])
+        h.session.db["customers"].add(behind)
+        h.reference["customers"].add(behind)
+        # The next noted batch on the same relation does not start where the
+        # cache synced.
+        h.session.apply(inserts=[("customers", ("ghost", "FR", "vip"))])
+        h.reference["customers"].add(("ghost", "FR", "vip"))
+        assert h.session.delta() is None
+        with api.connect(h.reference.copy(), h.sigma) as cold:
+            assert report_key(h.session.check()) == report_key(cold.check())
 
 
 def test_a_missing_bucket_index_is_built_on_its_second_need():
     """Flipping a customer key needs an orders index on cust that no
     scan built: the first batch re-scans the orders CIND unit, the
     second builds the index and carries the unit forward."""
-    h = Harness(_commerce(), commerce_constraints())
-    cache = h.session.backend.cache
-    orders = h.session.db["orders"]
-    referenced = {row[1] for row in h.rows("orders")}
-    first, second = [row for row in h.rows("customers") if row[0] in referenced][:2]
-    assert not orders.has_index(("cust",))
-    misses = cache.misses
-    h.step(deletes=[("customers", first)])
-    assert cache.misses > misses
-    assert not orders.has_index(("cust",))
-    misses = cache.misses
-    h.step(deletes=[("customers", second)])
-    assert cache.misses == misses
-    assert orders.has_index(("cust",))
+    with Harness(_commerce(), commerce_constraints(), backends=("memory",)) as h:
+        cache = h.session.backend.cache
+        orders = h.session.db["orders"]
+        referenced = {row[1] for row in h.rows("orders")}
+        first, second = [row for row in h.rows("customers") if row[0] in referenced][:2]
+        assert not orders.has_index(("cust",))
+        misses = cache.misses
+        h.step(deletes=[("customers", first)])
+        assert cache.misses > misses
+        assert not orders.has_index(("cust",))
+        misses = cache.misses
+        h.step(deletes=[("customers", second)])
+        assert cache.misses == misses
+        assert orders.has_index(("cust",))
 
 
-def test_concurrent_checks_after_a_batch_agree():
-    """Eight threads check one session right after a batch: one carries
-    the cache forward — each unit once, as a single reader would — and
-    all get the same fresh report."""
+def _connect(db, sigma, backend, path):
+    if backend == "memory":
+        return api.connect(db, sigma)
+    return api.connect(create_database_file(path, db), sigma, backend="sqlfile")
+
+
+def test_concurrent_checks_after_a_batch_agree(tmp_path):
+    """Eight threads check one session right after a batch — a memory
+    session, then a sqlfile one: one carries the cache forward — each
+    unit once, as a single reader would — and all get the same fresh
+    report."""
     db = _commerce(n_orders=300)
-    twin = db.copy()
     sigma = commerce_constraints()
     batch = {
         "inserts": [("orders", ("z6", "ghost", "ATLANTIS", "sku5", "25", "shipped")),
                     ("customers", ("ghost", "UK", "vip"))],
         "deletes": [("orders", db["orders"].tuples[3].values)],
     }
-    single = api.connect(twin, sigma)
-    single.check()
-    single.apply(**batch)
-    single.check()
-    session = api.connect(db, sigma)
-    session.check()
-    session.apply(**batch)
-    expected = report_key(api.connect(db.copy(), sigma).check())
+    reference = db.copy()
+    reference["orders"].discard(reference["orders"].view(3))
+    for relation, row in batch["inserts"]:
+        reference[relation].add(row)
+    expected = report_key(api.connect(reference, sigma).check())
+    for backend in BACKENDS:
+        single = _connect(db.copy(), sigma, backend, tmp_path / "single.db")
+        session = _connect(db.copy(), sigma, backend, tmp_path / "session.db")
+        try:
+            single.check()
+            single.apply(**batch)
+            single.check()
+            session.check()
+            session.apply(**batch)
+            results = _check_in_eight_threads(session)
+            assert all(result == expected for result in results), backend
+            carried = session.backend.cache.carried
+            assert carried == single.backend.cache.carried > 0, backend
+        finally:
+            single.close()
+            session.close()
+
+
+def _check_in_eight_threads(session) -> list:
     barrier = threading.Barrier(8)
     results: list = [None] * 8
 
@@ -585,6 +682,4 @@ def test_concurrent_checks_after_a_batch_agree():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(result == expected for result in results)
-    carried = session.backend.cache.carried
-    assert carried == single.backend.cache.carried > 0
+    return results

@@ -18,6 +18,7 @@ concurrent interleavings).
 from __future__ import annotations
 
 import itertools
+import sqlite3
 
 import pytest
 
@@ -121,21 +122,27 @@ class TestPerCallPoolMemoryContract(BackendContract):
         )
 
 
-class TestContentFingerprintSQLFileContract(BackendContract):
-    """The out-of-core backend with the content-hash fingerprint mode —
-    the full contract must hold regardless of how cache invalidation
-    detects foreign writes."""
+class TestSparseRowidSQLFileContract(BackendContract):
+    """The out-of-core backend over a file whose rowids have gaps: a
+    carried cache keys CIND hits and CFD first rows by rowid, so nothing
+    may assume rowids are dense or start at 1 (files that saw deletes
+    look like this)."""
 
     @pytest.fixture
     def make_session(self, tmp_path):
         counter = itertools.count()
 
         def factory(db, sigma):
-            path = tmp_path / f"content_{next(counter)}.db"
+            path = tmp_path / f"sparse_{next(counter)}.db"
             create_database_file(path, db)
-            return api.connect(
-                path, sigma, backend="sqlfile", fingerprint="content"
-            )
+            conn = sqlite3.connect(path)
+            for relation in db.schema.relation_names:
+                # Negate first so no new rowid collides with an old one.
+                conn.execute(f'UPDATE "{relation}" SET rowid = -rowid')
+                conn.execute(f'UPDATE "{relation}" SET rowid = 5 - 3 * rowid')
+            conn.commit()
+            conn.close()
+            return api.connect(path, sigma, backend="sqlfile")
 
         return factory
 

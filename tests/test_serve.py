@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.datasets.commerce import commerce_constraints, commerce_instance
 from repro.errors import (
     ReproError,
     ServeError,
@@ -38,6 +40,7 @@ from repro.serve import (
     ViolationFeed,
     diff_records,
     replay,
+    report_records,
 )
 from repro.serve.feed import DeltaSource
 from repro.serve.protocol import ProtocolError
@@ -323,6 +326,123 @@ class TestReaderPool:
     def test_size_validation(self):
         with pytest.raises(ServeError):
             ReaderPool(lambda: None, size=0)
+
+
+# -- sqlfile tenants under foreign commits ----------------------------------
+
+#: A violating order: its customer does not exist.
+GHOST_ORDER = ("z1", "ghost", "DE", "sku2", "16", "paid")
+
+
+def _foreign(path, *statements):
+    """Commit *statements* (``(sql, params)`` pairs) on a connection of
+    its own, as another program writing the tenant's file would."""
+    other = sqlite3.connect(path)
+    try:
+        for sql, params in statements:
+            other.execute(sql, params)
+        other.commit()
+    finally:
+        other.close()
+
+
+def _cold(path, sigma):
+    with api.connect(path, sigma, backend="sqlfile") as session:
+        return report_records(session.check())
+
+
+class TestSQLFileForeignCommits:
+    """A writable sqlfile tenant reads and streams from its own session,
+    which sees another connection's commit through ``PRAGMA
+    data_version``: its cache is cleared, the next read re-scans, and the
+    next delta falls back to a check and a diff."""
+
+    @pytest.fixture
+    def tenant_file(self, tmp_path):
+        db = commerce_instance(n_orders=500, error_rate=0.1, seed=3)
+        return create_database_file(tmp_path / "tenant.db", db)
+
+    def test_feed_follows_a_foreign_commit(self, tenant_file):
+        sigma = commerce_constraints()
+
+        async def scenario():
+            async with DetectionService() as service:
+                handle = await service.create_tenant(
+                    "t", str(tenant_file), sigma, backend="sqlfile"
+                )
+                assert handle.readers is None
+                sub = await service.subscribe("t")
+                _foreign(tenant_file, (
+                    'INSERT INTO "orders" VALUES (?, ?, ?, ?, ?, ?)', GHOST_ORDER
+                ))
+                await service.apply(
+                    "t", inserts=[("customers", ("newcomer", "FR", "vip"))]
+                )
+                cold = _cold(tenant_file, sigma)
+                replayed = replay(sub.baseline, await sub.__anext__())
+                assert replayed == cold
+                assert [r for r in replayed if r[0] == "cind" and r[3] == GHOST_ORDER]
+                assert report_records(await service.check("t")) == cold
+
+        run(scenario())
+
+    def test_swap_behind_an_unchanged_rowid_envelope(self, tenant_file):
+        """The newest orders row deleted and another inserted under its
+        rowid: same max rowid, same count, different content."""
+        sigma = commerce_constraints()
+        envelope = 'SELECT MAX(rowid), COUNT(*) FROM "orders"'
+
+        async def scenario():
+            async with DetectionService() as service:
+                await service.create_tenant(
+                    "t", str(tenant_file), sigma, backend="sqlfile"
+                )
+                sub = await service.subscribe("t")
+                await service.check("t")
+                with sqlite3.connect(tenant_file) as probe:
+                    [before] = probe.execute(envelope).fetchall()
+                probe.close()
+                _foreign(
+                    tenant_file,
+                    ('DELETE FROM "orders" WHERE rowid = ?', (before[0],)),
+                    ('INSERT INTO "orders" VALUES (?, ?, ?, ?, ?, ?)', GHOST_ORDER),
+                )
+                with sqlite3.connect(tenant_file) as probe:
+                    assert probe.execute(envelope).fetchall() == [before]
+                probe.close()
+                cold = _cold(tenant_file, sigma)
+                assert report_records(await service.check("t")) == cold
+                await service.apply(
+                    "t", inserts=[("customers", ("newcomer", "FR", "vip"))]
+                )
+                replayed = replay(sub.baseline, await sub.__anext__())
+                assert replayed == _cold(tenant_file, sigma)
+                assert [r for r in replayed if r[0] == "cind" and r[3] == GHOST_ORDER]
+
+        run(scenario())
+
+    def test_readonly_tenant_reads_through_its_pool(self, tenant_file):
+        sigma = commerce_constraints()
+        options = api.ExecutionOptions(readonly=True)
+
+        async def scenario():
+            async with DetectionService(reader_pool_size=2) as service:
+                handle = await service.create_tenant(
+                    "t", str(tenant_file), sigma, backend="sqlfile",
+                    options=options,
+                )
+                assert handle.readers is not None and len(handle.readers) == 2
+                assert report_records(await service.check("t")) == _cold(
+                    tenant_file, sigma
+                )
+                _foreign(tenant_file, (
+                    'INSERT INTO "orders" VALUES (?, ?, ?, ?, ?, ?)', GHOST_ORDER
+                ))
+                cold = _cold(tenant_file, sigma)
+                for __ in range(2):  # each pooled reader
+                    assert report_records(await service.check("t")) == cold
+
+        run(scenario())
 
 
 # -- delta algebra -----------------------------------------------------------

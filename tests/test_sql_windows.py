@@ -36,7 +36,7 @@ from repro import api
 from repro.api.options import ExecutionOptions
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
-from repro.engine.cache import SQLScanCache
+from repro.engine.cache import ScanCache
 from repro.engine.shards import (
     cfd_finalize,
     cind_finalize,
@@ -536,13 +536,18 @@ class TestReadonlyPool:
 
 
 class TestCachePeek:
-    def test_peek_never_touches_counters(self):
-        cache = SQLScanCache()
-        cache.store("k", ("t",), [1, 2])
+    def test_peek_never_touches_counters(self, dirty_file):
+        """The window prefetch picks its cold units through the raw entry
+        getters; they must not count as cache reads."""
+        plan = dirty_file["plan"]
+        group = plan.cfd_groups[0]
+        relation = next(iter(plan.cind_scans))
+        cache = ScanCache(plan)
+        cache.store_cfd_hits(group, 3, [], {})
         hits, misses = cache.hits, cache.misses
-        assert cache.peek("k") == [1, 2]
-        assert cache.peek("nope") is None
+        assert cache.cfd_entry(group)[0] == 3
+        assert cache.cind_entry(relation) is None
         assert (cache.hits, cache.misses) == (hits, misses)
-        # get() is the counted consumer path.
-        assert cache.get("k") == [1, 2]
+        # cfd_hits() is the counted consumer path.
+        assert cache.cfd_hits(group, 3) == []
         assert cache.hits == hits + 1

@@ -6,10 +6,12 @@ detection *inside a file*:
 
 * attach/introspection errors (missing file, missing table, column
   mismatch) and the CSV→sqlite ingest bridge;
-* the ``SQLScanCache``: warm re-checks issue no data SQL at all, the
-  backend's own DML invalidates only the touched table, and writes
-  committed by a *second* connection are caught via ``PRAGMA
-  data_version`` + per-table fingerprints;
+* the session's scan cache: warm re-checks issue no data SQL at all, the
+  backend's own DML makes only the touched table's units stale (and the
+  next read carries them forward), and writes committed by a *second*
+  connection are caught via ``PRAGMA data_version``, which clears the
+  cache — including a delete and re-insert behind an unchanged rowid
+  envelope;
 * a Hypothesis differential suite interleaving SQL-side ``insert`` /
   ``delete`` — session-owned and out-of-band — with ``check`` / ``count``
   / ``is_clean`` against a fresh naive oracle over a mirrored in-memory
@@ -40,13 +42,7 @@ from repro.errors import ReproError, SQLBackendError
 from repro.relational.csvio import database_csv_to_sqlite, write_database_csv
 from repro.relational.instance import DatabaseInstance, Tuple
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.sql.loader import (
-    connect_file,
-    create_database_file,
-    data_version,
-    introspect_schema,
-    table_fingerprint,
-)
+from repro.sql.loader import connect_file, create_database_file, introspect_schema
 
 from tests.conformance import report_key
 
@@ -182,6 +178,9 @@ class TestCSVIngest:
 
 
 class TestSQLScanCache:
+    """The session's scan cache: kept by its own DML, cleared by another
+    connection's commit."""
+
     def test_warm_recheck_runs_no_data_sql(self, bank_file, bank):
         with api.connect(bank_file, bank.constraints, backend="sqlfile") as s:
             first = s.check()
@@ -196,19 +195,21 @@ class TestSQLScanCache:
             assert all("data_version" in sql for sql in statements), statements
 
     def test_own_dml_invalidates_only_touched_table(self, tmp_path, bank):
+        """Own DML makes only the touched table's units stale, and the
+        next read carries exactly those forward — none re-scans."""
         path = create_database_file(tmp_path / "c.db", bank.clean_db)
         with api.connect(path, bank.constraints, backend="sqlfile") as s:
             assert s.is_clean()
-            cache = s.backend.cache
-            warm_entries = len(cache)
-            misses = cache.misses
+            backend = s.backend
+            cache = backend.cache
+            versions = dict(backend._versions)
+            misses, carried = cache.misses, cache.carried
             row = {"ab": "GLA", "ct": "UK", "at": "checking", "rt": "9.9%"}
             s.insert("interest", row)
-            # Only entries computed from "interest" drop out.
-            assert len(cache) < warm_entries
+            moved = {t for t, v in backend._versions.items() if v != versions[t]}
+            assert moved == {"interest"}
             assert not s.is_clean()
-            recomputed = s.backend.cache.misses - misses
-            assert 0 < recomputed < warm_entries
+            assert cache.misses == misses and cache.carried > carried
 
     def test_second_connection_insert_is_caught(self, tmp_path, bank):
         path = create_database_file(tmp_path / "x.db", bank.clean_db)
@@ -247,39 +248,6 @@ class TestSQLScanCache:
             assert report_key(s.check()) == report_key(
                 check_database_naive(ref, bank.constraints)
             )
-
-    def test_fingerprints_scope_external_invalidation(self, bank_file, bank):
-        """An external write to one table leaves the other tables' cache
-        entries warm (per-table max-rowid/count fingerprints)."""
-        with api.connect(bank_file, bank.constraints, backend="sqlfile") as s:
-            s.check()
-            entries_warm = len(s.backend.cache)
-            other = sqlite3.connect(bank_file)
-            other.execute(
-                'INSERT INTO "saving" VALUES (?, ?, ?, ?, ?)',
-                ("99", "X. Ternal", "nowhere", "555", "NYC"),
-            )
-            other.commit()
-            other.close()
-            misses = s.backend.cache.misses
-            s.check()
-            # Some entries survived the bump and some were recomputed.
-            recomputed = s.backend.cache.misses - misses
-            assert 0 < recomputed < entries_warm
-
-    def test_fingerprint_helper_moves_on_writes(self, bank_file):
-        conn = connect_file(bank_file)
-        before = table_fingerprint(conn, "interest")
-        dv = data_version(conn)
-        other = sqlite3.connect(bank_file)
-        other.execute(
-            'INSERT INTO "interest" VALUES (?, ?, ?, ?)', ("a", "b", "c", "d")
-        )
-        other.commit()
-        other.close()
-        assert table_fingerprint(conn, "interest") != before
-        assert data_version(conn) != dv
-        conn.close()
 
 
 class TestFileCLIAndCleaning:
@@ -474,15 +442,12 @@ def test_sqlfile_cold_reports_match_memory(n_accounts, error_rate, seed):
             assert report_key(session.check()) == expected
 
 
-class TestContentFingerprint:
-    """``fingerprint="content"`` closes the delete+reinsert hole.
-
-    The default ``(max rowid, COUNT(*))`` fingerprint is blind to a
-    foreign writer that deletes the newest row and inserts a different
-    one — sqlite hands the replacement the vacated max rowid, so both
-    components come back unchanged and the cache keeps serving the stale
-    result. The content mode sums per-row CRC32 hashes inside SQL and
-    catches exactly that write.
+class TestRowidEnvelopeSwap:
+    """A foreign writer that deletes the newest row and inserts a
+    different one hands the replacement the vacated max rowid, so the
+    table's ``(max rowid, COUNT(*))`` envelope comes back unchanged. A
+    session must still see the write: ``PRAGMA data_version`` moved, and
+    that alone clears its cache.
     """
 
     DIRTY = ("GLA", "UK", "checking", "9.9%")
@@ -490,12 +455,13 @@ class TestContentFingerprint:
     def _swap_newest_interest_row(self, path):
         """Delete interest's max-rowid row, insert DIRTY reusing the rowid.
 
-        Returns the replaced row's values. Asserts the write is invisible
-        to the rowid fingerprint — the precondition of the whole test.
+        Returns the replaced row's values. Asserts the write leaves the
+        rowid envelope as it was — the precondition of the whole test.
         """
         other = sqlite3.connect(path)
+        envelope = 'SELECT MAX(rowid), COUNT(*) FROM "interest"'
         try:
-            before = table_fingerprint(other, "interest")
+            [before] = other.execute(envelope).fetchall()
             [(victim_rowid,)] = other.execute(
                 'SELECT MAX(rowid) FROM "interest"'
             ).fetchall()
@@ -509,7 +475,7 @@ class TestContentFingerprint:
                 'INSERT INTO "interest" VALUES (?, ?, ?, ?)', self.DIRTY
             )
             other.commit()
-            assert table_fingerprint(other, "interest") == before
+            assert other.execute(envelope).fetchall() == [before]
             return victim
         finally:
             other.close()
@@ -521,68 +487,16 @@ class TestContentFingerprint:
         ref["interest"].add(self.DIRTY)
         return ref
 
-    def test_rowid_mode_misses_the_swap(self, tmp_path, bank):
-        """Documents the hole: the heuristic serves the stale verdict."""
-        path = create_database_file(tmp_path / "hole.db", bank.clean_db)
+    def test_default_session_catches_the_swap(self, tmp_path, bank):
+        path = create_database_file(tmp_path / "swap.db", bank.clean_db)
         with api.connect(path, bank.constraints, backend="sqlfile") as s:
             assert s.is_clean()
-            self._swap_newest_interest_row(path)
-            # data_version moved, fingerprints compared — and matched.
-            assert s.is_clean() is True  # stale: the documented hole
-
-    def test_content_mode_catches_the_swap(self, tmp_path, bank):
-        path = create_database_file(tmp_path / "closed.db", bank.clean_db)
-        with api.connect(
-            path, bank.constraints, backend="sqlfile", fingerprint="content"
-        ) as s:
-            assert s.is_clean()
             victim = self._swap_newest_interest_row(path)
-            ref = self._mirror(bank, victim)
-            oracle = check_database_naive(ref, bank.constraints)
+            oracle = check_database_naive(
+                self._mirror(bank, victim), bank.constraints
+            )
             assert s.is_clean() is False
             assert report_key(s.check()) == report_key(oracle)
-
-    def test_content_mode_own_dml_still_exact(self, tmp_path, bank):
-        path = create_database_file(tmp_path / "dml.db", bank.clean_db)
-        with api.connect(
-            path, bank.constraints, backend="sqlfile", fingerprint="content"
-        ) as s:
-            assert s.is_clean()
-            s.insert("interest", dict(zip(("ab", "ct", "at", "rt"), self.DIRTY)))
-            assert not s.is_clean()
-            victim = Tuple(
-                bank.schema.relation("interest"),
-                dict(zip(("ab", "ct", "at", "rt"), self.DIRTY)),
-            )
-            assert s.delete("interest", victim)
-            assert s.is_clean()
-
-    def test_content_fingerprint_is_content_sensitive_and_stable(
-        self, bank_file
-    ):
-        from repro.sql.loader import table_content_fingerprint
-
-        conn = connect_file(bank_file)
-        conn2 = connect_file(bank_file)
-        fp = table_content_fingerprint(conn, "interest")
-        assert fp[0] == "content"
-        # Stable across connections/processes (CRC32, not salted hash()).
-        assert table_content_fingerprint(conn2, "interest") == fp
-        conn2.close()
-        other = sqlite3.connect(bank_file)
-        [(rid,)] = other.execute('SELECT MAX(rowid) FROM "interest"').fetchall()
-        other.execute('DELETE FROM "interest" WHERE rowid = ?', (rid,))
-        other.execute(
-            'INSERT INTO "interest" VALUES (?, ?, ?, ?)',
-            ("ZZZ", "ZZ", "zz", "0.0%"),
-        )
-        other.commit()
-        assert table_fingerprint(other, "interest") == table_fingerprint(
-            conn, "interest"
-        )  # rowid heuristic: blind
-        assert table_content_fingerprint(conn, "interest") != fp  # content: not
-        other.close()
-        conn.close()
 
 
 class TestWitnessProbePlan:
