@@ -9,19 +9,29 @@ Each round's worklist is the report of one ``memory`` session whose
 batch. This benchmark times ``repair()`` end to end at bank@``--size``
 and reports it as violations-fixed/sec and as a ratio over the
 historical eager loop (``benchmarks/_eager_repair.py``) on the same
-data. The ratio is informational: no gate reads it.
+data; ``--max-engine-over-eager R`` fails the run when that ratio
+exceeds ``R``. The ``repair`` block also splits the engine's time (its
+last timed run) by phase: the cold check that built the first worklist,
+then, summed over rounds, the planning, the batches and the carried
+checks after them. A round's carried check is also the next round's
+worklist, so it is counted once and the phases do not overlap.
 
 Every row is **cross-validated before any number is reported**: the
 engine's final database must be bit-identical (content and iteration
 order) to the eager loop's, and the naive oracle (``check_database``)
-must find it clean, as ``repair()``'s ``clean`` flag says. Both sides
-are timed best of three.
+must find it clean, as ``repair()``'s ``clean`` flag says. After one
+untimed warm-up run each, the two sides run back to back in
+:data:`REPEATS` pairs (:data:`QUICK_REPEATS` at the ``--quick`` size),
+alternating which goes first. Each side's time is its median run, and
+engine over eager-loop time the median of the pairs' ratios, so a slow
+or fast spell of the machine moves both halves of a pair alike.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_repair.py                 # bank@50k
     PYTHONPATH=src python benchmarks/bench_repair.py --quick         # CI smoke
     PYTHONPATH=src python benchmarks/bench_repair.py --json BENCH_repair.json
+    PYTHONPATH=src python benchmarks/bench_repair.py --quick --max-engine-over-eager 1.0
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import json
 import os
 import sys
 import time
+from statistics import median
 
 from repro.cleaning.repair import RepairResult, repair
 from repro.core.violations import check_database
@@ -38,8 +49,11 @@ from repro.datasets.bank import bank_constraints, scaled_bank_instance
 
 from _eager_repair import seed_eager_repair
 
-#: Timed runs per side; the fastest counts.
+#: Timed pairs of runs.
 REPEATS = 3
+#: Timed pairs at the ``--quick`` size, where a run lasts about 6 ms and
+#: one scheduling delay can move a single pair's ratio by a third.
+QUICK_REPEATS = 30
 
 
 def snapshot(db):
@@ -60,14 +74,22 @@ def cross_validate(result: RepairResult, reference_snap, sigma) -> None:
         )
 
 
-def best_of(fn, *args):
-    """``(fastest seconds, last result)`` over :data:`REPEATS` runs."""
-    best = float("inf")
-    for __ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def timed_pairs(repeats: int, eager, engine):
+    """Run the zero-argument callables *eager* and *engine* once each
+    untimed, then in *repeats* back-to-back pairs, alternating which goes
+    first; return each side's run times (seconds, pair by pair) and its
+    last result."""
+    sides = (eager, engine)
+    times: tuple[list[float], list[float]] = ([], [])
+    last: list = [None, None]
+    for pair in range(-1, repeats):
+        for i in (0, 1) if pair % 2 == 0 else (1, 0):
+            last[i] = None  # hold one result per side at a time
+            start = time.perf_counter()
+            last[i] = sides[i]()
+            if pair >= 0:
+                times[i].append(time.perf_counter() - start)
+    return times, last
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
         "--json", metavar="PATH", default=None,
         help="write results as JSON to PATH (e.g. BENCH_repair.json)",
     )
+    parser.add_argument(
+        "--max-engine-over-eager", type=float, default=None, metavar="R",
+        help="exit non-zero when engine time over eager-loop time exceeds R",
+    )
     args = parser.parse_args(argv)
     if args.quick:
         args.size = 2_000
@@ -100,17 +126,20 @@ def main(argv: list[str] | None = None) -> int:
         f"{initial_violations} initial violations"
     )
 
-    seed_s, (reference_db, reference_edits, reference_clean) = best_of(
-        seed_eager_repair, db, sigma
+    repeats = QUICK_REPEATS if args.quick else REPEATS
+    (seed_times, repair_times), (reference, result) = timed_pairs(
+        repeats,
+        lambda: seed_eager_repair(db, sigma),
+        lambda: repair(db, sigma),  # repair() copies db
     )
+    seed_s, repair_s = median(seed_times), median(repair_times)
+    reference_db, reference_edits, reference_clean = reference
     if not reference_clean:
         raise AssertionError("the reference eager loop did not converge")
     reference_snap = snapshot(reference_db)
     print(
         f"reference eager loop: {len(reference_edits)} edits in {seed_s:.3f}s"
     )
-
-    repair_s, result = best_of(repair, db, sigma)  # repair() copies db
     cross_validate(result, reference_snap, sigma)
     row = {
         "rounds": result.rounds,
@@ -120,17 +149,27 @@ def main(argv: list[str] | None = None) -> int:
         "violations_fixed_per_s": (
             initial_violations / repair_s if repair_s > 0 else float("inf")
         ),
-        "worklist_s": sum(s.worklist_s for s in result.round_stats),
+        "worklist_s": (
+            result.round_stats[0].worklist_s if result.round_stats else 0.0
+        ),
+        "plan_s": sum(s.plan_s for s in result.round_stats),
         "apply_s": sum(s.apply_s for s in result.round_stats),
+        "after_s": sum(s.after_s for s in result.round_stats),
         "cross_validated": True,
     }
-    engine_over_eager = repair_s / seed_s if seed_s > 0 else float("inf")
+    engine_over_eager = median(
+        engine / eager for engine, eager in zip(repair_times, seed_times)
+    )
     print(
         f"repair engine: {row['rounds']} rounds, {row['edits']} edits, "
         f"{repair_s:.3f}s -> {row['violations_fixed_per_s']:.0f} "
         f"violations-fixed/s (eager loop: {initial_violations / seed_s:.0f}/s)"
     )
-    print(f"engine time / eager-loop time: {engine_over_eager:.2f} (informational)")
+    print(
+        f"  worklist {row['worklist_s']:.3f}s, plan {row['plan_s']:.3f}s, "
+        f"apply {row['apply_s']:.3f}s, after {row['after_s']:.3f}s"
+    )
+    print(f"engine time / eager-loop time: {engine_over_eager:.2f}")
 
     if args.json:
         payload = {
@@ -138,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
             "size": args.size,
             "error_rate": args.error_rate,
             "cpu_count": os.cpu_count(),
-            "repeats": REPEATS,
+            "repeats": repeats,
             "initial_violations": initial_violations,
             "seed_loop_s": seed_s,
             "repair": row,
@@ -148,6 +187,14 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")
+    limit = args.max_engine_over_eager
+    if limit is not None and engine_over_eager > limit:
+        print(
+            f"FAIL: engine time / eager-loop time {engine_over_eager:.2f} "
+            f"exceeds {limit:.2f}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -317,20 +317,19 @@ class RepairPlanner:
     def _has_witness(
         self, cind: CIND, t1: Tuple, row: PatternTuple, overlay: _RoundOverlay
     ) -> bool:
-        """``find_witness`` against the overlay-adjusted RHS relation."""
-        relation = cind.rhs_relation.name
+        """``find_witness`` against the overlay-adjusted RHS relation.
+
+        The work item is a violation of ``self.db`` (the precondition of
+        :meth:`plan_round`), so no stored tuple is a witness, and a
+        pending delete can only remove more: only this round's pending
+        inserts can supply one.
+        """
         key = t1.project(cind.x)
         yp_pattern = row.rhs_projection(cind.yp)
-        pend_del = overlay.deleted.get(relation, ())
-        for t2 in self.db[relation].lookup(cind.y, key):
-            if t2 in pend_del:
-                continue
-            if matches_all(t2.project(cind.yp), yp_pattern):
-                return True
-        for t2 in overlay.inserted_matching(relation, cind.y, key):
-            if matches_all(t2.project(cind.yp), yp_pattern):
-                return True
-        return False
+        return any(
+            matches_all(t2.project(cind.yp), yp_pattern)
+            for t2 in overlay.inserted_matching(cind.rhs_relation.name, cind.y, key)
+        )
 
     def _plan_cind(
         self, plan: RoundPlan, item: CINDWork, overlay: _RoundOverlay
@@ -373,6 +372,12 @@ class RepairPlanner:
         The overlay sets thread each item's planned effects into every
         later item's view, replicating the eager loop's semantics within
         a single batched round.
+
+        Precondition: every item is a violation of ``self.db`` as it
+        stands — a violated group with its tuples, or a CIND premise
+        tuple without a witness. The planner relies on it for CIND items:
+        it looks for their witnesses among the round's pending inserts
+        only, so planning builds no index on the database.
         """
         plan = RoundPlan()
         overlay = _RoundOverlay()

@@ -24,7 +24,11 @@ current violations is planned up front
 violated group. Every worklist is the report of one ``memory`` session
 over the working copy: after a batch, its ``check()`` carries the scan
 cache forward by the rows the batch changed, so it re-evaluates only the
-CFD groups, witness keys and CIND rows the round touched. The worklist is
+CFD groups, witness keys and CIND rows the round touched. That is also
+the planner's precondition (:meth:`~repro.cleaning.planner.RepairPlanner.plan_round`):
+each worklist lists violations of the database the planner reads, as it
+stands when the round is planned, so a CIND item's witness can only come
+from the round's own planned inserts. The worklist is
 in the engine's report order (constraints in Σ order, pattern rows in
 tableau order, groups and tuples in scan order), so the engine produces
 final databases bit-identical to the historical eager loop; the
@@ -62,11 +66,14 @@ from repro.relational.schema import RelationSchema
 class RoundStats:
     """Observability record for one executed repair round.
 
-    ``worklist_s`` is the check that built the round's worklist and
-    ``apply_s`` the round's batch. ``delta_removed``/``delta_added`` are
-    the violations the batch resolved and introduced, and
-    ``cache_hits``/``cache_misses`` the scan units the check after the
-    batch answered from the carried cache or re-scanned.
+    ``worklist_s`` is the check that built the round's worklist,
+    ``plan_s`` the planning of its batch, ``apply_s`` the batch itself
+    and ``after_s`` the carried check after it (the next round's
+    ``worklist_s``, or the verdict of the last round).
+    ``delta_removed``/``delta_added`` are the violations the batch
+    resolved and introduced, and ``cache_hits``/``cache_misses`` the scan
+    units the check after the batch answered from the carried cache or
+    re-scanned.
     """
 
     round_no: int
@@ -81,7 +88,9 @@ class RoundStats:
     cache_hits: int
     cache_misses: int
     worklist_s: float
+    plan_s: float
     apply_s: float
+    after_s: float
     delta_removed: int
     delta_added: int
 
@@ -218,7 +227,9 @@ def repair(
         worklist = _worklist(session.check(), labels)
         worklist_s = perf() - start
         while worklist and len(stats) < max_rounds:
+            start = perf()
             plan = planner.plan_round(worklist)
+            plan_s = perf() - start
             if plan.is_empty:
                 # Defensive: violations remain but nothing is plannable.
                 # Unreachable from a fresh worklist with the current
@@ -250,7 +261,9 @@ def repair(
                     cache_hits=cache.hits - hits,
                     cache_misses=cache.misses - misses,
                     worklist_s=worklist_s,
+                    plan_s=plan_s,
                     apply_s=apply_s,
+                    after_s=after_s,
                     delta_removed=len(before_sigs - after_sigs),
                     delta_added=len(after_sigs - before_sigs),
                 )

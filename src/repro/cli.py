@@ -180,7 +180,11 @@ def cmd_repair(args: argparse.Namespace) -> int:
                 f"({stats.cfd_items} cfd, {stats.cind_items} cind), "
                 f"batch={stats.batch_deletes}del/{stats.batch_inserts}ins, "
                 f"delta=-{stats.delta_removed}/+{stats.delta_added}, "
-                f"cache={stats.cache_hits}h/{stats.cache_misses}m"
+                f"cache={stats.cache_hits}h/{stats.cache_misses}m, "
+                f"time: worklist {stats.worklist_s * 1e3:.1f} ms, "
+                f"plan {stats.plan_s * 1e3:.1f} ms, "
+                f"apply {stats.apply_s * 1e3:.1f} ms, "
+                f"after {stats.after_s * 1e3:.1f} ms"
             )
         for edit in result.edits:
             print(f"  {edit}")

@@ -142,7 +142,8 @@ class ScanCache:
         #: patch once, the rest find the entries current.
         self.lock = threading.Lock()
         #: (relation, attributes) of hash indexes a carry-forward needed
-        #: and did not find; the next need builds them.
+        #: and did not find (it read the touched keys by a pass); the next
+        #: carry that needs one builds it.
         self.wanted: set[tuple[str, tuple[str, ...]]] = set()
 
     def clear(self) -> None:

@@ -10,28 +10,40 @@ change:
 * the CIND hits of its own LHS rows and of the LHS rows whose ``X``-key
   flipped witness status.
 
-:func:`carry_forward` re-evaluates exactly those over the relations'
-hash-index buckets — CFD groups through the same
-:func:`~repro.engine.shards.cfd_map_shard` /
+:func:`carry_forward` re-evaluates exactly those — CFD groups through
+the same :func:`~repro.engine.shards.cfd_map_shard` /
 :func:`~repro.engine.shards.cfd_finalize` a scan uses — and splices the
 results into the cached hit lists by first-occurrence row id: a CFD
 task's keys in the order of their group's first row, a CIND task's hits
 in row-id order. That is the order a full scan produces, because row ids
-only grow and an untouched group keeps its first row. A unit falls back
-to re-scanning its relation when the rows its patch would read — the
-noted rows plus the touched keys' buckets — outnumber the rows a scan
-reads (an empty key's bucket is the whole relation, so it always does).
-A bucket index that does not exist yet would cost a pass over the whole
-relation to build, plus the memory of a bucket per key, so the first
-unit that needs one re-scans instead; only a second need builds it (the
-rent-then-buy rule: a one-off batch, such as a repair round, never pays
-for an index, a stream of batches pays for it once).
+only grow and an untouched group keeps its first row.
+
+Storage is asked only about what can have changed. A touched witness key
+with a net-inserted ``Yp``-matching row has a witness, and one outside
+the old key set without such a row has none; only an old key that lost
+a ``Yp``-matching row and gained none may have lost its last witness,
+so only those keys are looked up. A key that gained a witness can only
+drop CIND hits, and the cached hit rows say which; only the LHS rows of
+a key that lost its last witness are looked up.
+
+A unit falls back to re-scanning its relation when the rows its patch
+would read — the noted rows plus the touched keys' rows — outnumber the
+rows a scan reads (an empty key's rows are the whole relation, so it
+always does). Touched keys' rows come from the relation's hash-index
+bucket on the key's attributes. An index that does not exist yet would
+cost a pass over the whole relation to build, plus the memory of a
+bucket per key, so the rule is first need: key-restricted pass; a later
+batch's need: build. A batch that needs a missing index selects the
+touched keys' rows by one pass over the key's projection (memoized for
+that carry only) and notes the need; a later batch that needs it builds
+the index. A one-off batch, such as a repair round, never pays for an
+index; a stream of batches pays for it once.
 
 The algorithm is storage-neutral: :class:`Carry` asks its subclass for
 the rows of the touched keys, a unit's re-scan, the touched witness keys
 still present and the views of new rows. :class:`MemoryCarry` answers
-from the relations' hash-index buckets; the ``sqlfile`` backend answers
-with key-restricted SQL over the file
+from the relations' hash-index buckets or key-restricted passes; the
+``sqlfile`` backend answers with key-restricted SQL over the file
 (:class:`repro.sql.violations.SQLCarry`). A file has no index to ask for
 a group's first row, so its CFD entries keep each hit key's first row
 id, and the splice reads them there.
@@ -48,6 +60,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from repro.core.cfd import CFDViolation
@@ -62,10 +76,10 @@ from repro.engine.planner import (
     passes,
 )
 from repro.engine.shards import (
+    KeyLists,
     cfd_finalize,
     cfd_map_shard,
     cind_map_shard,
-    instance_key_fn,
     shard_key_fn,
     witness_map_shard,
 )
@@ -100,21 +114,14 @@ class Rescan(Exception):
     """A unit's patch would cost more than re-scanning it."""
 
 
-def _key(values: tuple[Any, ...], positions: tuple[int, ...]) -> tuple[Any, ...]:
-    return tuple([values[p] for p in positions])
-
-
-def _index(
-    cache: ScanCache, instance: RelationInstance, attributes: tuple[str, ...]
-) -> dict[tuple[Any, ...], dict[int, tuple[Any, ...]]]:
-    """*instance*'s bucket index on *attributes*, if it exists or was
-    needed before; otherwise note the need and raise :class:`Rescan`."""
-    if not instance.has_index(attributes):
-        need = (instance.schema.name, attributes)
-        if need not in cache.wanted:
-            cache.wanted.add(need)
-            raise Rescan
-    return instance.index_on(attributes)
+def _key_of(positions: tuple[int, ...]) -> Callable[[tuple[Any, ...]], tuple[Any, ...]]:
+    """values -> their key tuple on *positions*."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda values: (values[p],)
+    return lambda values: ()
 
 
 def _segments(tasks: list, hits: list) -> list[list[tuple[Any, str]]]:
@@ -253,12 +260,15 @@ class Carry:
         group: CFDScanGroup,
         touched: set,
         noted: int,
+        hits: list,
         firsts: dict | None,
     ) -> tuple[list, list, Callable[[tuple[Any, ...]], int]]:
-        """The rows of *group*'s touched keys that still exist, ordered by
-        their key's first row, with their ``X``-keys and a key -> first
-        row id function (*firsts* is the entry's, for keys it kept);
-        raises :class:`Rescan` when re-scanning the group is cheaper."""
+        """The rows of *group*'s touched keys that still exist, with their
+        ``X``-keys, in an order where keys first appear by their first row
+        (row order is one), and a key -> first row id function for the
+        touched keys and the cached *hits*' keys (*firsts* is the entry's,
+        for keys it kept); raises :class:`Rescan` when re-scanning the
+        group is cheaper."""
         raise NotImplementedError
 
     def cfd_rescan(self, group: CFDScanGroup) -> tuple[list, dict | None]:
@@ -273,8 +283,9 @@ class Carry:
     def witness_present(
         self, spec: WitnessSpec, touched: set, noted: int
     ) -> set:
-        """The touched keys that still have a ``Yp``-matching witness;
-        raises :class:`Rescan` when re-scanning is cheaper."""
+        """Which of *touched* (old keys that lost a witness row and gained
+        none) still have a ``Yp``-matching witness; raises :class:`Rescan`
+        when re-scanning is cheaper."""
         raise NotImplementedError
 
     def witness_rescan(self, spec: WitnessSpec, touched: set) -> set:
@@ -285,17 +296,14 @@ class Carry:
         self,
         relation: str,
         task: CINDRowTask,
-        before: list[int],
-        flip: tuple[set, set],
+        lost: set,
         fresh: set[int],
         shared: dict,
-    ) -> tuple[set[int], list[int]]:
-        """For a task whose witness keys flipped (``(gained, lost)``):
-        the hit rows in *before* whose key gained a witness, and the
-        rows (not among *fresh*, the noted inserts) that pass the task's
-        premise and whose key lost its last one. *shared* is one dict
-        per LHS relation, shared by its tasks. Raises :class:`Rescan`
-        when re-scanning is cheaper."""
+    ) -> list[int]:
+        """The rows (not among *fresh*, the noted inserts) that pass the
+        task's premise and whose ``X``-key is in *lost* (it lost its last
+        witness). *shared* is one dict per LHS relation, shared by its
+        tasks. Raises :class:`Rescan` when re-scanning is cheaper."""
         raise NotImplementedError
 
     def cind_rescan(self, relation: str, tasks: list[CINDRowTask]) -> list[list[int]]:
@@ -338,11 +346,11 @@ class Carry:
             for task, n in zip(group.tasks, counts):
                 self.counts[id(task)] = (n, n)
             return
-        touched = {_key(values, group.lhs_positions) for values in changes.rows}
+        touched = set(map(_key_of(group.lhs_positions), changes.rows))
         old = _segments(group.tasks, hits)
         try:
             rows, keys, first = self.cfd_rows(
-                group, touched, len(changes.rows), firsts
+                group, touched, len(changes.rows), hits, firsts
             )
             fresh = _evaluate(group, rows, keys)
             new = _splice(old, fresh, touched, first)
@@ -408,25 +416,32 @@ class Carry:
         self.sets[spec] = old
         if changes is None:
             return
-        yp = spec.yp_checks
-        touched = {
-            _key(values, spec.y_positions)
-            for values in changes.rows
-            if passes(values, yp)
+        yp, key = spec.yp_checks, _key_of(spec.y_positions)
+        # A key with a net-inserted witness row has a witness; only an old
+        # key that lost a witness row and gained none can have lost it.
+        found = {key(values) for __, values in changes.inserted if passes(values, yp)}
+        doubtful = {
+            k
+            for k in (
+                key(values) for values in changes.deleted.values() if passes(values, yp)
+            )
+            if k in old and k not in found
         }
-        new = old
-        if touched:
+        lost: set = set()
+        if doubtful:
             try:
-                present = self.witness_present(spec, touched, len(changes.rows))
+                lost = doubtful - self.witness_present(spec, doubtful, len(changes.rows))
                 self._carried()
             except Rescan:
-                present = self.witness_rescan(spec, touched)
+                lost = doubtful - self.witness_rescan(spec, doubtful)
                 self.cache.misses += 1
-            gained = {key for key in present if key not in old}
-            lost = {key for key in touched if key in old and key not in present}
-            if gained or lost:
-                new = (old - lost) | gained
-                self.flips[spec] = (gained, lost)
+        elif found:
+            self._carried()
+        gained = found - old
+        new = old
+        if gained or lost:
+            new = (old - lost) | gained
+            self.flips[spec] = (gained, lost)
         self.sets[spec] = new
         self.staged.append(
             (self.cache.store_witness_set, spec, self.version(relation), new)
@@ -453,7 +468,7 @@ class Carry:
         if changes is not None or flips:
             try:
                 new_buckets = self._splice_cind(
-                    relation, tasks, buckets, changes, flips
+                    relation, tasks, hits, buckets, changes, flips
                 )
                 self._carried()
             except Rescan:
@@ -504,26 +519,32 @@ class Carry:
         self,
         relation: str,
         tasks: list[CINDRowTask],
+        hits: list,
         buckets: list[list[int]],
         changes: "_Changes | None",
         flips: dict[WitnessSpec, tuple[set, set]],
     ) -> list[list[int]]:
         """New per-task row-id buckets of an LHS relation: its noted
-        rows re-evaluated, and the rows whose key flipped witness status
-        (:meth:`cind_flipped`) dropped or added."""
+        rows re-evaluated, the hits whose key gained a witness dropped
+        (*hits*, the entry's ``(task, tuple)`` pairs, give their keys),
+        and the rows whose key lost its last one (:meth:`cind_flipped`)
+        added."""
         deleted = changes.deleted if changes is not None else {}
         inserted = changes.inserted if changes is not None else []
         fresh = changes.fresh if changes is not None else set()
         shared: dict = {"read": len(changes.rows) if changes is not None else 0}
         evaluated: dict[tuple, list[int]] = {}
         out: list[list[int]] = []
+        start = 0
         for task, before in zip(tasks, buckets):
+            offset, start = start, start + len(before)
             signature = (task.lhs_checks, task.x_positions, task.witness)
             after = evaluated.get(signature)
             if after is not None:
                 out.append(after)
                 continue
             lhs, xs = task.lhs_checks, task.x_positions
+            key = _key_of(xs)
             add: list[int] = []
             if inserted:
                 witness = self.sets.get(task.witness)
@@ -532,19 +553,25 @@ class Carry:
                 add = [
                     rowid
                     for rowid, values in inserted
-                    if passes(values, lhs) and _key(values, xs) not in witness
+                    if passes(values, lhs) and key(values) not in witness
                 ]
             drop: set[int] | dict[int, Any] = deleted
             flip = flips.get(task.witness)
             if flip is not None:
-                if not xs:
-                    raise Rescan
-                gone, found = self.cind_flipped(
-                    relation, task, before, flip, fresh, shared
-                )
-                if gone:
-                    drop = gone.union(deleted)
-                add.extend(found)
+                gained, lost = flip
+                if gained:
+                    # A hit whose key gained a witness is a hit no more.
+                    gone = {
+                        rowid
+                        for (__, t), rowid in zip(hits[offset:start], before)
+                        if key(t.values) in gained
+                    }
+                    if gone:
+                        drop = gone.union(deleted)
+                if lost:
+                    if not xs:
+                        raise Rescan
+                    add.extend(self.cind_flipped(relation, task, lost, fresh, shared))
             after = [rowid for rowid in before if rowid not in drop] if drop else before
             if add:
                 after = after + add
@@ -633,9 +660,15 @@ def _splice(
     return new
 
 
+def _values(instance: RelationInstance, slots: list[int]) -> list[tuple[Any, ...]]:
+    """The value tuples of *instance*'s rows at *slots*."""
+    return list(zip(*[[column[i] for i in slots] for column in instance.columns()]))
+
+
 class MemoryCarry(Carry):
-    """A carry over in-memory relations: touched keys are read from the
-    relations' hash-index buckets (built on their second need)."""
+    """A carry over in-memory relations: touched keys' rows are read from
+    the relations' hash-index buckets, or, while an index has not been
+    needed by an earlier batch, by one key-restricted pass."""
 
     def __init__(
         self,
@@ -646,6 +679,11 @@ class MemoryCarry(Carry):
     ):
         super().__init__(plan, cache, delta)
         self.db = db
+        #: relation -> its projection key lists, for this carry only
+        self.projections: dict[str, KeyLists] = {}
+        #: the missing indexes earlier batches needed: this carry builds
+        #: those it needs; the needs it adds count from the next batch on
+        self.wanted = frozenset(cache.wanted)
 
     def version(self, name: str) -> int:
         return self.db[name].version
@@ -653,17 +691,99 @@ class MemoryCarry(Carry):
     def view(self, relation: str) -> Callable[[int], Tuple]:
         return self.db[relation].view
 
+    # -- reading touched keys ----------------------------------------------
+
+    def _key_lists(self, relation: str) -> KeyLists:
+        key_lists = self.projections.get(relation)
+        if key_lists is None:
+            instance = self.db[relation]
+            key_lists = self.projections[relation] = shard_key_fn(
+                instance.columns(), len(instance)
+            )
+        return key_lists
+
+    def _index(
+        self, instance: RelationInstance, attributes: tuple[str, ...]
+    ) -> dict[tuple[Any, ...], dict[int, tuple[Any, ...]]] | None:
+        """*instance*'s bucket index on *attributes* if it exists or an
+        earlier batch needed it; otherwise note the need and return
+        ``None`` (the caller reads by :meth:`_pass`)."""
+        if not instance.has_index(attributes):
+            need = (instance.schema.name, attributes)
+            if need not in self.wanted:
+                self.cache.wanted.add(need)
+                return None
+        return instance.index_on(attributes)
+
+    def _pass(
+        self, instance: RelationInstance, positions: tuple[int, ...], keys: set
+    ) -> tuple[list[int], list]:
+        """The slots of *instance*'s rows whose key on *positions* is in
+        *keys*, ascending (row order), and the key projection they index:
+        one pass over the projection, filtered at C speed."""
+        projection = self._key_lists(instance.schema.name)(positions)
+        slots = list(compress(range(len(projection)), map(keys.__contains__, projection)))
+        return slots, projection
+
+    def _rows(
+        self,
+        instance: RelationInstance,
+        attributes: tuple[str, ...],
+        positions: tuple[int, ...],
+        keys: set,
+    ) -> list[tuple[int, tuple[Any, ...], tuple[Any, ...]]]:
+        """``(row id, key, values)`` of *instance*'s rows whose key on
+        *attributes* (at *positions*) is in *keys*: the index buckets, or
+        a pass on the index's first need."""
+        index = self._index(instance, attributes)
+        if index is None:
+            slots, projection = self._pass(instance, positions, keys)
+            rowids = instance.row_ids()
+            return list(zip(
+                [rowids[i] for i in slots],
+                [projection[i] for i in slots],
+                _values(instance, slots),
+            ))
+        return [
+            (rowid, key, values)
+            for key in keys
+            for rowid, values in index.get(key, {}).items()
+        ]
+
+    # -- the hooks -----------------------------------------------------------
+
     def cfd_rows(
         self,
         group: CFDScanGroup,
         touched: set,
         noted: int,
+        hits: list,
         firsts: dict | None,
     ) -> tuple[list, list, Callable[[tuple[Any, ...]], int]]:
         if not group.lhs_positions:
             raise Rescan
         instance = self.db[group.relation]
-        index = _index(self.cache, instance, group.lhs)
+        index = self._index(instance, group.lhs)
+        if index is None:
+            # One pass: the touched keys' rows, and the first rows of the
+            # kept hit keys, which the splice asks for but needs no values.
+            slots, projection = self._pass(
+                instance,
+                group.lhs_positions,
+                touched.union([key for __, key, __k in hits]),
+            )
+            keys = [projection[i] for i in slots]
+            rowids = instance.row_ids()
+            # Written last row first, each key ends on its first row id.
+            first_of = dict(zip(keys[::-1], [rowids[i] for i in reversed(slots)]))
+            picked = list(compress(slots, map(touched.__contains__, keys)))
+            if noted + len(picked) > len(instance):
+                raise Rescan
+            return (
+                _values(instance, picked),
+                [projection[i] for i in picked],
+                first_of.__getitem__,
+            )
         live = [key for key in touched if key in index]
         if noted + sum(len(index[key]) for key in live) > len(instance):
             raise Rescan
@@ -677,8 +797,8 @@ class MemoryCarry(Carry):
         return rows, keys, first
 
     def cfd_rescan(self, group: CFDScanGroup) -> tuple[list, dict | None]:
-        instance = self.db[group.relation]
-        return cfd_finalize(group, cfd_map_shard(group, instance_key_fn(instance))), None
+        key_lists = self._key_lists(group.relation)
+        return cfd_finalize(group, cfd_map_shard(group, key_lists)), None
 
     def cfd_tuples(self, group: CFDScanGroup, keys: list) -> dict:
         instance = self.db[group.relation]
@@ -690,22 +810,16 @@ class MemoryCarry(Carry):
         if not spec.y_positions:
             raise Rescan
         instance = self.db[spec.rhs_relation]
-        index = _index(self.cache, instance, spec.y)
-        buckets = [(key, index.get(key)) for key in touched]
-        read = noted + sum(len(bucket) for __, bucket in buckets if bucket)
-        if read > len(instance):
+        rows = self._rows(instance, spec.y, spec.y_positions, touched)
+        if noted + len(rows) > len(instance):
             raise Rescan
         yp = spec.yp_checks
-        return {
-            key
-            for key, bucket in buckets
-            if bucket and any(passes(values, yp) for values in bucket.values())
-        }
+        return {key for __, key, values in rows if passes(values, yp)}
 
     def witness_rescan(self, spec: WitnessSpec, touched: set) -> set:
         instance = self.db[spec.rhs_relation]
         rescanned = witness_map_shard(
-            [spec], instance.columns(), instance_key_fn(instance)
+            [spec], instance.columns(), self._key_lists(spec.rhs_relation)
         ).sets[0]
         return {key for key in touched if key in rescanned}
 
@@ -713,38 +827,31 @@ class MemoryCarry(Carry):
         self, relation: str, tasks: list[CINDRowTask]
     ) -> list[list[int]]:
         instance = self.db[relation]
-        columns = instance.columns()
-        rowids = instance.row_ids()
         return cind_map_shard(
-            tasks, columns, rowids, self.sets, shard_key_fn(columns, len(rowids))
+            tasks, instance.columns(), instance.row_ids(), self.sets,
+            self._key_lists(relation),
         ).buckets
 
     def cind_flipped(
         self,
         relation: str,
         task: CINDRowTask,
-        before: list[int],
-        flip: tuple[set, set],
+        lost: set,
         fresh: set[int],
         shared: dict,
-    ) -> tuple[set[int], list[int]]:
-        """Reads the flipped keys' index buckets; raises :class:`Rescan`
-        when they and the noted rows outnumber the relation."""
-        gained, lost = flip
+    ) -> list[int]:
+        """Raises :class:`Rescan` when the lost keys' rows and the noted
+        rows outnumber the relation; a key's rows count once per
+        relation, whichever task reads them first."""
         instance = self.db[relation]
-        index = _index(self.cache, instance, task.cind.x)
+        xs, lhs = task.x_positions, task.lhs_checks
+        rows = self._rows(instance, task.cind.x, xs, lost)
         charged = shared.setdefault("charged", set())
-        for key in gained | lost:
-            if (task.x_positions, key) not in charged:
-                charged.add((task.x_positions, key))
-                shared["read"] += len(index.get(key, ()))
+        shared["read"] += sum(1 for __, key, __v in rows if (xs, key) not in charged)
+        charged.update((xs, key) for key in lost)
         if shared["read"] > len(instance):
             raise Rescan
-        gone = {rowid for key in gained for rowid in index.get(key, ())}
-        found = [
-            rowid
-            for key in lost
-            for rowid, values in index.get(key, {}).items()
-            if rowid not in fresh and passes(values, task.lhs_checks)
+        return [
+            rowid for rowid, __, values in rows
+            if rowid not in fresh and passes(values, lhs)
         ]
-        return gone, found

@@ -35,9 +35,9 @@ hit key's first rowid and each CIND hit's rowid.
 :class:`~repro.engine.cache.ScanCache` forward by the rows its own DML
 changed (:mod:`repro.engine.carry`): each touched unit runs one
 key-restricted query in rowid order (``WHERE (X) IN (VALUES ...)``) —
-the touched CFD groups' rows, the touched witness keys, the LHS rows
-whose ``X``-key lost its last witness — and creates no index, so the
-user's file is never written by a read.
+the touched CFD groups' rows, the witness keys that lost a witness row
+and gained none, the LHS rows whose ``X``-key lost its last witness —
+and creates no index, so the user's file is never written by a read.
 """
 
 from __future__ import annotations
@@ -930,7 +930,7 @@ class SQLCarry(Carry):
                     rows[rowid] = Tuple.from_row(rel, values)
         return rows.__getitem__
 
-    def cfd_rows(self, group, touched, noted, firsts):
+    def cfd_rows(self, group, touched, noted, hits, firsts):
         """A touched key whose group the report memo holds, and whose
         first row survived, is patched from the memo and the noted rows
         (own inserts take the highest rowids, so they append); the other
@@ -1011,36 +1011,17 @@ class SQLCarry(Carry):
             rows[rowid] = t
         return buckets
 
-    def cind_flipped(self, relation, task, before, flip, fresh, shared):
-        gained, lost = flip
-        xs = task.x_positions
-        gone: set[int] = set()
-        if gained:
-            # A hit whose key gained a witness is a hit no more; the
-            # entry's hit tuples give each hit row's key.
-            held = shared.get("held")
-            if held is None:
-                __, __d, hits, buckets = self.cache.cind_entry(relation)
-                flat = [rowid for bucket in buckets for rowid in bucket]
-                held = shared["held"] = {
-                    rowid: t.values for (__t, t), rowid in zip(hits, flat)
-                }
-            gone = {
-                rowid
-                for rowid in before
-                if tuple([held[rowid][p] for p in xs]) in gained
-            }
+    def cind_flipped(self, relation, task, lost, fresh, shared):
+        fetched = self.executor.key_rows(
+            relation, task.cind.x, lost, task.lhs_checks
+        )
+        if fetched is None:
+            raise Rescan
+        rel = self.executor.schema.relation(relation)
+        rows = self.rows.setdefault(relation, {})
         found: list[int] = []
-        if lost:
-            fetched = self.executor.key_rows(
-                relation, task.cind.x, lost, task.lhs_checks
-            )
-            if fetched is None:
-                raise Rescan
-            rel = self.executor.schema.relation(relation)
-            rows = self.rows.setdefault(relation, {})
-            for rowid, values in fetched:
-                if rowid not in fresh:
-                    found.append(rowid)
-                    rows[rowid] = Tuple.from_row(rel, values)
-        return gone, found
+        for rowid, values in fetched:
+            if rowid not in fresh:
+                found.append(rowid)
+                rows[rowid] = Tuple.from_row(rel, values)
+        return found

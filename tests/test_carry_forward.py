@@ -8,8 +8,9 @@ session, after every batch, to a fresh cold session over the same data —
 ``check()`` bit-identical including order, ``count()`` and
 ``is_clean()`` equal — and holds the batch's position-tagged delta to
 the replay contract: replayed over the previous records it gives the new
-ones. Tests that count the memory backend's bucket-index rule run on
-``memory`` alone.
+ones. The size rule and a mutation behind the session's back are tested
+on ``memory`` alone; the bucket-index rule is asserted on the ``memory``
+session while both sessions are held to the cold one.
 """
 
 from __future__ import annotations
@@ -604,22 +605,174 @@ def test_a_change_behind_the_session_falls_back_to_scans():
 
 def test_a_missing_bucket_index_is_built_on_its_second_need():
     """Flipping a customer key needs an orders index on cust that no
-    scan built: the first batch re-scans the orders CIND unit, the
-    second builds the index and carries the unit forward."""
-    with Harness(_commerce(), commerce_constraints(), backends=("memory",)) as h:
-        cache = h.session.backend.cache
+    scan built: the first batch reads the key's orders by one pass and
+    notes the need, the second builds the index; neither re-scans."""
+    with Harness(_commerce(), commerce_constraints()) as h:
         orders = h.session.db["orders"]
         referenced = {row[1] for row in h.rows("orders")}
         first, second = [row for row in h.rows("customers") if row[0] in referenced][:2]
         assert not orders.has_index(("cust",))
-        misses = cache.misses
+        misses = _misses(h)
         h.step(deletes=[("customers", first)])
-        assert cache.misses > misses
+        assert _misses(h) == misses
         assert not orders.has_index(("cust",))
-        misses = cache.misses
         h.step(deletes=[("customers", second)])
-        assert cache.misses == misses
+        assert _misses(h) == misses
         assert orders.has_index(("cust",))
+
+
+def _misses(h: Harness) -> dict:
+    return {backend: s.backend.cache.misses for backend, s in h.sessions.items()}
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Records the carry's storage reads: ``calls[name]`` lists the
+    relation of each ``witness_present`` / ``cind_flipped`` call (on
+    either backend) and of each key-restricted pass (memory)."""
+    from repro.engine.carry import MemoryCarry
+    from repro.sql.violations import SQLCarry
+
+    seen: dict[str, list] = {"witness_present": [], "cind_flipped": [], "pass": []}
+
+    def spy(cls, name, key, relation_of):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            seen[key].append(relation_of(*args))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (MemoryCarry, SQLCarry):
+        spy(cls, "witness_present", "witness_present", lambda spec, *a: spec.rhs_relation)
+        spy(cls, "cind_flipped", "cind_flipped", lambda relation, *a: relation)
+    spy(MemoryCarry, "_pass", "pass", lambda instance, *a: instance.schema.name)
+    return seen
+
+
+def test_an_insert_only_batch_gives_a_key_its_first_witness(calls):
+    """A customer for orders that had none: the inserted row is the key's
+    witness, so no backend asks its storage whether the key has one."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        ghost = ("z1", "ghost", "UK", "sku1", "13", "paid")
+        h.step(inserts=[("orders", ghost)])
+        assert [r for r in h.records if r[1] == "fk_customer" and r[3] == ghost]
+        misses = _misses(h)
+        h.step(inserts=[("customers", ("ghost", "UK", "vip"))])
+        assert not [r for r in h.records if r[1] == "fk_customer"]
+        assert calls["witness_present"] == []
+        assert _misses(h) == misses
+        assert not h.session.db["customers"].has_index(("cust",))
+
+
+def test_a_gained_flip_drops_hits_without_an_index_or_a_pass(calls):
+    """Orders of a customer that did not exist are hits; inserting the
+    customer drops them from the cached hit rows, without reading
+    orders at all."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        ghosts = [("z2", "ghost", "FR", "sku2", "16", "paid"),
+                  ("z3", "ghost", "DE", "sku3", "19", "quote")]
+        h.step(inserts=[("orders", row) for row in ghosts])
+        assert len([r for r in h.records if r[1] == "fk_customer"]) == 2
+        misses = _misses(h)
+        h.step(inserts=[("customers", ("ghost", "FR", "vip"))])
+        assert not [r for r in h.records if r[1] == "fk_customer"]
+        assert calls["cind_flipped"] == []
+        assert "orders" not in calls["pass"]
+        assert _misses(h) == misses
+        assert not h.session.db["orders"].has_index(("cust",))
+
+
+def test_a_lost_flip_on_first_need_finds_its_rows_by_a_pass(calls):
+    """Deleting France's only shipping row flips its key: the shipped
+    French orders become hits, found by one pass over orders on memory
+    (no index exists) and by one key-restricted query on sqlfile."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        orders = h.session.db["orders"]
+        (france,) = [row for row in h.rows("shipping") if row[0] == "FR"]
+        shipped = [row for row in h.rows("orders") if row[2] == "FR" and row[5] == "shipped"]
+        assert shipped
+        misses = _misses(h)
+        h.step(deletes=[("shipping", france)])
+        hits = [r[3] for r in h.records if r[1] == "shipped_country_has_shipping"]
+        assert set(shipped) <= set(hits)
+        assert calls["cind_flipped"] == ["orders", "orders"]
+        assert "orders" in calls["pass"]
+        assert _misses(h) == misses
+        assert not orders.has_index(("country",))
+
+
+def test_two_units_needing_one_index_in_one_batch_do_not_build_it(calls):
+    """Deleting a customer needs a customers index on cust twice in one
+    batch — the customer_key group's rows and the fk_customer witness
+    key — and both read by a pass; the next batch that needs the index
+    builds it."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        customers = h.session.db["customers"]
+        first, second = h.rows("customers")[:2]
+        assert not customers.has_index(("cust",))
+        misses = _misses(h)
+        h.step(deletes=[("customers", first)])
+        assert calls["pass"].count("customers") == 2
+        assert not customers.has_index(("cust",))
+        h.step(deletes=[("customers", second)])
+        assert customers.has_index(("cust",))
+        assert _misses(h) == misses
+
+
+def test_a_cfd_pass_builds_values_for_touched_keys_only(monkeypatch):
+    """Four customer_key groups violate from the start. A batch that makes
+    a fifth violate, between them in row order, reads its key's rows by
+    a pass: a session that only counts has built no customers index on
+    cust (a report's assembly would). The pass also finds the cached hit
+    keys' first rows, which place the new hit, but builds value tuples
+    only for the touched key's two rows."""
+    from repro.engine import carry
+
+    def other(country):
+        return "JP" if country != "JP" else "DE"
+
+    db = _commerce()
+    first = [t.values for t in db["customers"]][:5]
+    for cust, country, tier in first[:2] + first[3:]:
+        db["customers"].add((cust, other(country), tier))
+    cust, country, tier = first[2]
+    row = (cust, other(country), tier)
+    reference = db.copy()
+    reference["customers"].add(row)
+    built: list = []
+    values = carry._values
+
+    def spy(instance, slots):
+        built.append((instance.schema.name, len(slots)))
+        return values(instance, slots)
+
+    monkeypatch.setattr(carry, "_values", spy)
+    sigma = commerce_constraints()
+    with api.connect(db, sigma) as session, api.connect(reference, sigma) as cold:
+        customers = session.db["customers"]
+        assert session.count().by_constraint()["customer_key"] == 4
+        session.apply(inserts=[("customers", row)])
+        got, expected = session.count(), cold.count()
+        assert got.by_constraint() == expected.by_constraint()
+        assert expected.by_constraint()["customer_key"] == 5
+        assert built == [("customers", 2)]
+        assert not customers.has_index(("cust",))
+        assert report_key(session.check()) == report_key(cold.check())
+
+
+def test_a_witness_replaced_by_a_row_failing_yp_is_lost():
+    """One batch replaces an account's saving row by one in the other
+    branch: the key keeps a saving row, but none that passes psi1[NYC]'s
+    ``ab = 'NYC'``, so the NYC account becomes a hit."""
+    db = scaled_bank_instance(40, error_rate=0.0, seed=3)
+    with Harness(db, bank_constraints()) as h:
+        account = next(row for row in h.rows("account_NYC") if row[4] == "saving")
+        (saving,) = [row for row in h.rows("saving") if row[:4] == account[:4]]
+        assert saving[4] == "NYC"
+        h.step(deletes=[("saving", saving)], inserts=[("saving", saving[:4] + ("EDI",))])
+        assert [r for r in h.records if r[1] == "psi1[NYC]" and r[3] == account]
 
 
 def _connect(db, sigma, backend, path):

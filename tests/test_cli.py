@@ -146,6 +146,9 @@ class TestRepairCommand:
         assert code == 0
         assert "clean: True" in out
         assert "round 1:" in out  # per-round observability under -v
+        (line,) = [line for line in out.splitlines() if "round 1:" in line]
+        for phase in ("worklist", "plan", "apply", "after"):
+            assert f"{phase} " in line.split("time:")[1]
 
     def test_sqlfile_engine_repairs_database_file(
         self, workspace, capsys, tmp_path

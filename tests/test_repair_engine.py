@@ -218,6 +218,23 @@ class TestBatching:
         assert result.round_stats[0].worklist_size == 2
         assert len(calls) == result.rounds
 
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_a_round_builds_no_index_and_rescans_no_unit(self, n):
+        """The planner looks for CIND witnesses among the round's planned
+        inserts only, and the carried check after the batch reads the
+        touched keys by passes: no hash index is left on any relation,
+        and no unit re-scans."""
+        result = repair(
+            scaled_bank_instance(n, error_rate=0.05, seed=7), bank_constraints()
+        )
+        assert result.clean and result.rounds >= 1
+        assert {
+            name: instance._indexes for name, instance in result.db.relations().items()
+            if instance._indexes
+        } == {}
+        for stats in result.round_stats:
+            assert stats.cache_misses == 0 and stats.cache_hits > 0
+
     def test_round_stats_observability(self):
         db = dirty_bank(200, 0.3, 5)
         sigma = bank_constraints()
@@ -231,6 +248,9 @@ class TestBatching:
             assert stats.batch_deletes + stats.batch_inserts > 0
             total_edits += sum(stats.edits.values())
             assert stats.delta_removed >= 0 and stats.delta_added >= 0
+            for seconds in (stats.worklist_s, stats.plan_s, stats.apply_s,
+                            stats.after_s):
+                assert seconds > 0
         assert total_edits == len(result.edits)
         # The check after the last batch found nothing left.
         last = result.round_stats[-1]
@@ -309,20 +329,22 @@ def _draw_sigma_and_db(data):
 
 
 class TestRepairProperties:
+    @pytest.mark.parametrize("cind_policy", ["insert", "delete"])
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(data=st.data())
-    def test_clean_flag_matches_naive_oracle(self, data):
+    def test_clean_flag_matches_naive_oracle(self, cind_policy, data):
         sigma, db = _draw_sigma_and_db(data)
-        result = repair(db, sigma, max_rounds=6)
+        result = repair(db, sigma, cind_policy=cind_policy, max_rounds=6)
         assert result.clean == check_database(result.db, sigma).is_clean
 
+    @pytest.mark.parametrize("cind_policy", ["insert", "delete"])
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(data=st.data())
-    def test_edit_replay_reproduces_result(self, data):
+    def test_edit_replay_reproduces_result(self, cind_policy, data):
         sigma, db = _draw_sigma_and_db(data)
-        result = repair(db.copy(), sigma, max_rounds=6)
+        result = repair(db.copy(), sigma, cind_policy=cind_policy, max_rounds=6)
         assert snap(replay_edits(db, result.edits)) == snap(result.db)
 
     @settings(max_examples=40, deadline=None,
