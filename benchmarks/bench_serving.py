@@ -22,22 +22,32 @@ computation — and gates on it:
   ``service.check()`` calls on an unchanged bank@``--read-size`` tenant:
   the versioned scan cache makes warm reads replay memoized results, and
   the read path adds only lock + executor-hop overhead on top;
-* ``commit split`` — *informational, ungated*: single-row commits on a
-  subscribed bank@``--base-size`` tenant (memory and sqlfile), the p50 of
-  the tenant's ``Session.apply`` beside the p50 of the feed's delta
-  (``ViolationFeed.commit``: the carry-forward of the tenant session's
-  scan cache plus record building), their ratio, and the p50 of the read
-  (``service.check()``) after each commit. Each row also gives the
-  tenant's resident state once its commits are done: the GC-tracked
-  containers it adds to the process (``len(gc.get_objects())`` against
-  the count before the service existed) and the time of one full
-  ``gc.collect()`` with the tenant alive — what every full collection
-  in a serving process walks.
+* ``commit split`` — single-row commits on a subscribed tenant (memory
+  and sqlfile): the p50 of the tenant's ``Session.apply`` beside the p50
+  of the feed's delta (``ViolationFeed.commit``: the carry-forward of
+  the tenant session's scan cache plus record building), their ratio,
+  and the p50 of the read (``service.check()``) after each commit. One
+  row per tenant runs on a clean bank@``--base-size``, and two more, at
+  10k and 40k orders (500 and 2k with ``--quick``), on a commerce
+  database whose per-SKU price groups of ``orders`` all violate
+  (Σ_commerce plus a constant price CFD per SKU on ``orders(item)``, as
+  perfbench's dense Σ adds), with every other commit adding an order at
+  a drifted price. Each row also gives the tenant's resident state once
+  its commits are done, counted against the process before the service
+  existed: the GC-tracked containers it adds (``len(gc.get_objects())``),
+  the live ``Tuple`` views among them, those views per violation of its
+  report, and the time of one full ``gc.collect()`` with the tenant
+  alive — what every full collection in a serving process walks.
 
 ``--min-batch-speedup X`` fails the run (exit 1) when the service-level
 batch-vs-singles speedup on **either** gated backend (memory, sqlfile)
-falls below X — the CI job passes 5.0. ``--json PATH`` writes all rows
-as machine-readable JSON (kept as the ``BENCH_serving`` CI artifact).
+falls below X — the CI job passes 5.0. ``--max-views-per-violation R``
+fails it when a commit-split tenant keeps more than R live ``Tuple``
+views per violation of its report; it checks a count, so runner jitter
+cannot move it. A tenant keeps one view per CIND-violating row and
+none per CFD group row, so CI passes 1.0. ``--json PATH`` writes all
+rows as machine-readable JSON (kept as the ``BENCH_serving`` CI
+artifact).
 
 Usage::
 
@@ -58,7 +68,10 @@ import time
 from pathlib import Path
 
 from repro.api import connect
+from repro.core.cfd import CFD
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
+from repro.datasets.commerce import commerce_constraints, commerce_instance
+from repro.relational.instance import Tuple
 from repro.serve import DetectionService, replay, report_records
 from repro.sql.loader import create_database_file
 
@@ -66,6 +79,10 @@ from repro.sql.loader import create_database_file
 #: tenants hold their data in memory like ``memory`` and take their
 #: deltas from a memory mirror.
 GATED_BACKENDS = ("memory", "sqlfile")
+
+#: Orders in the price-dirty commerce commit-split tenants: two sizes,
+#: so a row shows whether a tenant's resident state grows with its file.
+COMMERCE_SIZES = (10_000, 40_000)
 
 
 def batch_ops(n: int) -> list[tuple[str, dict[str, str]]]:
@@ -78,6 +95,35 @@ def batch_ops(n: int) -> list[tuple[str, dict[str, str]]]:
         )
         for i in range(n)
     ]
+
+
+def price_dirty_commerce(n_orders: int):
+    """commerce@*n_orders* (3% dirty orders) under Σ_commerce plus a
+    constant price CFD per SKU on ``orders(item)``: a paid order at a
+    drifted price makes its SKU's whole order group one violation."""
+    db = commerce_instance(n_orders, error_rate=0.03, seed=7)
+    sigma = commerce_constraints(db.schema)
+    orders = db.schema.relation("orders")
+    for item, __, price in zip(*db["catalog"].columns()):
+        sigma.add_cfd(CFD(
+            orders, ("item",), ("price",), [((item,), (price,))],
+            name=f"price_{item}",
+        ))
+    return db, sigma
+
+
+def order_ops(db, n: int) -> list[tuple[str, tuple[str, ...]]]:
+    """N one-row orders of existing customers, touching the SKUs' price
+    groups in turn; every other one is a paid order at a drifted price."""
+    customers = list(zip(*db["customers"].columns()))
+    items, __, prices = db["catalog"].columns()
+    ops = []
+    for i in range(n):
+        cust, country, __ = customers[i % len(customers)]
+        sku = i % len(items)
+        price, status = ("999", "paid") if i % 2 == 0 else (prices[sku], "quote")
+        ops.append(("orders", (f"z{i:05d}", cust, country, items[sku], price, status)))
+    return ops
 
 
 async def bench_service(
@@ -190,20 +236,29 @@ async def bench_warm_reads(base_db, sigma, repeats: int) -> dict:
     }
 
 
+def _census() -> tuple[int, int]:
+    """(GC-tracked containers, live ``Tuple`` views) after a collection."""
+    gc.collect()
+    objects = gc.get_objects()
+    return len(objects), sum(1 for obj in objects if type(obj) is Tuple)
+
+
 async def bench_commit_split(
-    backend: str, base_db, sigma, commits: int, tmp: Path
+    backend: str, dataset: str, base_db, sigma, ops, tmp: Path
 ) -> dict:
     """Single-row commit cost split into the tenant's ``Session.apply``
     and the feed's delta, each timed around its own call, the read after
-    each commit, and the tenant's resident state."""
+    each commit, and the tenant's resident state. Each of *ops* is
+    inserted by one commit and deleted by the next."""
     source = (
-        str(create_database_file(tmp / "split.db", base_db))
+        str(create_database_file(
+            tmp / f"split-{dataset}-{base_db.total_tuples()}.db", base_db
+        ))
         if backend == "sqlfile"
         else base_db.copy()
     )
     times: dict[str, list[float]] = {"apply": [], "delta": [], "read": []}
-    gc.collect()
-    idle_containers = len(gc.get_objects())
+    idle_containers, idle_views = _census()
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
@@ -223,7 +278,7 @@ async def bench_commit_split(
         handle.session.apply = timed(handle.session.apply, "apply")
         handle.feed.commit = timed(handle.feed.commit, "delta")
         # Stationary: each row is inserted by one commit, deleted by the next.
-        for op in batch_ops(commits // 2):
+        for op in ops:
             for batch in ({"inserts": [op]}, {"deletes": [op]}):
                 await service.apply("split", **batch)
                 start = time.perf_counter()
@@ -234,8 +289,7 @@ async def bench_commit_split(
             records = replay(records, await sub.__anext__())
         if records != report_records(await service.check("split")):
             raise AssertionError(f"{backend}: replayed deltas differ")
-        gc.collect()
-        containers = len(gc.get_objects())
+        containers, views = _census()
         start = time.perf_counter()
         gc.collect()
         collect_s = time.perf_counter() - start
@@ -243,13 +297,17 @@ async def bench_commit_split(
     delta_p50 = statistics.median(times["delta"])
     return {
         "backend": backend,
+        "dataset": dataset,
         "base_size": base_db.total_tuples(),
         "commits": len(times["delta"]),
         "apply_p50_ms": apply_p50 * 1e3,
         "delta_p50_ms": delta_p50 * 1e3,
         "delta_over_apply": delta_p50 / apply_p50 if apply_p50 > 0 else None,
         "read_p50_ms": statistics.median(times["read"]) * 1e3,
+        "violations": len(records),
         "tenant_gc_containers": containers - idle_containers,
+        "tenant_views": views - idle_views,
+        "views_per_violation": (views - idle_views) / max(len(records), 1),
         "gc_collect_ms": collect_s * 1e3,
     }
 
@@ -275,12 +333,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke sizes: 500-account base, 200-row batch, "
-        "2000-account read tenant, 50 read repeats",
+        "2000-account read tenant, 50 read repeats, commerce@500 and @2000 "
+        "commit splits",
     )
     parser.add_argument(
         "--min-batch-speedup", type=float, default=0.0,
         help="fail if the service-level batch speedup on memory or sqlfile "
         "is below this (the serving write-path gate; CI passes 5.0)",
+    )
+    parser.add_argument(
+        "--max-views-per-violation", type=float, default=None,
+        help="fail if a commit-split tenant keeps more live Tuple views per "
+        "violation than this (a count, immune to jitter; CI passes 1.0)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -319,21 +383,34 @@ def main(argv: list[str] | None = None) -> int:
                 f"{srow['session_batch_speedup']:.1f}x (informational)"
             )
 
+        def split_workloads():
+            # One commerce database at a time: the others would inflate
+            # every resident-state count and collection time.
+            yield f"bank@{args.base_size}", "bank", base_db, sigma, batch_ops(100)
+            for n_orders in (500, 2_000) if args.quick else COMMERCE_SIZES:
+                db, commerce_sigma = price_dirty_commerce(n_orders)
+                yield (
+                    f"commerce@{n_orders}", "commerce", db, commerce_sigma,
+                    order_ops(db, 100),
+                )
+
         split_rows = []
-        for backend in GATED_BACKENDS:
-            row = asyncio.run(
-                bench_commit_split(backend, base_db, sigma, 200, tmp)
-            )
-            split_rows.append(row)
-            print(
-                f"commit split/{backend:<8} bank@{args.base_size}: "
-                f"apply p50={row['apply_p50_ms']:.3f}ms "
-                f"delta p50={row['delta_p50_ms']:.3f}ms -> "
-                f"{row['delta_over_apply']:.1f}x apply; "
-                f"read p50={row['read_p50_ms']:.3f}ms; tenant holds "
-                f"{row['tenant_gc_containers']} GC containers, one "
-                f"gc.collect() {row['gc_collect_ms']:.1f}ms (informational)"
-            )
+        for label, dataset, db, split_sigma, split_ops in split_workloads():
+            for backend in GATED_BACKENDS:
+                row = asyncio.run(bench_commit_split(
+                    backend, dataset, db, split_sigma, split_ops, tmp
+                ))
+                split_rows.append(row)
+                print(
+                    f"commit split/{backend:<8} {label}: "
+                    f"apply p50={row['apply_p50_ms']:.3f}ms "
+                    f"delta p50={row['delta_p50_ms']:.3f}ms -> "
+                    f"{row['delta_over_apply']:.1f}x apply; "
+                    f"read p50={row['read_p50_ms']:.3f}ms; tenant holds "
+                    f"{row['tenant_gc_containers']} GC containers, "
+                    f"{row['tenant_views']} views for {row['violations']} "
+                    f"violations, one gc.collect() {row['gc_collect_ms']:.1f}ms"
+                )
 
     read_db = scaled_bank_instance(args.read_size, error_rate=0.01, seed=7)
     reads = asyncio.run(bench_warm_reads(read_db, sigma, args.read_repeats))
@@ -367,6 +444,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"{worst['service_batch_speedup']:.2f}x < required "
                 f"{args.min_batch_speedup:.2f}x (a batch must amortize "
                 "lock/executor/invalidation/delta costs across its rows)",
+                file=sys.stderr,
+            )
+            return 1
+    if args.max_views_per_violation is not None:
+        worst = max(split_rows, key=lambda r: r["views_per_violation"])
+        if worst["views_per_violation"] > args.max_views_per_violation:
+            print(
+                f"FAIL: the {worst['dataset']} {worst['backend']} tenant keeps "
+                f"{worst['tenant_views']} Tuple views for "
+                f"{worst['violations']} violations "
+                f"({worst['views_per_violation']:.2f} per violation > "
+                f"{args.max_views_per_violation:.2f}; cached CFD group rows "
+                "must stay value tuples)",
                 file=sys.stderr,
             )
             return 1

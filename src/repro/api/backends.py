@@ -553,12 +553,10 @@ class SQLBackend(BaseBackend):
     ) -> Iterator[CFDViolation]:
         """Engine violation semantics over the dirty group keys only."""
         rhs_positions = attribute_positions(cfd.relation, cfd.rhs)
-        groups = {
-            key: tuple(instance.lookup(cfd.lhs, key)) for key in ordered_keys
-        }
+        groups = {key: instance.group_rows(cfd.lhs, key) for key in ordered_keys}
         rhs_sets = {
             key: {
-                tuple(t.values[i] for i in rhs_positions) for t in group
+                tuple(values[i] for i in rhs_positions) for values in group.values
             }
             for key, group in groups.items()
         }

@@ -263,7 +263,14 @@ class CFDViolation:
     lhs_values:
         The shared ``t[X]`` projection of the offending group.
     tuples:
-        The tuples in the group.
+        The tuples in the group, in row order. The detection engine and
+        the backends give a :class:`~repro.relational.instance.RowGroup`:
+        a sequence over the rows' stored value tuples that builds a
+        :class:`~repro.relational.instance.Tuple` view on each index or
+        iteration and keeps none (so a view's identity changes between
+        accesses; ``tuples.values`` reads the rows without building
+        views). The naive checker (:meth:`CFD.iter_violations`) gives a
+        tuple of views, which compares equal to it.
     kind:
         ``"single"`` — the group agrees on the RHS but mismatches a constant
         pattern (one tuple suffices to violate); ``"pair"`` — the group

@@ -22,7 +22,10 @@ free while the version stands still.
   evaluated ``(task, group key, kind)`` list of one CFD scan group, its
   hit count per task, and (for file-backed sessions, whose rows have no
   in-memory index to ask) each hit key's first row id; plus the
-  violating groups' tuples once a full report materialized them;
+  violating groups' tuples once a full report materialized them, each
+  group a :class:`~repro.relational.instance.RowGroup` over the rows'
+  value tuples (one object per group for the collector, not one per
+  row);
 * **witness key sets** keyed by ``(spec, version)`` — one semijoin key
   set per :class:`~repro.engine.planner.WitnessSpec`;
 * **CIND hit lists** keyed by ``(relation, version, witness-versions)`` —
@@ -119,7 +122,7 @@ class ScanCache:
         self._cfd: dict[
             tuple[str, tuple[int, ...]], tuple[int, list, tuple, dict | None]
         ] = {}
-        #: (relation, X positions) -> (version, {group key: group tuples})
+        #: (relation, X positions) -> (version, {group key: RowGroup})
         self._groups: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
         #: spec -> (version, witness key set)
         self._witness: dict["WitnessSpec", tuple[int, set]] = {}

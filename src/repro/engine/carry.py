@@ -277,7 +277,8 @@ class Carry:
         raise NotImplementedError
 
     def cfd_tuples(self, group: CFDScanGroup, keys: list) -> dict:
-        """Each of *keys*' group tuples, in row order."""
+        """Each of *keys*' group tuples, in row order, as a
+        :class:`~repro.relational.instance.RowGroup`."""
         raise NotImplementedError
 
     def witness_present(
@@ -802,7 +803,7 @@ class MemoryCarry(Carry):
 
     def cfd_tuples(self, group: CFDScanGroup, keys: list) -> dict:
         instance = self.db[group.relation]
-        return {key: tuple(instance.lookup(group.lhs, key)) for key in keys}
+        return {key: instance.group_rows(group.lhs, key) for key in keys}
 
     def witness_present(
         self, spec: WitnessSpec, touched: set, noted: int

@@ -453,10 +453,12 @@ def assemble_from_hits(
 
     Shared by the serial executor and the parallel dispatcher (which feeds
     it worker hit lists rebound to canonical objects), so both produce the
-    same bytes. In full mode, CFD group tuple lists come from the
-    relation's hash index — insertion-ordered, exactly the scan's group-by
-    bucket, maintained incrementally — and, with a cache, are kept with
-    the group's hit list, so a warm re-check pays O(1) per violation.
+    same bytes. In full mode, CFD group tuples come from the relation's
+    hash index — insertion-ordered, exactly the scan's group-by bucket,
+    maintained incrementally — as a
+    :class:`~repro.relational.instance.RowGroup` over the stored value
+    tuples (no view is built) and, with a cache, are kept with the
+    group's hit list, so a warm re-check pays O(1) per violation.
     """
     materialize = mode == "full"
     cfd_buckets: dict[int, list[CFDViolation]] = {}
@@ -472,7 +474,7 @@ def assemble_from_hits(
             if materialize:
                 tuples = groups.get(key)
                 if tuples is None:
-                    tuples = groups[key] = tuple(instance.lookup(group.lhs, key))
+                    tuples = groups[key] = instance.group_rows(group.lhs, key)
                 cfd_buckets.setdefault(id(task), []).append(
                     CFDViolation(
                         cfd=task.cfd,

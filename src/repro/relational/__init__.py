@@ -10,7 +10,7 @@ from repro.relational.domains import (
     enum_domain,
     numbered_finite_domain,
 )
-from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
+from repro.relational.instance import DatabaseInstance, RelationInstance, RowGroup, Tuple
 from repro.relational.schema import (
     Attribute,
     DatabaseSchema,
@@ -41,6 +41,7 @@ __all__ = [
     "InfiniteDomain",
     "RelationInstance",
     "RelationSchema",
+    "RowGroup",
     "Tuple",
     "Variable",
     "database",

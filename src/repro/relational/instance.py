@@ -16,7 +16,7 @@ engine manipulates templates through the same API plus
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DomainError, SchemaError
@@ -144,6 +144,62 @@ def _row_view(schema: RelationSchema, values: tuple[Any, ...]) -> Tuple:
     return t
 
 
+class RowGroup(Sequence[Tuple]):
+    """An immutable sequence of rows of one relation, held as value tuples.
+
+    Indexing and iteration build a fresh :class:`Tuple` view per row and
+    keep none, so a view's identity changes between accesses. The rows
+    stay the value tuples the store (or sqlite) handed over, and CPython
+    stops tracking a tuple of atomic values after one collection: a
+    cached group costs the collector one object, not one per row.
+
+    A group equals, and hashes like, the tuple of its rows' views, so it
+    compares equal to the naive checker's ``tuple(group)``. Slicing
+    gives a group.
+    """
+
+    __slots__ = ("schema", "values")
+
+    def __init__(self, schema: RelationSchema, values: tuple[tuple[Any, ...], ...]):
+        self.schema = schema
+        #: The rows' value tuples, in row order.
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return RowGroup(self.schema, self.values[index])
+        return _row_view(self.schema, self.values[index])
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return map(_row_view, repeat(self.schema), self.values)
+
+    def __contains__(self, row: object) -> bool:
+        return (
+            isinstance(row, Tuple)
+            and row.schema.name == self.schema.name
+            and row._values in self.values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowGroup):
+            return (
+                self.schema.name == other.schema.name
+                and self.values == other.values
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class RelationInstance:
     """A set of tuples over one relation schema, stored column-wise.
 
@@ -155,7 +211,8 @@ class RelationInstance:
     compaction, so the hash indexes (projection -> row ids) never need
     rewriting. :class:`Tuple` objects are views built only for rows that
     leave the store; :meth:`lookup` and :meth:`view` cache one per row
-    until the row is deleted.
+    until the row is deleted, and :meth:`group_rows` hands out a
+    :class:`RowGroup` that caches none.
 
     Every mutation bumps the monotonic :attr:`version` counter, which keys
     the detection engine's :class:`~repro.engine.cache.ScanCache`.
@@ -362,6 +419,14 @@ class RelationInstance:
         except KeyError:
             view = self.view
             return [view(rowid, stored) for rowid, stored in bucket.items()]
+
+    def group_rows(self, attributes: Sequence[str], values: Sequence[Any]) -> RowGroup:
+        """:meth:`lookup` as a :class:`RowGroup` over the index bucket's
+        stored value tuples: no view is built or kept."""
+        if not attributes:
+            return RowGroup(self.schema, tuple(self._ids))
+        bucket = self.index_on(attributes).get(tuple(values))
+        return RowGroup(self.schema, tuple(bucket.values()) if bucket else ())
 
     def replace_value(self, old: Any, new: Any) -> int:
         """Replace every occurrence of *old* by *new* across the relation.

@@ -63,6 +63,7 @@ from repro.core.cind import CINDViolation
 from repro.core.violations import ViolationReport
 from repro.engine import ReportDelta
 from repro.errors import ServeError
+from repro.relational.instance import RowGroup
 
 #: One violation, flattened to a hashable, backend-independent record.
 #: CFD: ("cfd", label, pattern_index, lhs_values, tuple_values, kind);
@@ -87,14 +88,14 @@ def report_records(report: ViolationReport) -> tuple[ViolationRecord, ...]:
 
 
 def _cfd_record(v: CFDViolation, label: str) -> ViolationRecord:
-    return (
-        "cfd",
-        label,
-        v.pattern_index,
-        v.lhs_values,
-        tuple(t.values for t in v.tuples),
-        v.kind,
+    tuples = v.tuples
+    # A RowGroup already holds the rows' value tuples: read them, build
+    # no view.
+    rows = (
+        tuples.values if isinstance(tuples, RowGroup)
+        else tuple(t.values for t in tuples)
     )
+    return ("cfd", label, v.pattern_index, v.lhs_values, rows, v.kind)
 
 
 def _cind_record(v: CINDViolation, label: str) -> ViolationRecord:

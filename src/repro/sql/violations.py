@@ -58,7 +58,7 @@ from repro.engine.planner import (
     passes,
 )
 from repro.errors import SQLBackendError
-from repro.relational.instance import DatabaseInstance, Tuple
+from repro.relational.instance import DatabaseInstance, RowGroup, Tuple
 from repro.relational.schema import RelationSchema
 from repro.relational.values import is_wildcard
 from repro.sql.ddl import distinct_count_expr, row_predicate, select_columns
@@ -568,7 +568,7 @@ class SQLPlanExecutor:
 
     def cfd_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
-    ) -> dict[tuple[Any, ...], tuple[Tuple, ...]]:
+    ) -> dict[tuple[Any, ...], RowGroup]:
         """The tuple group of each of *keys*, in rowid order. With a
         cache the result is the group's report memo at the table's
         version (it may hold more keys): only the keys it lacks are
@@ -584,8 +584,10 @@ class SQLPlanExecutor:
 
     def fetch_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
-    ) -> dict[tuple[Any, ...], tuple[Tuple, ...]]:
-        """The full tuple group per violating key, in rowid (scan) order.
+    ) -> dict[tuple[Any, ...], RowGroup]:
+        """The full tuple group per violating key, in rowid (scan) order,
+        as a :class:`~repro.relational.instance.RowGroup` over the rows
+        sqlite returned (no view is built).
 
         One scan of the relation buckets every violating key's group (the
         base tables carry no indexes, so a per-key ``WHERE X = ?`` query
@@ -594,7 +596,7 @@ class SQLPlanExecutor:
         when they fit one key-restricted query.
         """
         rel = self.schema.relation(group.relation)
-        wanted: dict[tuple[Any, ...], list[Tuple]] = {
+        wanted: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {
             key: [] for key in keys
         }
         if not wanted:
@@ -607,8 +609,8 @@ class SQLPlanExecutor:
         for row in self.conn.execute(sql, params):
             bucket = wanted.get(tuple(row[p] for p in positions))
             if bucket is not None:
-                bucket.append(Tuple.from_row(rel, row))
-        return {key: tuple(rows) for key, rows in wanted.items()}
+                bucket.append(row)
+        return {key: RowGroup(rel, tuple(rows)) for key, rows in wanted.items()}
 
     # -- CIND buckets ------------------------------------------------------
     #
@@ -911,11 +913,12 @@ class SQLCarry(Carry):
         super().__init__(plan, cache, delta)
         self.executor = executor
         self.versions = versions
-        #: relation -> {rowid: tuple} of the rows this carry noted or read
+        #: relation -> {rowid: tuple} of the CIND hit rows this carry
+        #: noted or read
         self.rows: dict[str, dict[int, Tuple]] = {}
-        #: (relation, X positions) -> {touched key: its group's tuples},
+        #: (relation, X positions) -> {touched key: its group's rows},
         #: for the groups this carry patched
-        self.fetched: dict[tuple, dict] = {}
+        self.fetched: dict[tuple, dict[tuple[Any, ...], RowGroup]] = {}
 
     def version(self, name: str) -> int:
         return self.versions[name]
@@ -948,17 +951,20 @@ class SQLCarry(Carry):
         new: dict[tuple[Any, ...], list] = {}
         for __, values in changes.inserted:
             new.setdefault(tuple([values[p] for p in positions]), []).append(values)
-        #: key -> (its group's tuples in rowid order, its first rowid)
-        known: dict[tuple[Any, ...], tuple[list[Tuple], int]] = {}
+        #: key -> (its group's value tuples in rowid order, its first rowid)
+        known: dict[tuple[Any, ...], tuple[list[tuple[Any, ...]], int]] = {}
         wanted = []
         for key in touched:
-            tuples, start = memo.get(key), firsts.get(key)
-            if tuples is None or start is None or start in changes.deleted:
+            rowgroup, start = memo.get(key), firsts.get(key)
+            if rowgroup is None or start is None or start in changes.deleted:
                 wanted.append(key)
                 continue
             drop = gone.get(key)
-            kept = [t for t in tuples if t.values not in drop] if drop else list(tuples)
-            kept.extend(Tuple.from_row(rel, values) for values in new.get(key, ()))
+            kept = (
+                [values for values in rowgroup.values if values not in drop]
+                if drop else list(rowgroup.values)
+            )
+            kept.extend(new.get(key, ()))
             if kept:
                 known[key] = (kept, start)
         if wanted:
@@ -970,12 +976,12 @@ class SQLCarry(Carry):
                 found = known.get(key)
                 if found is None:
                     found = known[key] = ([], rowid)
-                found[0].append(Tuple.from_row(rel, values))
+                found[0].append(values)
         order = sorted(known, key=lambda key: known[key][1])
-        rows = [t.values for key in order for t in known[key][0]]
+        rows = [values for key in order for values in known[key][0]]
         keys = [key for key in order for __ in known[key][0]]
         self.fetched[(relation, positions)] = {
-            key: tuple(tuples) for key, (tuples, __) in known.items()
+            key: RowGroup(rel, tuple(values)) for key, (values, __) in known.items()
         }
 
         def first(key: tuple[Any, ...]) -> int:

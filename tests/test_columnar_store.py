@@ -10,8 +10,11 @@ while the step's tombstones are still pending, then ``columns()`` (which
 compacts them) must too, and ``version`` may only grow.
 
 The second half pins the point of the store: loading rows builds no
-``Tuple`` per row, and a cold check keeps ``Tuple`` views only for the
-rows its report hands out.
+``Tuple`` per row, a cold check keeps ``Tuple`` views only for its
+CIND-violating rows, and a session serving one-row commits keeps each
+CFD group as a ``RowGroup`` over value tuples the collector stops
+tracking. The last part holds ``RowGroup`` to the naive oracle's tuple
+of views.
 """
 
 from __future__ import annotations
@@ -20,13 +23,23 @@ import gc
 import sys
 import threading
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core.cfd import CFD, standard_fd
+from repro.core.violations import check_database_naive
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
-from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
+from repro.datasets.commerce import commerce_constraints, commerce_instance
+from repro.relational.instance import (
+    DatabaseInstance,
+    RelationInstance,
+    RowGroup,
+    Tuple,
+)
 from repro.relational.schema import RelationSchema
+from repro.serve import report_records
 from repro.sql.loader import create_database_file, read_database_file
 
 SCHEMA = RelationSchema("R", ["A", "B", "C"])
@@ -61,8 +74,10 @@ def _assert_matches(inst: RelationInstance, model: dict) -> None:
         for key in {_project(row, attrs) for row in rows} | {("x",) * len(attrs)}:
             expected = [row for row in rows if _project(row, attrs) == key]
             assert [t.values for t in inst.lookup(attrs, key)] == expected
+            assert list(inst.group_rows(attrs, key).values) == expected
         # No bucket outlives its last row.
         assert all(inst.index_on(attrs).values())
+    assert inst.group_rows((), ()).values == tuple(rows)
 
 
 def _assert_columns(inst: RelationInstance, model: dict) -> None:
@@ -211,16 +226,138 @@ def test_loading_keeps_no_tuple_per_row(tmp_path):
     assert _live_tuples() == before
 
 
-def test_cold_check_keeps_tuples_only_for_violating_rows():
-    db = scaled_bank_instance(300, error_rate=0.1, seed=4)
-    sigma = bank_constraints()
+def _price_dirty_commerce(n_orders: int = 400):
+    """commerce@*n_orders* whose per-SKU price groups violate: Σ_commerce
+    plus a constant price CFD per SKU on ``orders(item)`` (as perfbench's
+    dense Σ adds) and the plain ``item -> price`` FD. A paid order at a
+    drifted price puts every order of its SKU in one violating group."""
+    db = commerce_instance(n_orders, error_rate=0.1, seed=3)
+    sigma = commerce_constraints(db.schema)
+    orders = db.schema.relation("orders")
+    for item, __, price in zip(*db["catalog"].columns()):
+        sigma.add_cfd(CFD(
+            orders, ("item",), ("price",), [((item,), (price,))],
+            name=f"price_{item}",
+        ))
+    sigma.add_cfd(standard_fd(orders, ("item",), ("price",), name="item_price"))
+    return db, sigma
+
+
+def _cold_check_views(db, sigma):
+    """A cold check's report, once it is shown to keep one shared view
+    per CIND-violating row and none per CFD group row."""
     before = _live_tuples()
     report = api.connect(db, sigma).check()
-    assert not report.is_clean
-    handed_out = {id(t) for v in report.cfd_violations for t in v.tuples}
-    handed_out |= {id(v.tuple_) for v in report.cind_violations}
-    rows = {t for v in report.cfd_violations for t in v.tuples}
-    rows |= {v.tuple_ for v in report.cind_violations}
-    # One view per violating row, shared by every violation naming it.
-    assert len(handed_out) == len(rows)
+    assert report.cind_violations
+    views = {id(v.tuple_) for v in report.cind_violations}
+    rows = {v.tuple_ for v in report.cind_violations}
+    # One view per CIND-violating row, shared by every violation naming
+    # it; CFD group rows stay value tuples, with no view.
+    assert len(views) == len(rows)
+    assert all(isinstance(v.tuples, RowGroup) for v in report.cfd_violations)
     assert _live_tuples() - before == len(rows) < db.total_tuples()
+    return report
+
+
+def test_cold_check_keeps_tuples_only_for_violating_rows():
+    bank = _cold_check_views(
+        scaled_bank_instance(300, error_rate=0.1, seed=4), bank_constraints()
+    )
+    assert not bank.cfd_violations  # so the commerce case carries the CFD half
+    db, sigma = _price_dirty_commerce()
+    commerce = _cold_check_views(db, sigma)
+    group_rows = {row for v in commerce.cfd_violations for row in v.tuples.values}
+    assert len(group_rows) > len(db["orders"]) // 2
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlfile"])
+def test_served_commits_keep_no_view_per_cfd_group_row(backend, tmp_path):
+    """A session serving one-row commits, each followed by its delta and
+    a read, holds views only for CIND hits; every cached CFD group holds
+    its rows in one container the collector no longer tracks."""
+    db, sigma = _price_dirty_commerce()
+    source = (
+        create_database_file(tmp_path / "shop.db", db)
+        if backend == "sqlfile" else db
+    )
+    cust, country = db["customers"].columns()[0][0], db["customers"].columns()[1][0]
+    price = dict(zip(db["catalog"].columns()[0], db["catalog"].columns()[2]))
+    drifted = ("orders", ("z1", cust, country, "sku0", "999", "paid"))
+    clean = ("orders", ("z2", cust, country, "sku1", price["sku1"], "quote"))
+    commits = [([drifted], []), ([], [drifted]), ([clean], []), ([], [clean])] * 2
+    before = _live_tuples()
+    with api.connect(source, sigma, backend=backend) as session:
+        report = session.check()
+        for inserts, deletes in commits:
+            session.apply(inserts=inserts, deletes=deletes)
+            assert session.delta() is not None
+            report = session.check()
+        assert sum(len(v.tuples) for v in report.cfd_violations) > len(db["orders"])
+        assert _live_tuples() - before <= len(report.cind_violations) + 4
+        cache, plan = session.backend.cache, session.backend.plan
+        memos = [cache.group_tuples_entry(group) for group in plan.cfd_groups]
+        cached = [rows for memo in memos if memo for rows in memo[1].values()]
+        assert {id(v.tuples) for v in report.cfd_violations} <= set(map(id, cached))
+        gc.collect()
+        assert not any(gc.is_tracked(rows.values) for rows in cached)
+
+
+# -- RowGroup -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["memory", "sql", "sqlfile"])
+def test_row_group_sequence_matches_the_naive_tuple_of_views(backend, tmp_path):
+    db, sigma = _price_dirty_commerce(200)
+    naive = check_database_naive(db, sigma)
+    source = (
+        create_database_file(tmp_path / "shop.db", db)
+        if backend == "sqlfile" else db
+    )
+    with api.connect(source, sigma, backend=backend) as session:
+        report = session.check()
+    assert len(report.cfd_violations) == len(naive.cfd_violations)
+    assert max(len(v.tuples) for v in report.cfd_violations) > 3
+    stranger = Tuple(db.schema.relation("orders"), ("x", "x", "x", "x", "x", "x"))
+    for violation, expected in zip(report.cfd_violations, naive.cfd_violations):
+        group, views = violation.tuples, expected.tuples
+        assert isinstance(group, RowGroup) and type(views) is tuple
+        # Row order; len.
+        assert [t.values for t in group] == [t.values for t in views]
+        assert list(group.values) == [t.values for t in views]
+        assert len(group) == len(views)
+        # Integer, negative and slice indexing; membership.
+        assert group[0] == views[0] and group[-1] == views[-1]
+        assert group[1:3] == views[1:3] and isinstance(group[1:3], RowGroup)
+        assert group[::-1] == views[::-1]
+        with pytest.raises(IndexError):
+            group[len(group)]
+        assert all(t in group for t in views)
+        assert stranger not in group and views[0].values not in group
+        assert group.index(views[-1]) == len(group) - 1
+        # Equality and hash match the tuple of views, both ways.
+        assert group == views and views == group
+        assert hash(group) == hash(views)
+        assert group != views[:-1] and group != list(views)
+        assert repr(group) == repr(views)
+        # Views are built on access and kept by none.
+        assert group[0] == group[0] and group[0] is not group[0]
+    assert report_records(report) == report_records(naive)
+
+
+def test_report_records_read_row_groups_as_views_would():
+    db, sigma = _price_dirty_commerce(200)
+    report = api.connect(db, sigma).check()
+    assert report.cfd_violations
+    by_views = tuple(
+        ("cfd", report.label_for(v.cfd), v.pattern_index, v.lhs_values,
+         tuple(t.values for t in v.tuples), v.kind)
+        for v in report.cfd_violations
+    ) + tuple(
+        ("cind", report.label_for(v.cind), v.pattern_index, v.tuple_.values)
+        for v in report.cind_violations
+    )
+    assert report_records(report) == by_views
+    # The memory store's own value tuples, not copies.
+    for v in report.cfd_violations:
+        stored = db[v.cfd.relation.name].index_on(v.cfd.lhs)[v.lhs_values]
+        assert all(a is b for a, b in zip(v.tuples.values, stored.values()))
