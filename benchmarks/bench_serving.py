@@ -37,7 +37,11 @@ computation — and gates on it:
   existed: the GC-tracked containers it adds (``len(gc.get_objects())``),
   the live ``Tuple`` views among them, those views per violation of its
   report, and the time of one full ``gc.collect()`` with the tenant
-  alive — what every full collection in a serving process walks.
+  alive — what every full collection in a serving process walks. And it
+  counts, per read after a commit, the CIND violations the read built
+  anew: those in its report that are neither objects of the previous
+  read's report nor among the commit's added ``cind`` records
+  (``rebuilt_per_read``, the most any of its reads rebuilt).
 
 ``--min-batch-speedup X`` fails the run (exit 1) when the service-level
 batch-vs-singles speedup on **either** gated backend (memory, sqlfile)
@@ -45,9 +49,12 @@ falls below X — the CI job passes 5.0. ``--max-views-per-violation R``
 fails it when a commit-split tenant keeps more than R live ``Tuple``
 views per violation of its report; it checks a count, so runner jitter
 cannot move it. A tenant keeps one view per CIND-violating row and
-none per CFD group row, so CI passes 1.0. ``--json PATH`` writes all
-rows as machine-readable JSON (kept as the ``BENCH_serving`` CI
-artifact).
+none per CFD group row, so CI passes 1.0. ``--max-rebuilt-per-read N``
+fails it when a read after a commit built more than N CIND violations
+anew, also a count: a read reuses the cached violation objects, and a
+commit's new ones are the objects its delta added, so CI passes 0.
+``--json PATH`` writes all rows as machine-readable JSON (kept as the
+``BENCH_serving`` CI artifact).
 
 Usage::
 
@@ -65,6 +72,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.api import connect
@@ -236,6 +244,25 @@ async def bench_warm_reads(base_db, sigma, repeats: int) -> dict:
     }
 
 
+def rebuilt_cind_violations(report, previous, delta) -> int:
+    """The CIND violations of *report* (the read after a commit) that are
+    neither objects of *previous* (the read before it) nor among the
+    commit's added ``cind`` records in *delta*: the ones the read built
+    anew. *previous* must be alive, so its objects' ids stand."""
+    kept = {id(v) for v in previous.cind_violations}
+    added = Counter(record for __, record in delta.added if record[0] == "cind")
+    records = report_records(report)[len(report.cfd_violations):]
+    rebuilt = 0
+    for v, record in zip(report.cind_violations, records):
+        if id(v) in kept:
+            continue
+        if added[record]:
+            added[record] -= 1
+        else:
+            rebuilt += 1
+    return rebuilt
+
+
 def _census() -> tuple[int, int]:
     """(GC-tracked containers, live ``Tuple`` views) after a collection."""
     gc.collect()
@@ -248,8 +275,9 @@ async def bench_commit_split(
 ) -> dict:
     """Single-row commit cost split into the tenant's ``Session.apply``
     and the feed's delta, each timed around its own call, the read after
-    each commit, and the tenant's resident state. Each of *ops* is
-    inserted by one commit and deleted by the next."""
+    each commit with the CIND violations it rebuilt, and the tenant's
+    resident state. Each of *ops* is inserted by one commit and deleted
+    by the next."""
     source = (
         str(create_database_file(
             tmp / f"split-{dataset}-{base_db.total_tuples()}.db", base_db
@@ -277,13 +305,19 @@ async def bench_commit_split(
         sub = await service.subscribe("split")
         handle.session.apply = timed(handle.session.apply, "apply")
         handle.feed.commit = timed(handle.feed.commit, "delta")
+        previous = await service.check("split")
+        rebuilt = []
         # Stationary: each row is inserted by one commit, deleted by the next.
         for op in ops:
             for batch in ({"inserts": [op]}, {"deletes": [op]}):
-                await service.apply("split", **batch)
+                __, delta = await service.apply("split", **batch)
                 start = time.perf_counter()
-                await service.check("split")
+                report = await service.check("split")
                 times["read"].append(time.perf_counter() - start)
+                rebuilt.append(rebuilt_cind_violations(report, previous, delta))
+                previous = report
+        # The census below counts the tenant, not the reads' reports.
+        del previous, report
         records = sub.baseline
         for __ in times["delta"]:
             records = replay(records, await sub.__anext__())
@@ -304,6 +338,7 @@ async def bench_commit_split(
         "delta_p50_ms": delta_p50 * 1e3,
         "delta_over_apply": delta_p50 / apply_p50 if apply_p50 > 0 else None,
         "read_p50_ms": statistics.median(times["read"]) * 1e3,
+        "rebuilt_per_read": max(rebuilt),
         "violations": len(records),
         "tenant_gc_containers": containers - idle_containers,
         "tenant_views": views - idle_views,
@@ -345,6 +380,11 @@ def main(argv: list[str] | None = None) -> int:
         "--max-views-per-violation", type=float, default=None,
         help="fail if a commit-split tenant keeps more live Tuple views per "
         "violation than this (a count, immune to jitter; CI passes 1.0)",
+    )
+    parser.add_argument(
+        "--max-rebuilt-per-read", type=int, default=None,
+        help="fail if a read after a commit builds more CIND violations "
+        "anew than this (a count, immune to jitter; CI passes 0)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -406,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"apply p50={row['apply_p50_ms']:.3f}ms "
                     f"delta p50={row['delta_p50_ms']:.3f}ms -> "
                     f"{row['delta_over_apply']:.1f}x apply; "
-                    f"read p50={row['read_p50_ms']:.3f}ms; tenant holds "
+                    f"read p50={row['read_p50_ms']:.3f}ms, rebuilt "
+                    f"{row['rebuilt_per_read']} CIND violations; tenant holds "
                     f"{row['tenant_gc_containers']} GC containers, "
                     f"{row['tenant_views']} views for {row['violations']} "
                     f"violations, one gc.collect() {row['gc_collect_ms']:.1f}ms"
@@ -457,6 +498,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"({worst['views_per_violation']:.2f} per violation > "
                 f"{args.max_views_per_violation:.2f}; cached CFD group rows "
                 "must stay value tuples)",
+                file=sys.stderr,
+            )
+            return 1
+    if args.max_rebuilt_per_read is not None:
+        worst = max(split_rows, key=lambda r: r["rebuilt_per_read"])
+        if worst["rebuilt_per_read"] > args.max_rebuilt_per_read:
+            print(
+                f"FAIL: a read after a commit on the {worst['dataset']} "
+                f"{worst['backend']} tenant built "
+                f"{worst['rebuilt_per_read']} CIND violations anew "
+                f"(> {args.max_rebuilt_per_read}; a read must reuse the "
+                "cached violations and the objects its commit's delta added)",
                 file=sys.stderr,
             )
             return 1

@@ -45,13 +45,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Iterable,
     Iterator,
     Mapping,
     Protocol,
     Sequence,
-    TypeVar,
     runtime_checkable,
 )
 
@@ -74,8 +72,6 @@ from repro.engine import (
     DetectionSummary,
     ReportDelta,
     ScanCache,
-    assemble_report,
-    assemble_summary,
     attribute_positions,
     carry_forward,
     compile_checks,
@@ -86,6 +82,7 @@ from repro.engine import (
     projection_column_keys,
 )
 from repro.engine.carry import run_carry
+from repro.engine.executor import assemble_from_hits, cind_task_violations
 from repro.errors import SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate, select_columns
@@ -93,8 +90,6 @@ from repro.sql.loader import connect_file, data_version, introspect_schema
 from repro.sql.violations import SQLCarry, SQLPlanExecutor, SQLViolationDetector
 from repro.sql.windows import ReadonlyConnectionPool
 
-
-_T = TypeVar("_T")
 
 #: One batch-DML operation: ``(relation name, row)``. Inserts take any row
 #: shape the backend's ``insert`` takes; deletes are coerced to ``Tuple``.
@@ -836,12 +831,14 @@ class SQLFileBackend(BaseBackend):
             tasks = plan.cind_scans[relation]
             slot = {id(task): i for i, task in enumerate(tasks)}
             buckets: list[list[int]] = [[] for __ in tasks]
-            for task, (rowid, __) in pairs:
+            rows: dict[int, Tuple] = {}
+            for task, (rowid, t) in pairs:
                 buckets[slot[id(task)]].append(rowid)
+                rows[rowid] = t
             cache.store_cind_hits(
                 relation, versions[relation],
                 cache.cind_deps(tasks, versions.__getitem__),
-                [(task, t) for task, (__, t) in pairs], buckets,
+                cind_task_violations(tasks, buckets, rows.__getitem__), buckets,
             )
 
     def _keep_witness_sets(self, relations: set[str]) -> None:
@@ -880,10 +877,10 @@ class SQLFileBackend(BaseBackend):
         finally:
             self._executor.release_witnesses()
 
-    def _execute(self, assemble: Callable[[list, list], _T]) -> _T:
+    def _execute(self, mode: str) -> ViolationReport | DetectionSummary:
         """Carry, scan what stays cold (the executor answers warm units
-        from the cache), and *assemble* the per-unit hit lists — all
-        under the session lock."""
+        from the cache), and assemble the per-unit hit lists in *mode* —
+        all under the session lock."""
         with self._lock:
             self._sync()
             try:
@@ -895,63 +892,26 @@ class SQLFileBackend(BaseBackend):
                     for group in self._plan.cfd_groups
                 ]
                 cind_hits = [
-                    executor.cind_relation_hits(relation, tasks)
+                    (relation, *executor.cind_relation_hits(relation, tasks))
                     for relation, tasks in self._plan.cind_scans.items()
                 ]
                 self._cache.mark_synced(self._plan, self._versions.__getitem__)
-                return assemble(cfd_hits, cind_hits)
+                return assemble_from_hits(
+                    self._plan, cfd_hits, cind_hits, mode,
+                    executor.cfd_group_tuples,
+                )
             finally:
                 # Witness materializations mirror the file's current
                 # content; they are valid for exactly one execution.
                 self._executor.release_witnesses()
 
-    def _report(self, cfd_hits: list, cind_hits: list) -> ViolationReport:
-        cfd_buckets: dict[int, list[CFDViolation]] = {}
-        for group, hits in cfd_hits:
-            if not hits:
-                continue
-            groups = self._executor.cfd_group_tuples(
-                group, dict.fromkeys(key for __, key, __k in hits)
-            )
-            for task, key, kind in hits:
-                cfd_buckets.setdefault(id(task), []).append(
-                    CFDViolation(
-                        cfd=task.cfd,
-                        pattern_index=task.row_index,
-                        lhs_values=key,
-                        tuples=groups[key],
-                        kind=kind,
-                    )
-                )
-        cind_buckets: dict[int, list[CINDViolation]] = {}
-        for hits in cind_hits:
-            for task, t in hits:
-                cind_buckets.setdefault(id(task), []).append(
-                    CINDViolation(
-                        cind=task.cind, pattern_index=task.row_index, tuple_=t
-                    )
-                )
-        return assemble_report(self._plan, cfd_buckets, cind_buckets)
-
-    def _summary(self, cfd_hits: list, cind_hits: list) -> DetectionSummary:
-        # Count-only: the same cached hit lists, no group-tuple fetches.
-        cfd_counts: dict[int, int] = {}
-        for __, hits in cfd_hits:
-            for task, __k, __kind in hits:
-                cfd_counts[task.cfd_index] = cfd_counts.get(task.cfd_index, 0) + 1
-        cind_counts: dict[int, int] = {}
-        for hits in cind_hits:
-            for task, __t in hits:
-                cind_counts[task.cind_index] = cind_counts.get(task.cind_index, 0) + 1
-        return assemble_summary(self._plan, cfd_counts, cind_counts)
-
     # -- detection ---------------------------------------------------------
 
     def check(self) -> ViolationReport:
-        return self._execute(self._report)
+        return self._execute("full")
 
     def count(self) -> DetectionSummary:
-        return self._execute(self._summary)
+        return self._execute("count")
 
     def is_clean(self) -> bool:
         # Early exit: stop at the first scan unit with a hit. CFD hit

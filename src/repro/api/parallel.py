@@ -101,6 +101,8 @@ from repro.engine.executor import (
     _check_cache,
     assemble_from_hits,
     cfd_group_hits,
+    cind_task_violations,
+    memory_group_rows,
 )
 from repro.engine.planner import WitnessSpec
 from repro.engine.shards import (
@@ -525,7 +527,7 @@ def _execute_parallel(
         else:
             cold_witness_relations.append(relation)
 
-    cind_hit_lists: dict[str, list] = {}
+    cind_hit_lists: dict[str, tuple[list, list]] = {}
     cold_cind: list[str] = []
     for relation, tasks in plan.cind_scans.items():
         if cache is not None:
@@ -726,18 +728,16 @@ def _execute_parallel(
                 buckets = [
                     [rowids[pos] for pos in bucket] for bucket in merged.buckets
                 ]
-                hits = [
-                    (task, instance.view(rowid))
-                    for task, bucket in zip(tasks, buckets)
-                    for rowid in bucket
-                ]
-                cind_hit_lists[relation] = hits
+                violations = cind_task_violations(
+                    tasks, buckets, instance.view
+                )
+                cind_hit_lists[relation] = (violations, buckets)
                 if cache is not None:
                     cache.store_cind_hits(
                         relation,
                         db[relation].version,
                         cache.cind_deps(tasks, db.version_of),
-                        hits,
+                        violations,
                         buckets,
                     )
 
@@ -757,11 +757,10 @@ def _execute_parallel(
         cache.mark_synced(plan, db.version_of)
     return assemble_from_hits(
         plan,
-        db,
         list(zip(plan.cfd_groups, cfd_hit_lists)),
-        [(rel, cind_hit_lists[rel]) for rel in plan.cind_scans],
+        [(rel, *cind_hit_lists[rel]) for rel in plan.cind_scans],
         mode,
-        cache,
+        memory_group_rows(db, cache),
     )
 
 # -- rowid-window dispatch for the sqlfile backend ------------------------------

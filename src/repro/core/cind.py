@@ -311,7 +311,14 @@ class CIND:
 
 
 class CINDViolation:
-    """A tuple ``t1`` that matches ``tp[X, Xp]`` but has no witness in ``R2``."""
+    """A tuple ``t1`` that matches ``tp[X, Xp]`` but has no witness in ``R2``.
+
+    The scan-cache backends (``memory``, ``sqlfile``) build each one
+    once, when a scan or a carry-forward finds the hit, keep it in the
+    session's scan cache and hand that same object to every report and
+    delta that holds the hit (a pruned duplicate constraint's slot gets
+    relabelled copies); read it, do not mutate it.
+    """
 
     __slots__ = ("cind", "pattern_index", "tuple_")
 

@@ -45,10 +45,11 @@ Versioned scan caches
 :class:`~repro.engine.cache.ScanCache` (one per plan, owned by the
 session/backend) memoizes every scan unit's result against the relation
 mutation versions it was computed from: repeated ``check``/``count``/
-``is_clean`` calls over unchanged data replay cached hit lists in time
-proportional to the number of violations. After a session's own DML the
-entries are carried forward by the touched keys instead of re-scanned
-(:mod:`repro.engine.carry`), which also yields the report's
+``is_clean`` calls over unchanged data replay cached hit lists — a CIND
+entry holds its violation objects, which every report reuses — in time
+proportional to the tasks and the CFD violations. After a session's own
+DML the entries are carried forward by the touched keys instead of
+re-scanned (:mod:`repro.engine.carry`), which also yields the report's
 position-tagged delta. See :mod:`repro.engine.cache` for the BRAVO-style
 fast-read-path rationale.
 

@@ -28,10 +28,14 @@ free while the version stands still.
   row);
 * **witness key sets** keyed by ``(spec, version)`` — one semijoin key
   set per :class:`~repro.engine.planner.WitnessSpec`;
-* **CIND hit lists** keyed by ``(relation, version, witness-versions)`` —
-  the violating ``(task, tuple)`` pairs of one LHS scan plus their row
-  ids per task; the extra dependency vector invalidates them when any
-  *witness-side* relation moved even though the LHS relation did not.
+* **CIND violations** keyed by ``(relation, version, witness-versions)``
+  — per task of one LHS scan, its violating row ids and, task-major and
+  aligned with them, the :class:`~repro.core.cind.CINDViolation`
+  objects: the paper decides a CIND per LHS tuple, so a hit already is
+  its violation, built once by whatever scans or carries the unit and
+  then handed to every report; the extra dependency vector invalidates
+  them when any *witness-side* relation moved even though the LHS
+  relation did not.
 
 A cache is bound to one :class:`~repro.engine.planner.DetectionPlan`
 (entries reference the plan's task/spec objects); the executor refuses a
@@ -55,8 +59,11 @@ as a moved ``PRAGMA data_version`` and clears the cache.
 
 The payoff is measured by ``benchmarks/bench_detection.py``: a warm
 re-check of an unchanged database skips every relation scan and only
-re-assembles the report from the cached hit lists (cost proportional to
-the number of violations, not the number of tuples).
+re-assembles the report from the cached entries — each task's cached
+CIND violations are extended into the report's list as they stand, and
+only CFD violations (one per violating group) are built — so its cost is
+proportional to the tasks and the CFD violations, not the tuples or the
+CIND violations.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
+    from repro.core.cind import CINDViolation
     from repro.engine.planner import CFDScanGroup, CINDRowTask, DetectionPlan, WitnessSpec
     from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 
@@ -126,8 +134,9 @@ class ScanCache:
         self._groups: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
         #: spec -> (version, witness key set)
         self._witness: dict["WitnessSpec", tuple[int, set]] = {}
-        #: LHS relation -> (version, witness-version vector,
-        #: [(task, tuple), ...], row ids per task)
+        #: LHS relation -> (version, witness-version vector, task-major
+        #: CINDViolations, per task its row ids: each task's violations
+        #: are the segment aligned with its bucket)
         self._cind: dict[str, tuple[int, tuple[int, ...], list, list]] = {}
         #: Scan-unit outcomes (projection-key memos not counted): answered
         #: without a scan, re-scanned, and — among the hits — carried
@@ -326,11 +335,13 @@ class ScanCache:
 
     def cind_hits(
         self, relation: str, version: int, deps: tuple[int, ...]
-    ) -> list | None:
+    ) -> tuple[list, list] | None:
+        """The ``(violations, buckets)`` of *relation*'s entry at these
+        versions (see :meth:`store_cind_hits`), else ``None``."""
         entry = self._cind.get(relation)
         if entry is not None and entry[0] == version and entry[1] == deps:
             self.hits += 1
-            return entry[2]
+            return entry[2], entry[3]
         self.misses += 1
         return None
 
@@ -339,12 +350,15 @@ class ScanCache:
         relation: str,
         version: int,
         deps: tuple[int, ...],
-        hits: list,
+        violations: list["CINDViolation"],
         buckets: list[list[int]],
     ) -> None:
-        """Store one LHS relation's hits: the ``(task, tuple)`` pairs and,
-        aligned with the relation's task list, each task's row ids."""
-        self._cind[relation] = (version, deps, hits, buckets)
+        """Store one LHS relation's hits: aligned with the relation's task
+        list, each task's row ids, and task-major, one violation per row
+        id (each task's segment aligned with its bucket). The violation
+        objects are handed to every report as they stand, so nothing may
+        mutate them."""
+        self._cind[relation] = (version, deps, violations, buckets)
 
     def cind_entry(
         self, relation: str

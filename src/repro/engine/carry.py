@@ -49,11 +49,16 @@ a group's first row, so its CFD entries keep each hit key's first row
 id, and the splice reads them there.
 
 Every new entry is built aside and stored whole, so a reader holding the
-previous entry never sees a half-patched list. The splice also yields
-each task's removed and added violations; per-task hit counts (a pruned
-duplicate counted at its donor's size) turn them into report positions,
-which makes the position-tagged :class:`ReportDelta` a serving layer
-streams without assembling or diffing whole reports.
+previous entry never sees a half-patched list. A CIND entry's kept hits
+keep their :class:`~repro.core.cind.CINDViolation` objects; only new
+hits get new ones. The splice also yields each task's removed and added
+violations; per-task hit counts (a pruned duplicate counted at its
+donor's size) turn them into report positions, which makes the
+position-tagged :class:`ReportDelta` a serving layer streams without
+assembling or diffing whole reports. Its added CIND violations are the
+very objects the new entry holds, so the report read after a delta holds
+no CIND violation that is in neither the previous report nor the delta
+(a pruned duplicate's relabelled copies aside, which assembly builds).
 """
 
 from __future__ import annotations
@@ -460,7 +465,7 @@ class Carry:
             or entry[1] != synced_deps
         ):
             raise _Stale
-        __, deps, hits, buckets = entry
+        __, deps, violations, buckets = entry
         version = self.version(relation)
         new_deps = tuple(self.version(spec.rhs_relation) for spec in specs)
         changes = self.changes.get(relation)
@@ -469,7 +474,7 @@ class Carry:
         if changes is not None or flips:
             try:
                 new_buckets = self._splice_cind(
-                    relation, tasks, hits, buckets, changes, flips
+                    relation, tasks, violations, buckets, changes, flips
                 )
                 self._carried()
             except Rescan:
@@ -485,51 +490,57 @@ class Carry:
             if new_deps != deps:
                 self.staged.append((
                     self.cache.store_cind_hits, relation, version,
-                    new_deps, hits, buckets,
+                    new_deps, violations, buckets,
                 ))
             return
         view = self.view(relation)
-        new_hits: list = []
+        new_violations: list[CINDViolation] = []
         start = 0
         for task, before, after in zip(tasks, buckets, new_buckets):
             self.counts[id(task)] = (len(before), len(after))
-            segment = hits[start:start + len(before)]
+            segment = violations[start:start + len(before)]
             start += len(before)
             if after is before:
-                new_hits.extend(segment)
+                new_violations.extend(segment)
                 continue
-            # Kept rows keep their (task, tuple) pairs; only new rows
-            # get new ones.
+            # Kept rows keep their violation objects; only new rows get
+            # new ones, which are the objects the delta hands out.
             now, was = set(after), set(before)
-            kept = iter([pair for pair, rowid in zip(segment, before) if rowid in now])
-            new_hits.extend(
-                next(kept) if rowid in was else (task, view(rowid))
+            kept = iter([v for v, rowid in zip(segment, before) if rowid in now])
+            segment = [
+                next(kept) if rowid in was else CINDViolation(
+                    cind=task.cind, pattern_index=task.row_index, tuple_=view(rowid)
+                )
                 for rowid in after
-            )
+            ]
+            new_violations.extend(segment)
             if self.delta:
                 removed = [i for i, rowid in enumerate(before) if rowid not in now]
-                added = [(j, rowid) for j, rowid in enumerate(after) if rowid not in was]
+                added = [
+                    (j, v)
+                    for j, (rowid, v) in enumerate(zip(after, segment))
+                    if rowid not in was
+                ]
                 if removed or added:
                     self.task_changes[id(task)] = (removed, added)
         self.staged.append((
             self.cache.store_cind_hits, relation, version,
-            new_deps, new_hits, new_buckets,
+            new_deps, new_violations, new_buckets,
         ))
 
     def _splice_cind(
         self,
         relation: str,
         tasks: list[CINDRowTask],
-        hits: list,
+        violations: list[CINDViolation],
         buckets: list[list[int]],
         changes: "_Changes | None",
         flips: dict[WitnessSpec, tuple[set, set]],
     ) -> list[list[int]]:
         """New per-task row-id buckets of an LHS relation: its noted
         rows re-evaluated, the hits whose key gained a witness dropped
-        (*hits*, the entry's ``(task, tuple)`` pairs, give their keys),
-        and the rows whose key lost its last one (:meth:`cind_flipped`)
-        added."""
+        (*violations*, the entry's, give their keys), and the rows whose
+        key lost its last one (:meth:`cind_flipped`) added."""
         deleted = changes.deleted if changes is not None else {}
         inserted = changes.inserted if changes is not None else []
         fresh = changes.fresh if changes is not None else set()
@@ -564,8 +575,8 @@ class Carry:
                     # A hit whose key gained a witness is a hit no more.
                     gone = {
                         rowid
-                        for (__, t), rowid in zip(hits[offset:start], before)
-                        if key(t.values) in gained
+                        for v, rowid in zip(violations[offset:start], before)
+                        if key(v.tuple_.values) in gained
                     }
                     if gone:
                         drop = gone.union(deleted)
@@ -611,27 +622,24 @@ class Carry:
             before, after = self.counts[id(source)]
             old_at += before
             new_at += after
-        views = {
-            id(task): self.view(relation)
-            for relation, tasks in plan.cind_scans.items()
-            for task in tasks
-        }
         for task in plan.cind_tasks:
             source = donors.get(id(task), task)
             change = changes.get(id(source))
             if change is not None:
-                view = views[id(source)]
                 removed.extend(old_at + i for i in change[0])
+                # The carry's own objects, as the cache and the next report
+                # hold them; a pruned duplicate gets relabelled copies, as
+                # assembly builds them.
                 added.extend(
                     (
                         new_at + j,
-                        CINDViolation(
+                        v if source is task else CINDViolation(
                             cind=task.cind,
                             pattern_index=task.row_index,
-                            tuple_=view(rowid),
+                            tuple_=v.tuple_,
                         ),
                     )
-                    for j, rowid in change[1]
+                    for j, v in change[1]
                 )
             before, after = self.counts[id(source)]
             old_at += before

@@ -36,7 +36,7 @@ many shards on a pool, which is why its output is bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
@@ -203,6 +203,24 @@ def cind_scan_buckets(
     ).buckets
 
 
+def cind_task_violations(
+    tasks: list[CINDRowTask],
+    buckets: list[list[int]],
+    view: Callable[[int], Tuple],
+) -> list[CINDViolation]:
+    """One violation per row id of each task's bucket, task-major (so
+    each task's violations are the segment aligned with its bucket);
+    *view* gives a row id's tuple. These are the objects a scan stores
+    in the cache and every report reuses."""
+    return [
+        CINDViolation(
+            cind=task.cind, pattern_index=task.row_index, tuple_=view(rowid)
+        )
+        for task, bucket in zip(tasks, buckets)
+        for rowid in bucket
+    ]
+
+
 def _cind_any_hit(
     tasks: list[CINDRowTask],
     instance: RelationInstance,
@@ -250,26 +268,22 @@ def _cind_relation_hits(
     db: DatabaseInstance,
     witnesses: dict[WitnessSpec, set[tuple[Any, ...]]],
     cache: ScanCache | None,
-) -> list[tuple[CINDRowTask, Tuple]]:
-    """Hit list for one LHS relation, memoized against the LHS version *and*
-    the witness-side relation versions (a witness mutation invalidates)."""
+) -> tuple[list[CINDViolation], list[list[int]]]:
+    """One LHS relation's task-major violations and per-task row-id
+    buckets, memoized against the LHS version *and* the witness-side
+    relation versions (a witness mutation invalidates)."""
     instance = db[relation]
-    if cache is None:
-        return list(cind_scan_hits(tasks, instance, witnesses))
-    version = instance.version
-    deps = cache.cind_deps(tasks, db.version_of)
-    cached = cache.cind_hits(relation, version, deps)
-    if cached is not None:
-        return cached
+    if cache is not None:
+        version = instance.version
+        deps = cache.cind_deps(tasks, db.version_of)
+        cached = cache.cind_hits(relation, version, deps)
+        if cached is not None:
+            return cached
     buckets = cind_scan_buckets(tasks, instance, witnesses)
-    view = instance.view
-    hits = [
-        (task, view(rowid))
-        for task, bucket in zip(tasks, buckets)
-        for rowid in bucket
-    ]
-    cache.store_cind_hits(relation, version, deps, hits, buckets)
-    return hits
+    violations = cind_task_violations(tasks, buckets, instance.view)
+    if cache is not None:
+        cache.store_cind_hits(relation, version, deps, violations, buckets)
+    return violations, buckets
 
 
 def _all_witnesses(
@@ -430,83 +444,112 @@ def execute_plan(
         ]
         witnesses = _all_witnesses(plan, db, cache)
         cind_hits = [
-            (relation, _cind_relation_hits(relation, tasks, db, witnesses, cache))
+            (relation, *_cind_relation_hits(relation, tasks, db, witnesses, cache))
             for relation, tasks in plan.cind_scans.items()
         ]
         if cache is not None:
             cache.mark_synced(plan, db.version_of)
-        return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode, cache)
+        return assemble_from_hits(
+            plan, cfd_hits, cind_hits, mode, memory_group_rows(db, cache)
+        )
     finally:
         if cache is not None:
             cache.release_projections()
 
 
+if TYPE_CHECKING:
+    #: ``(scan group, its violating keys) -> {key: the key's group rows}``:
+    #: how a backend gives assembly the tuples of violating CFD groups
+    #: (the mapping may hold more keys).
+    GroupRows = Callable[
+        [CFDScanGroup, Iterable[tuple[Any, ...]]], Mapping[tuple[Any, ...], Any]
+    ]
+
+
+def memory_group_rows(db: DatabaseInstance, cache: ScanCache | None) -> GroupRows:
+    """The in-memory :data:`GroupRows`: each key's group from the
+    relation's hash index — insertion-ordered, exactly the scan's group-by
+    bucket — as a :class:`~repro.relational.instance.RowGroup` over the
+    stored value tuples (no view is built); with a cache, kept in the
+    group's report memo at the relation's version."""
+
+    def group_rows(
+        group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
+    ) -> Mapping[tuple[Any, ...], Any]:
+        instance = db[group.relation]
+        memo = (
+            cache.cfd_group_tuples(group, instance.version)
+            if cache is not None
+            else {}
+        )
+        for key in keys:
+            if key not in memo:
+                memo[key] = instance.group_rows(group.lhs, key)
+        return memo
+
+    return group_rows
+
+
 def assemble_from_hits(
     plan: DetectionPlan,
-    db: DatabaseInstance,
     cfd_hits: list[tuple[CFDScanGroup, list[tuple[Any, tuple[Any, ...], str]]]],
-    cind_hits: list[tuple[str, list[tuple[CINDRowTask, Tuple]]]],
+    cind_hits: list[tuple[str, list[CINDViolation], list[list[int]]]],
     mode: str,
-    cache: ScanCache | None = None,
+    group_rows: GroupRows,
 ) -> ViolationReport | DetectionSummary:
     """Build the requested result shape from per-scan-unit hit lists.
 
-    Shared by the serial executor and the parallel dispatcher (which feeds
-    it worker hit lists rebound to canonical objects), so both produce the
-    same bytes. In full mode, CFD group tuples come from the relation's
-    hash index — insertion-ordered, exactly the scan's group-by bucket,
-    maintained incrementally — as a
-    :class:`~repro.relational.instance.RowGroup` over the stored value
-    tuples (no view is built) and, with a cache, are kept with the
-    group's hit list, so a warm re-check pays O(1) per violation.
+    The one assembly of every scan-cache backend: *cfd_hits* are each
+    CFD scan group's ``(task, key, kind)`` hits, *cind_hits* each CIND
+    LHS relation's task-major violations with its per-task row-id
+    buckets (aligned with the plan's task list of the relation), and
+    *group_rows* the backend's lookup of a violating CFD group's tuples.
+    Full mode builds one :class:`~repro.core.cfd.CFDViolation` per CFD
+    hit and slices each task's CIND violations into the report as they
+    stand; count mode counts CFD hits and sums bucket lengths. Neither
+    does per-hit Python work for CIND, so a warm report costs
+    O(tasks + CFD violations).
+
+    The report's lists are its own, but its CIND violation objects are
+    the cached ones, shared with the session and with later reports.
     """
-    materialize = mode == "full"
+    if mode == "count":
+        cfd_counts: dict[int, int] = {}
+        for __, hits in cfd_hits:
+            for task, __k, __kind in hits:
+                cfd_counts[task.cfd_index] = cfd_counts.get(task.cfd_index, 0) + 1
+        cind_counts: dict[int, int] = {}
+        for relation, __, buckets in cind_hits:
+            for task, bucket in zip(plan.cind_scans[relation], buckets):
+                if bucket:
+                    cind_counts[task.cind_index] = (
+                        cind_counts.get(task.cind_index, 0) + len(bucket)
+                    )
+        return assemble_summary(plan, cfd_counts, cind_counts)
+
     cfd_buckets: dict[int, list[CFDViolation]] = {}
-    cfd_counts: dict[int, int] = {}
     for group, hits in cfd_hits:
-        instance = db[group.relation]
-        groups = (
-            cache.cfd_group_tuples(group, instance.version)
-            if cache is not None and materialize
-            else {}
-        )
+        if not hits:
+            continue
+        groups = group_rows(group, dict.fromkeys(key for __, key, __k in hits))
         for task, key, kind in hits:
-            if materialize:
-                tuples = groups.get(key)
-                if tuples is None:
-                    tuples = groups[key] = instance.group_rows(group.lhs, key)
-                cfd_buckets.setdefault(id(task), []).append(
-                    CFDViolation(
-                        cfd=task.cfd,
-                        pattern_index=task.row_index,
-                        lhs_values=key,
-                        tuples=tuples,
-                        kind=kind,
-                    )
+            cfd_buckets.setdefault(id(task), []).append(
+                CFDViolation(
+                    cfd=task.cfd,
+                    pattern_index=task.row_index,
+                    lhs_values=key,
+                    tuples=groups[key],
+                    kind=kind,
                 )
-            else:
-                cfd_counts[task.cfd_index] = (
-                    cfd_counts.get(task.cfd_index, 0) + 1
-                )
-
+            )
     cind_buckets: dict[int, list[CINDViolation]] = {}
-    cind_counts: dict[int, int] = {}
-    for __, hits in cind_hits:
-        for task, t in hits:
-            if materialize:
-                cind_buckets.setdefault(id(task), []).append(
-                    CINDViolation(
-                        cind=task.cind, pattern_index=task.row_index, tuple_=t
-                    )
-                )
-            else:
-                cind_counts[task.cind_index] = (
-                    cind_counts.get(task.cind_index, 0) + 1
-                )
-
-    if materialize:
-        return assemble_report(plan, cfd_buckets, cind_buckets)
-    return assemble_summary(plan, cfd_counts, cind_counts)
+    for relation, violations, buckets in cind_hits:
+        start = 0
+        for task, bucket in zip(plan.cind_scans[relation], buckets):
+            end = start + len(bucket)
+            cind_buckets[id(task)] = violations[start:end]
+            start = end
+    return assemble_report(plan, cfd_buckets, cind_buckets)
 
 
 def plan_has_violation(
@@ -535,7 +578,7 @@ def plan_has_violation(
                 deps = cache.cind_deps(tasks, db.version_of)
                 hits = cache.cind_hits(relation, instance.version, deps)
                 if hits is not None:
-                    if hits:
+                    if hits[0]:
                         return True
                     continue
             if _cind_any_hit(tasks, instance, witnesses):

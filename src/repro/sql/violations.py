@@ -46,10 +46,11 @@ import sqlite3
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.cfd import CFD
-from repro.core.cind import CIND
+from repro.core.cind import CIND, CINDViolation
 from repro.core.violations import ConstraintSet, constraint_labels
 from repro.engine.cache import ScanCache
 from repro.engine.carry import Carry, Rescan
+from repro.engine.executor import cind_task_violations
 from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
@@ -376,13 +377,13 @@ class SQLPlanExecutor:
       :func:`~repro.sql.loader.create_database_file`).
 
     Hit lists have the same shape as the in-memory executor's
-    (``(task, key, kind)`` / ``(task, tuple)``), so the standard
-    :func:`~repro.engine.executor.assemble_report` /
-    :func:`~repro.engine.executor.assemble_summary` path produces reports
+    (``(task, key, kind)`` per CFD hit; per LHS relation, task-major CIND
+    violations and each task's rowid bucket), so the one
+    :func:`~repro.engine.executor.assemble_from_hits` produces reports
     bit-identical — including violation-list order — to every other
-    backend. Count-only callers use the same hits without fetching group
-    tuples; :meth:`cind_relation_clean` is the ``EXISTS``-based early-exit
-    variant for ``is_clean``.
+    backend. Count-only callers use the same hits without fetching
+    group tuples; :meth:`cind_relation_clean` is the ``EXISTS``-based
+    early-exit variant for ``is_clean``.
 
     With a session's *cache* and its per-table *versions* counters, the
     unit methods (:meth:`cfd_group_hits`, :meth:`cfd_group_tuples`,
@@ -722,50 +723,51 @@ class SQLPlanExecutor:
 
     def cind_relation_hits(
         self, relation: str, tasks: list[CINDRowTask]
-    ) -> list[tuple[CINDRowTask, Tuple]]:
-        """Every violating ``(task, tuple)`` of one LHS relation: the
-        cached hits at its and its witnesses' versions, else
-        :meth:`scan_cind_relation` (memoized with its rowid buckets)."""
+    ) -> tuple[list[CINDViolation], list[list[int]]]:
+        """One LHS relation's task-major violations and per-task rowid
+        buckets: the cached ones at its and its witnesses' versions,
+        else :meth:`scan_cind_relation`'s (memoized)."""
         cache = self.cache
         if cache is None:
-            return self.scan_cind_relation(relation, tasks)[0]
+            return self.scan_cind_relation(relation, tasks)
         version, deps = self._cind_version(relation, tasks)
         hits = cache.cind_hits(relation, version, deps)
         if hits is None:
-            hits, buckets = self.scan_cind_relation(relation, tasks)
-            cache.store_cind_hits(relation, version, deps, hits, buckets)
+            hits = self.scan_cind_relation(relation, tasks)
+            cache.store_cind_hits(relation, version, deps, *hits)
         return hits
 
     def scan_cind_relation(
         self, relation: str, tasks: list[CINDRowTask]
-    ) -> tuple[list[tuple[CINDRowTask, Tuple]], list[list[int]]]:
-        """Every violating ``(task, tuple)`` of one LHS relation, and
-        each task's violating rowids (aligned with *tasks*).
+    ) -> tuple[list[CINDViolation], list[list[int]]]:
+        """One LHS relation's violations, task-major, and each task's
+        violating rowids (aligned with *tasks*, in rowid order).
 
         One anti-join per deduplicated signature (structurally identical
         pattern rows share it, like the engine's ``cind_scan_hits``);
-        tuples come back in rowid order within each task.
+        a row gets one tuple, shared by every task it violates.
         """
         rel = self.schema.relation(relation)
         cols = f"t1.rowid, {select_columns(rel, 't1')}"
-        evaluated: dict[tuple, tuple[list[Tuple], list[int]]] = {}
-        hits: list[tuple[CINDRowTask, Tuple]] = []
+        evaluated: dict[tuple, list[int]] = {}
+        rows: dict[int, Tuple] = {}
         buckets: list[list[int]] = []
         for task in tasks:
             signature = (task.lhs_checks, task.x_positions, task.witness)
-            found = evaluated.get(signature)
-            if found is None:
+            bucket = evaluated.get(signature)
+            if bucket is None:
                 sql, params = self._cind_sql(
                     task, cols, suffix=" ORDER BY t1.rowid"
                 )
-                rows = [] if sql is None else self.conn.execute(sql, params).fetchall()
-                found = evaluated[signature] = (
-                    [Tuple.from_row(rel, row[1:]) for row in rows],
-                    [row[0] for row in rows],
+                fetched = (
+                    [] if sql is None else self.conn.execute(sql, params).fetchall()
                 )
-            hits.extend((task, t) for t in found[0])
-            buckets.append(found[1])
-        return hits, buckets
+                for row in fetched:
+                    if row[0] not in rows:
+                        rows[row[0]] = Tuple.from_row(rel, row[1:])
+                bucket = evaluated[signature] = [row[0] for row in fetched]
+            buckets.append(bucket)
+        return cind_task_violations(tasks, buckets, rows.__getitem__), buckets
 
     def cind_relation_clean(
         self, relation: str, tasks: list[CINDRowTask]
@@ -782,7 +784,7 @@ class SQLPlanExecutor:
         if cache is not None:
             hits = cache.cind_hits(relation, version, deps)
             if hits is not None:
-                return not hits
+                return not hits[0]
         seen: set[tuple] = set()
         for task in tasks:
             signature = (task.lhs_checks, task.x_positions, task.witness)
@@ -1010,11 +1012,11 @@ class SQLCarry(Carry):
         return self.executor.witness_keys(spec) & touched
 
     def cind_rescan(self, relation, tasks):
-        hits, buckets = self.executor.scan_cind_relation(relation, tasks)
+        violations, buckets = self.executor.scan_cind_relation(relation, tasks)
         rows = self.rows.setdefault(relation, {})
         flat = [rowid for bucket in buckets for rowid in bucket]
-        for (__, t), rowid in zip(hits, flat):
-            rows[rowid] = t
+        for v, rowid in zip(violations, flat):
+            rows[rowid] = v.tuple_
         return buckets
 
     def cind_flipped(self, relation, task, lost, fresh, shared):

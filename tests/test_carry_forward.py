@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.core.cfd import CFD, standard_fd
-from repro.core.cind import CIND
+from repro.core.cind import CIND, CINDViolation
 from repro.core.violations import ConstraintSet, check_database_naive
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
@@ -69,6 +69,8 @@ class Harness:
             else:
                 self.sessions[backend] = api.connect(db, sigma, options=options)
         self.session = self.sessions.get("memory")
+        #: backend -> the delta its session gave for the last step
+        self.deltas = {}
         records = {
             backend: report_records(session.check())
             for backend, session in self.sessions.items()
@@ -121,7 +123,7 @@ class Harness:
         )
         for backend, session in self.sessions.items():
             if delta:
-                change = session.delta()
+                change = self.deltas[backend] = session.delta()
                 assert (change is None) == oversized, backend
                 if change is not None:
                     replayed = replay(self.records, record_delta(1, self.records, change))
@@ -474,6 +476,12 @@ def test_prune_implied_duplicates_keep_their_slots():
         assert {r[1] for r in h.records if r[0] == "cind" and r[3][1] == "ghost"} == {
             "fk_customer", "fk_again"
         }
+        # count() sums the cached lists, a duplicate at its donor's size.
+        for backend, session in h.sessions.items():
+            report, summary = session.check(), session.count()
+            assert (summary.total, summary.by_constraint()) == (
+                report.total, report.by_constraint()
+            ), backend
         h.step(deletes=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
 
 
@@ -490,6 +498,58 @@ def test_empty_x_cind_follows_its_witness():
         h.step(inserts=[("orders", ("z4", "ghost", "UK", "sku0", "10", "shipped"))])
         h.step(inserts=[("shipping", uk)])
         assert not [r for r in h.records if r[1] == "uk_shipping_row"]
+
+
+# -- shared violation objects -------------------------------------------------
+
+
+def _same_objects(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_reads_share_the_cached_cind_violations():
+    """A report's CIND violations are the cached objects: two checks
+    with nothing between them hold the same objects, each report in
+    lists of its own, so clearing one report's lists leaves the other
+    report and the next check intact."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        for backend, session in h.sessions.items():
+            first, second = session.check(), session.check()
+            assert first.cind_violations, backend
+            assert first.cind_violations is not second.cind_violations, backend
+            assert first.cfd_violations is not second.cfd_violations, backend
+            assert _same_objects(first.cind_violations, second.cind_violations), backend
+            expected = report_key(second)
+            first.cind_violations.clear()
+            first.cfd_violations.clear()
+            assert report_key(second) == expected, backend
+            assert report_key(session.check()) == expected, backend
+
+
+def test_the_read_after_a_delta_holds_kept_or_added_violations():
+    """An order with CIND violations moves to an unknown customer, in
+    one batch: its row goes (its violations with it) and comes back
+    under a new row id, violating ``fk_customer`` too. The check after
+    ``delta()`` holds no CIND violation that is in neither the previous
+    report nor the delta's added violations."""
+    with Harness(_commerce(), commerce_constraints()) as h:
+        before = {backend: session.check() for backend, session in h.sessions.items()}
+        row = next(
+            v.tuple_.values for v in before["memory"].cind_violations
+            if v.cind.name == "paid_price_in_catalog"
+        )
+        moved = (row[0], "ghost", *row[2:])
+        h.step(inserts=[("orders", moved)], deletes=[("orders", row)])
+        for backend, session in h.sessions.items():
+            change = h.deltas[backend]
+            added = [v for __, v in change.added if isinstance(v, CINDViolation)]
+            assert change.removed and {v.cind.name for v in added} >= {
+                "fk_customer", "paid_price_in_catalog"
+            }, backend
+            known = {id(v) for v in before[backend].cind_violations}
+            known.update(id(v) for v in added)
+            after = session.check()
+            assert all(id(v) in known for v in after.cind_violations), backend
 
 
 # -- exact counts ---------------------------------------------------------------
@@ -785,7 +845,7 @@ def test_concurrent_checks_after_a_batch_agree(tmp_path):
     """Eight threads check one session right after a batch — a memory
     session, then a sqlfile one: one carries the cache forward — each
     unit once, as a single reader would — and all get the same fresh
-    report."""
+    report, holding the same CIND violation objects."""
     db = _commerce(n_orders=300)
     sigma = commerce_constraints()
     batch = {
@@ -807,8 +867,14 @@ def test_concurrent_checks_after_a_batch_agree(tmp_path):
             single.check()
             session.check()
             session.apply(**batch)
-            results = _check_in_eight_threads(session)
-            assert all(result == expected for result in results), backend
+            reports = _check_in_eight_threads(session)
+            assert all(report_key(report) == expected for report in reports), backend
+            # Each new hit was built once, by the one carry: every thread
+            # holds the same violation objects.
+            first = reports[0].cind_violations
+            assert all(
+                _same_objects(report.cind_violations, first) for report in reports
+            ), backend
             carried = session.backend.cache.carried
             assert carried == single.backend.cache.carried > 0, backend
         finally:
@@ -822,7 +888,7 @@ def _check_in_eight_threads(session) -> list:
 
     def worker(i: int) -> None:
         barrier.wait()
-        results[i] = report_key(session.check())
+        results[i] = session.check()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
