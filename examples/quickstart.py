@@ -28,8 +28,8 @@ def main() -> None:
             print(" ", line)
 
     print("\n=== 1. Error detection on the Fig. 1 instance ===")
-    # One facade over every engine; backend="sql" / "naive" (or
-    # workers=4) would print the identical report.
+    # One facade over every engine; backend="sql" / "naive" would print
+    # the identical report.
     session = api.connect(db, sigma)
     detection = session.detect()
     print(detection.summary())

@@ -14,7 +14,7 @@ Quickstart::
     print(session.check().summary())   # finds the t10 / t12 errors
 
 ``api.connect`` fronts every detection path — shared-scan engine (default),
-naive oracle, SQL backends, parallel dispatch — with one report shape;
+naive oracle, SQL backends — with one report shape;
 see :mod:`repro.api`.
 """
 

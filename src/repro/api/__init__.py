@@ -2,14 +2,13 @@
 
 The paper's pitch is *one* constraint language (CFDs + CINDs) checkable
 uniformly; this package makes the implementation match: one ``connect()``
-call, one report shape, four interchangeable engines, and a parallel
-dispatch path that is an internal option rather than a different API.
+call, one report shape, four interchangeable engines, each scanning
+serially through the engine's executor or its SQL push-down.
 
     from repro import api
 
     session = api.connect(db, sigma)                  # shared-scan engine
     session = api.connect(db, sigma, backend="sql")   # sqlite3 anti-joins
-    session = api.connect(db, sigma, workers=4)       # parallel scan groups
     session = api.connect("accounts.db", sigma, backend="sqlfile")  # out-of-core
 
     report  = session.check()      # ViolationReport — identical everywhere
@@ -19,9 +18,8 @@ dispatch path that is an internal option rather than a different API.
     session.apply(inserts=[...], deletes=[...])   # batch DML
     change = session.delta()       # what the batch changed, by position
 
-See :mod:`repro.api.session` for the facade, :mod:`repro.api.backends`
-for the engine adapters, and :mod:`repro.api.parallel` for the
-scan-group dispatcher.
+See :mod:`repro.api.session` for the facade and :mod:`repro.api.backends`
+for the engine adapters.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.api.backends import (
     summarize,
 )
 from repro.api.options import ExecutionOptions
-from repro.api.parallel import execute_plan_parallel
 from repro.api.session import Session, connect
 
 __all__ = [
@@ -53,6 +50,5 @@ __all__ = [
     "SQLFileBackend",
     "Session",
     "connect",
-    "execute_plan_parallel",
     "summarize",
 ]

@@ -17,9 +17,7 @@ How each backend earns its keep:
 * :class:`MemoryBackend` — the shared-scan engine; plans Σ once and reuses
   the plan across calls and mutations (plans depend only on Σ), and owns a
   mutation-versioned :class:`~repro.engine.cache.ScanCache` so re-checks
-  over unchanged relations replay memoized scan results. With
-  ``options.workers > 1`` it dispatches scan groups through
-  :mod:`repro.api.parallel` (cache-aware: warm units never reach the pool).
+  over unchanged relations replay memoized scan results.
 * :class:`NaiveBackend` — the per-constraint reference oracle; slow by
   design, kept as the executable transcription of the paper's
   satisfaction definitions.
@@ -41,6 +39,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -54,12 +53,6 @@ from typing import (
 )
 
 from repro.api.options import ExecutionOptions
-from repro.api.parallel import (
-    execute_plan_parallel,
-    execute_sqlfile_windows,
-    resolve_executor,
-)
-from repro.api.workerpool import WorkerPool
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
 from repro.core.violations import (
@@ -82,13 +75,12 @@ from repro.engine import (
     projection_column_keys,
 )
 from repro.engine.carry import run_carry
-from repro.engine.executor import assemble_from_hits, cind_task_violations
-from repro.errors import SQLBackendError
+from repro.engine.executor import assemble_from_hits
+from repro.errors import SessionClosedError, SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate, select_columns
 from repro.sql.loader import connect_file, data_version, introspect_schema
 from repro.sql.violations import SQLCarry, SQLPlanExecutor, SQLViolationDetector
-from repro.sql.windows import ReadonlyConnectionPool
 
 
 #: One batch-DML operation: ``(relation name, row)``. Inserts take any row
@@ -341,28 +333,6 @@ class MemoryBackend(BaseBackend):
         # across checks and mutations (the repair loop relies on this).
         self._plan = build_plan(sigma, self.options)
         self._cache = ScanCache(self._plan)
-        # Resolve the pool kind once, up front: an explicit "process" on a
-        # fork-less platform warns here (once per session, not per check)
-        # and the concrete choice is recorded for honest reporting. With
-        # the default pool="persistent" the session owns one WorkerPool
-        # reused by every check; per-call keeps the resolved kind and
-        # rebuilds the executor inside each call.
-        self._pool_kind = (
-            resolve_executor(self.options.executor)
-            if self.options.parallel
-            else None
-        )
-        self._pool = (
-            WorkerPool(self._pool_kind, self.options.workers)
-            if self._pool_kind is not None
-            and self.options.pool == "persistent"
-            else None
-        )
-        self.effective_executor = (
-            f"{self._pool_kind}-persistent"
-            if self._pool is not None
-            else self._pool_kind
-        )
 
     @property
     def plan(self):
@@ -372,34 +342,15 @@ class MemoryBackend(BaseBackend):
     def cache(self) -> ScanCache:
         return self._cache
 
-    def _parallel(self, mode: str):
-        return execute_plan_parallel(
-            self._plan,
-            self.db,
-            workers=self.options.workers,
-            mode=mode,
-            executor=self._pool_kind,
-            cache=self._cache,
-            min_shard_rows=self.options.min_shard_rows,
-            shards=self.options.shards,
-            pool=self._pool,
-            steal_granularity=self.options.steal_granularity,
-        )
-
     def check(self) -> ViolationReport:
-        if self.options.parallel:
-            return self._parallel("full")
         return execute_plan(self._plan, self.db, mode="full", cache=self._cache)
 
     def count(self) -> DetectionSummary:
-        if self.options.parallel:
-            return self._parallel("count")
         return execute_plan(self._plan, self.db, mode="count", cache=self._cache)
 
     def is_clean(self) -> bool:
-        # Early exit is inherently serial: the point is to stop at the
-        # first hit, which a fan-out would race past. Warm cache entries
-        # answer without scanning at all.
+        # Stops at the first unit with a hit; warm cache entries answer
+        # without scanning at all.
         return not plan_has_violation(self._plan, self.db, cache=self._cache)
 
     def delta(self) -> ReportDelta | None:
@@ -420,12 +371,6 @@ class MemoryBackend(BaseBackend):
             instance.schema.name, before, instance.version, len(instance),
             deleted, inserted,
         )
-
-    def close(self) -> None:
-        # The persistent pool holds worker processes and /dev/shm
-        # segments; Session.close() is where they die.
-        if self._pool is not None:
-            self._pool.close()
 
 
 class NaiveBackend(BaseBackend):
@@ -465,24 +410,33 @@ class SQLBackend(BaseBackend):
         super().__init__(db, sigma, options)
         self._detector: SQLViolationDetector | None = None
         self._str_image: dict[str, dict[tuple[str, ...], int | None]] = {}
+        self._closed = False
 
     # -- sqlite session management ----------------------------------------
 
     def _get_detector(self) -> SQLViolationDetector:
+        # A call that got past the session's check while close() ran must
+        # not reopen a sqlite image nothing would close.
+        if self._closed:
+            raise SessionClosedError("sql backend is closed")
         if self._detector is None:
             self._detector = SQLViolationDetector(db=self.db)
         return self._detector
 
-    def _invalidate(self) -> None:
-        # The sqlite image and the string-image map mirror the data; a
-        # mutation invalidates both (reloaded lazily on the next call).
-        self.close()
-        self._str_image.clear()
-
-    def close(self) -> None:
+    def _drop_detector(self) -> None:
         if self._detector is not None:
             self._detector.close()
             self._detector = None
+
+    def _invalidate(self) -> None:
+        # The sqlite image and the string-image map mirror the data; a
+        # mutation invalidates both (reloaded lazily on the next call).
+        self._drop_detector()
+        self._str_image.clear()
+
+    def close(self) -> None:
+        self._closed = True
+        self._drop_detector()
 
     # -- row -> canonical tuple mapping ------------------------------------
 
@@ -673,18 +627,11 @@ class SQLFileBackend(BaseBackend):
       PRAGMA and no data SQL at all.
 
     Calls serialize on one lock, because readers share the connection and
-    its temp tables. Nothing here creates an index or writes to the file
-    except the DML itself. ``options.readonly`` opens the file read-only
-    and makes mutations fail loudly.
-
-    ``options.workers > 1`` makes ``check``/``count`` split every scan
-    unit that stays cold after the carry into contiguous rowid windows
-    run concurrently on a bounded pool of read-only connections
-    (:func:`~repro.api.parallel.execute_sqlfile_windows`; sqlite releases
-    the GIL inside queries, so the pool is always thread-based regardless
-    of ``options.executor``) and merge the partial states bit-identically
-    into the serial entry shapes. ``options.shards`` forces the
-    per-relation window count.
+    its temp tables; a call that was waiting on the lock while the
+    session closed raises :class:`~repro.errors.SessionClosedError`.
+    Nothing here creates an index or writes to the file except the DML
+    itself. ``options.readonly`` opens the file read-only and makes
+    mutations fail loudly.
     """
 
     name = "sqlfile"
@@ -727,18 +674,6 @@ class SQLFileBackend(BaseBackend):
         #: table -> the highest rowid this session inserted or deleted.
         self._high: dict[str, int] = {}
         self._lock = threading.RLock()
-        # options.pool == "persistent": one read-only connection pool for
-        # every windowed prefetch this session runs (built lazily on the
-        # first cold parallel call; warm traffic stops paying per-call
-        # connect cost). The window pool is always thread-based, so the
-        # session reports "thread-persistent"/"thread" when parallel.
-        self._window_pool: ReadonlyConnectionPool | None = None
-        self.effective_executor = (
-            ("thread-persistent" if self.options.pool == "persistent"
-             else "thread")
-            if self.options.parallel
-            else None
-        )
         self._closed = False
 
     @property
@@ -750,6 +685,17 @@ class SQLFileBackend(BaseBackend):
         return self._cache
 
     # -- cache bookkeeping -------------------------------------------------
+
+    @contextmanager
+    def _while_open(self) -> Iterator[None]:
+        """Hold the session lock, refusing once the session is closed (a
+        call may have waited on the lock while :meth:`close` ran)."""
+        with self._lock:
+            if self._closed:
+                raise SessionClosedError(
+                    f"sqlfile session on {str(self.path)!r} is closed"
+                )
+            yield
 
     def _sync(self) -> None:
         """Clear the cache if another connection committed since the last
@@ -778,68 +724,6 @@ class SQLFileBackend(BaseBackend):
         return size
 
     # -- scan units (cached) -----------------------------------------------
-
-    def _prefetch_parallel(self) -> None:
-        """Fill the scan units that stay cold after the carry via
-        rowid-window dispatch.
-
-        Only with ``options.workers > 1``. The window path yields no
-        first rowids for CFD keys, so a group it filled re-scans once, on
-        the first carry that touches it; its CIND hits keep their rowids.
-        A fully-warm call skips the pool entirely and ``is_clean`` stays
-        serial — its point is to stop at the first hit, which a fan-out
-        would race past.
-        """
-        if self.options.workers <= 1:
-            return
-        plan, cache, versions = self._plan, self._cache, self._versions
-        cold_groups = [
-            i
-            for i, group in enumerate(plan.cfd_groups)
-            if (entry := cache.cfd_entry(group)) is None
-            or entry[0] != versions[group.relation]
-        ]
-        cold_cind = [
-            relation
-            for relation, tasks in plan.cind_scans.items()
-            if (entry := cache.cind_entry(relation)) is None
-            or entry[0] != versions[relation]
-            or entry[1] != cache.cind_deps(tasks, versions.__getitem__)
-        ]
-        if not cold_groups and not cold_cind:
-            return
-        if self.options.pool == "persistent" and self._window_pool is None:
-            self._window_pool = ReadonlyConnectionPool(
-                self.path, self.options.workers
-            )
-        cfd_hits, cind_hits = execute_sqlfile_windows(
-            plan,
-            self.sigma.schema,
-            self.path,
-            cold_groups,
-            cold_cind,
-            workers=self.options.workers,
-            min_shard_rows=self.options.min_shard_rows,
-            shards=self.options.shards,
-            conn_pool=self._window_pool,
-            steal_granularity=self.options.steal_granularity,
-        )
-        for i, hits in cfd_hits.items():
-            group = plan.cfd_groups[i]
-            cache.store_cfd_hits(group, versions[group.relation], hits)
-        for relation, pairs in cind_hits.items():
-            tasks = plan.cind_scans[relation]
-            slot = {id(task): i for i, task in enumerate(tasks)}
-            buckets: list[list[int]] = [[] for __ in tasks]
-            rows: dict[int, Tuple] = {}
-            for task, (rowid, t) in pairs:
-                buckets[slot[id(task)]].append(rowid)
-                rows[rowid] = t
-            cache.store_cind_hits(
-                relation, versions[relation],
-                cache.cind_deps(tasks, versions.__getitem__),
-                cind_task_violations(tasks, buckets, rows.__getitem__), buckets,
-            )
 
     def _keep_witness_sets(self, relations: set[str]) -> None:
         """Before a batch on *relations*, store the witness key sets a
@@ -881,11 +765,10 @@ class SQLFileBackend(BaseBackend):
         """Carry, scan what stays cold (the executor answers warm units
         from the cache), and assemble the per-unit hit lists in *mode* —
         all under the session lock."""
-        with self._lock:
+        with self._while_open():
             self._sync()
             try:
                 self._carry()
-                self._prefetch_parallel()
                 executor = self._executor
                 cfd_hits = [
                     (group, executor.cfd_group_hits(group))
@@ -918,7 +801,7 @@ class SQLFileBackend(BaseBackend):
         # lists are computed (and cached) whole — the pushed-down queries
         # already return only violating candidates — while CIND buckets
         # use EXISTS probes, which store the empty hit list they prove.
-        with self._lock:
+        with self._while_open():
             self._sync()
             try:
                 self._carry()
@@ -939,7 +822,7 @@ class SQLFileBackend(BaseBackend):
         how the report changed, by position; ``None`` when the cache was
         never complete or another connection committed since (the next
         check then re-scans every unit)."""
-        with self._lock:
+        with self._while_open():
             self._sync()
             try:
                 return self._carry(delta=True)
@@ -990,7 +873,7 @@ class SQLFileBackend(BaseBackend):
         ]
         if not delete_ops and not insert_ops:
             return ApplyResult(inserted=0, deleted=0)
-        with self._lock:
+        with self._while_open():
             self._sync()
             self._keep_witness_sets(
                 {relation for relation, __ in delete_ops + insert_ops}
@@ -1071,9 +954,6 @@ class SQLFileBackend(BaseBackend):
         with self._lock:
             if not self._closed:
                 self._closed = True
-                if self._window_pool is not None:
-                    self._window_pool.close()
-                    self._window_pool = None
                 self.conn.close()
 
     def __repr__(self) -> str:

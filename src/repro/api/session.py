@@ -9,7 +9,6 @@
         print(report.summary())
 
     api.connect(db, sigma, backend="sql").check()     # same report, SQL
-    api.connect(db, sigma, workers=4).check()         # same report, parallel
 
     live = api.connect(db, sigma)
     live.insert("orders", {...})
@@ -123,20 +122,6 @@ class Session:
             )
         return cls(self.db, self.sigma, self.options)
 
-    @property
-    def effective_executor(self) -> str | None:
-        """The concrete pool parallel dispatch runs on, for honest
-        reporting: ``"process-persistent"``/``"thread-persistent"`` when
-        the session owns a long-lived worker pool (the default,
-        ``pool="persistent"``), plain ``"process"``/``"thread"`` with
-        ``pool="per-call"``; the parallel ``sqlfile`` backend reports its
-        thread-based window pool the same way. An explicit
-        ``executor="process"`` that had to downgrade to ``thread`` — no
-        ``fork`` on the platform — shows up here truthfully, with one
-        ``RuntimeWarning`` at connect time (never per call). ``None`` for
-        serial sessions and backends that never parallelize."""
-        return getattr(self.backend, "effective_executor", None)
-
     # -- static analysis ---------------------------------------------------
 
     def analyze(self, implication: bool = False) -> "SigmaReport":
@@ -217,13 +202,10 @@ class Session:
         ``RepairResult``, the session's own database (or file) is
         untouched. Whatever this session's backend, the repair engine
         repairs its copy through its own ``memory`` session (a file is
-        loaded read-only first). The session's ``options.workers``
-        carries over to the per-round detection unless overridden
-        explicitly.
+        loaded read-only first).
         """
         from repro.cleaning.repair import repair as run_repair
 
-        kwargs.setdefault("workers", self.options.workers)
         return run_repair(self.db, self.sigma, **kwargs)
 
     # -- mutation ----------------------------------------------------------
@@ -293,10 +275,7 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"<Session backend={self.backend.name} |Σ|={len(self.sigma)} "
-            f"workers={self.options.workers}>"
-        )
+        return f"<Session backend={self.backend.name} |Σ|={len(self.sigma)}>"
 
 
 def connect(
@@ -315,7 +294,6 @@ def connect(
     class, or a ready instance. Options come either as an
     :class:`ExecutionOptions` or as its fields directly::
 
-        connect(db, sigma, workers=4)
         connect(db, sigma, backend="sql")
         connect("accounts.db", sigma, backend="sqlfile")
         connect(db, sigma, options=ExecutionOptions(mode="count"))

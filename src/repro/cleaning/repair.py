@@ -175,7 +175,6 @@ def repair(
     max_rounds: int = 10,
     rng: random.Random | None = None,
     fill: Callable[[RelationSchema, str, list[int]], Any] | None = None,
-    workers: int = 1,
     tie_break: str = "first",
 ) -> RepairResult:
     """Iteratively repair *db* (on a copy) until clean or out of rounds.
@@ -194,11 +193,8 @@ def repair(
     executed — reaching the fixpoint early no longer misreports the
     round cap, and ``max_rounds <= 0`` truthfully reports ``0``. ``clean``
     is the verdict of the check after the last round.
-
-    ``workers > 1`` runs each round's detection with parallel scan-group
-    dispatch (see :mod:`repro.api.parallel`).
     """
-    from repro.api import ExecutionOptions, connect
+    from repro.api import connect
 
     if isinstance(db, (str, Path)):
         from repro.sql.loader import read_database_file
@@ -219,9 +215,7 @@ def repair(
     edits: list[RepairEdit] = []
     stats: list[RoundStats] = []
     perf = time.perf_counter
-    with connect(
-        work, sigma, options=ExecutionOptions(workers=workers)
-    ) as session:
+    with connect(work, sigma) as session:
         cache = session.backend.cache
         start = perf()
         worklist = _worklist(session.check(), labels)

@@ -93,7 +93,7 @@ def parse_schema_text(text: str) -> DatabaseSchema:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --workers: reject 0/negatives at parse time so a
+    """argparse type for counts: reject 0/negatives at parse time so a
     usage mistake exits 2 (usage error), never 1 (the 'dirty data' code)."""
     try:
         value = int(text)
@@ -137,10 +137,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
         # check never writes: open read-only so write-protected snapshots
         # (chmod 444, ro mounts) are checkable.
-        options = ExecutionOptions(workers=args.workers, readonly=True)
+        options = ExecutionOptions(readonly=True)
     else:
         source = _load_data(schema, args)
-        options = ExecutionOptions(workers=args.workers)
+        options = ExecutionOptions()
     with connect(source, sigma, backend=args.engine, options=options) as session:
         detection = session.detect()
     print(detection.summary() if args.verbose else detection.report.summary())
@@ -159,7 +159,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         sigma,
         cind_policy=args.cind_policy,
         max_rounds=args.max_rounds,
-        workers=args.workers,
         tie_break=args.tie_break,
         rng=random.Random(args.seed),
     )
@@ -299,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "detection inside an existing sqlite file (--data names the "
         "file). All engines print the same report.",
     )
-    p_check.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="parallel scan-group workers (memory engine only; default 1)",
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_repair = sub.add_parser("repair", help="repair violations and write a copy")
@@ -310,10 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--out", required=True, help="output directory")
     p_repair.add_argument("--cind-policy", choices=("insert", "delete"), default="insert")
     p_repair.add_argument("--max-rounds", type=int, default=10)
-    p_repair.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="parallel scan-group workers for each detection round",
-    )
     p_repair.add_argument(
         "--tie-break",
         choices=("first", "lexicographic", "random"),

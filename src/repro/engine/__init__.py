@@ -94,12 +94,10 @@ from repro.engine.planner import (
 from repro.engine.shards import (
     CFDGroupState,
     CINDScanState,
-    ShardSpec,
     WitnessState,
     cfd_finalize,
     cfd_map_shard,
     cind_map_shard,
-    make_shards,
     witness_map_shard,
 )
 from repro.relational.instance import DatabaseInstance
@@ -115,7 +113,6 @@ __all__ = [
     "PruneMap",
     "ReportDelta",
     "ScanCache",
-    "ShardSpec",
     "WitnessSpec",
     "WitnessState",
     "assemble_report",
@@ -132,7 +129,6 @@ __all__ = [
     "database_is_clean",
     "detect",
     "execute_plan",
-    "make_shards",
     "passes",
     "plan_detection",
     "plan_has_violation",

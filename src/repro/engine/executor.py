@@ -24,13 +24,10 @@ and — when a :class:`~repro.engine.cache.ScanCache` is supplied — memoized
 against the relation's mutation version so a re-check of unchanged data
 skips the scan entirely and replays the cached hit lists.
 
-Scan units are *sharded* underneath (:mod:`repro.engine.shards`): each
-unit is a ``map_shard`` over a row range producing a mergeable partial
-state, a shard-order ``merge``, and a ``finalize`` that evaluates the
-plan's tasks against the merged state. The serial functions here are the
-1-shard case of that pipeline — the parallel dispatcher
-(:mod:`repro.api.parallel`) runs the very same map/merge/finalize over
-many shards on a pool, which is why its output is bit-identical.
+Each scan unit is a map over the relation's rows producing a state and
+a finalize that evaluates the plan's tasks against it
+(:mod:`repro.engine.shards`); the carry-forward (:mod:`repro.engine.carry`)
+runs the same kernels over the rows a batch touched.
 """
 
 from __future__ import annotations
@@ -113,8 +110,8 @@ def witness_sets(
                 continue
         cold.append(spec)
     if cold:
-        # The 1-shard case of the shard pipeline: map the whole relation
-        # as one row range (projection lists cache-memoized when possible).
+        # Map the whole relation (projection lists cache-memoized when
+        # possible).
         state = witness_map_shard(
             cold, instance.columns(), instance_key_fn(instance, cache)
         )
@@ -141,11 +138,8 @@ def cfd_group_hits(
     distinct ``key_checks`` filter exactly once per distinct group key. With
     a cache, the whole hit list is memoized against the relation version.
 
-    This is the 1-shard case of the shard pipeline: one
-    :func:`~repro.engine.shards.cfd_map_shard` over the whole relation,
-    no merge, :func:`~repro.engine.shards.cfd_finalize` in place. The
-    parallel dispatcher maps many shards and merges before the same
-    finalize.
+    One :func:`~repro.engine.shards.cfd_map_shard` over the whole
+    relation, then :func:`~repro.engine.shards.cfd_finalize`.
     """
     version = instance.version
     if cache is not None:
@@ -174,14 +168,13 @@ def cind_scan_hits(
     Yields ``(task, tuple)`` for every violating pair — tasks in task-list
     order, tuples in scan order within a task (consumers bucket per task, so
     assembled reports are identical to a tuple-major sweep). Witness key
-    sets come from :func:`witness_sets`; any shard's sets can be merged in
-    beforehand (set union is the merge operation). Tasks sharing ``X``
-    positions share one projection key list.
+    sets come from :func:`witness_sets`. Tasks sharing ``X`` positions
+    share one projection key list.
 
-    The 1-shard case of the shard pipeline: one
-    :func:`~repro.engine.shards.cind_map_shard` over the whole relation
-    with row ids as the per-row payload, flattened task-major; only the
-    violating rows get :class:`~repro.relational.instance.Tuple` views.
+    One :func:`~repro.engine.shards.cind_map_shard` over the whole
+    relation with row ids as the per-row payload, flattened task-major;
+    only the violating rows get
+    :class:`~repro.relational.instance.Tuple` views.
     """
     view = instance.view
     for task, bucket in zip(tasks, cind_scan_buckets(tasks, instance, witnesses)):
@@ -299,9 +292,7 @@ def _all_witnesses(
 #
 # Scans fill per-task buckets; assembly orders them by the plan's task lists
 # (constraints in Σ order, pattern rows in tableau order), reproducing the
-# naive checker's output order no matter which order the scans ran in. The
-# parallel dispatcher of :mod:`repro.api.parallel` merges worker results
-# through these same two functions.
+# naive checker's output order no matter which order the scans ran in.
 
 
 def assemble_report(

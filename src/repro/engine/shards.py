@@ -1,184 +1,49 @@
-"""Data sharding *within* a scan unit: row-range shards + mergeable states.
+"""Scan-unit kernels: map a unit's rows to a partial state, then finalize.
 
-PR 3 made the merge primitives of every scan unit explicit — witness key
-sets merge by set union, CFD variant state merges by a first-value /
-disagree join, CIND hit lists concatenate per task — but the executor
-still computed each unit in one pass, so one giant ``(relation, X)``
-group (the common shape on bank/commerce) serialized a whole check even
-under the parallel dispatcher. This module turns those primitives into a
-shard pipeline:
+Each of the paper's scan units is computed by two steps — a ``*_map``
+over rows producing a state, then a finalize that evaluates the plan's
+tasks against it:
 
-* :class:`ShardSpec` — a contiguous row-range slice ``[start, stop)`` of
-  a relation's columns (:func:`plan_shard_ranges` balances them;
-  shard 0 holds the first rows, so merging states *in shard order*
-  reproduces scan order exactly);
 * :class:`CFDGroupState` — per RHS variant, the first observed RHS
-  projection per group key plus the keys whose groups disagree. Shard
-  states join associatively: a key unseen by ``self`` is adopted with
-  ``other``'s first value, a key seen with a *different* first value
-  becomes a disagreement (exactly the pairwise-violation condition);
-* :class:`WitnessState` — one key set per witness spec; merge is set
-  union (associative *and* commutative);
-* :class:`CINDScanState` — per-task hit buckets; merge extends each
-  bucket in shard order, so tuples stay in scan order within a task.
+  projection per group key plus the keys whose groups disagree (exactly
+  the pairwise-violation condition); :func:`cfd_map_shard` builds it,
+  :func:`cfd_finalize` evaluates a CFD ``X``-group's tasks against it;
+* :class:`WitnessState` — one key set per witness spec
+  (:func:`witness_map_shard`);
+* :class:`CINDScanState` — per-task hit buckets in row order
+  (:func:`cind_map_shard`, flattened by :func:`cind_finalize`).
 
-Every state is built by a ``*_map_shard`` function and consumed by a
-``finalize`` step; the serial executor is literally the 1-shard case
-(:func:`repro.engine.executor.cfd_group_hits` maps the whole relation as
-one shard and finalizes in place), and the parallel dispatcher maps
-shards on a pool, merges in shard order, and finalizes parent-side —
-both paths share this code, so their outputs are bit-identical.
+The serial executor (:mod:`repro.engine.executor`) maps each unit over
+the whole relation; the carry-forward (:mod:`repro.engine.carry`) maps
+only the rows of the keys a batch touched. Both share this code, so a
+carried entry equals the one a re-scan would store.
 
-Merge laws (Hypothesis-tested in ``tests/test_shards.py``): every merge
-here is **associative** over an ordered shard sequence — any parenthesized
-merge of ``s0..sn`` in order yields the same state. ``WitnessState`` is
-fully commutative; ``CFDGroupState`` is *commutative-safe*: permuting the
-merge order may permute key insertion order and which value is recorded
-as "first" for a disagreeing key, but the disagree set and the first
-value of every non-disagreeing key — everything violation detection reads
-— are order-invariant. ``CINDScanState`` buckets are lists, so it is
-associative only (shard order *is* scan order).
-
-Mapping functions take the shard's *columns* plus a ``key_lists``
-callable (positions -> per-row projection key list for the shard) so
-that the serial path can plug in its cache-memoized projection lists
-while shard workers slice fresh ones; :func:`shard_columns` and
-:func:`shard_key_fn` build the worker-side pair.
+Mapping functions take the rows' *columns* plus a ``key_lists``
+callable (positions -> per-row projection key list for those rows), so
+the executor can plug in its cache-memoized projection lists
+(:func:`instance_key_fn`) and the carry fresh ones over the rows it
+re-evaluates (:func:`shard_key_fn`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.cache import Columns, projection_column_keys
 from repro.engine.planner import CFDScanGroup, CINDRowTask, WitnessSpec, passes
 from repro.relational.instance import RelationInstance
 
-#: positions -> per-row projection key list (for one shard's rows).
+#: positions -> per-row projection key list (for the mapped rows).
 KeyLists = Callable[[tuple[int, ...]], list]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """A contiguous row-range slice of one relation's columns.
-
-    ``index``/``count`` place the shard within its scan unit: states must
-    be merged in ``index`` order for hit lists to come out in scan order
-    (content-wise the merges tolerate any order; see the module notes).
-    """
-
-    relation: str
-    start: int
-    stop: int
-    index: int = 0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start:
-            raise ValueError(
-                f"invalid shard range [{self.start}, {self.stop})"
-            )
-
-    @property
-    def rows(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def whole(self) -> bool:
-        """True when this is the only shard of its scan unit."""
-        return self.count == 1
-
-    def __repr__(self) -> str:
-        return (
-            f"<ShardSpec {self.relation}[{self.start}:{self.stop}] "
-            f"{self.index + 1}/{self.count}>"
-        )
-
-
-def resolve_shard_count(
-    n_rows: int,
-    workers: int,
-    min_shard_rows: int,
-    shards: int = 0,
-    granularity: int = 0,
-) -> int:
-    """How many shards one scan unit over *n_rows* rows should use.
-
-    An explicit *shards* wins (benchmarks force specific shapes); otherwise
-    the unit is split ``min(workers, n_rows // min_shard_rows)`` ways — a
-    shard never holds fewer than *min_shard_rows* rows, so small relations
-    stay single-shard and per-shard state overhead cannot dominate the
-    scan it parallelizes. A *granularity* ``N >= 1`` raises the worker
-    bound to ``workers * N``, over-partitioning the unit into finer
-    shards that idle workers can steal when group sizes are skewed (the
-    ``min_shard_rows`` floor still applies). Always at least 1, never
-    more than ``n_rows``.
-    """
-    if shards > 0:
-        wanted = shards
-    else:
-        target = workers * granularity if granularity > 0 else workers
-        wanted = min(target, max(1, n_rows // max(1, min_shard_rows)))
-    return max(1, min(wanted, n_rows)) if n_rows > 0 else 1
-
-
-def plan_shard_ranges(n_rows: int, count: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``[start, stop)`` ranges covering ``n_rows``."""
-    count = max(1, min(count, n_rows)) if n_rows > 0 else 1
-    base, extra = divmod(n_rows, count)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(count):
-        stop = start + base + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def make_shards(
-    relation: str,
-    n_rows: int,
-    workers: int,
-    min_shard_rows: int,
-    shards: int = 0,
-    granularity: int = 0,
-) -> list[ShardSpec]:
-    """The :class:`ShardSpec` list for one scan unit over *relation*."""
-    ranges = plan_shard_ranges(
-        n_rows,
-        resolve_shard_count(
-            n_rows, workers, min_shard_rows, shards, granularity
-        ),
-    )
-    count = len(ranges)
-    return [
-        ShardSpec(relation, start, stop, index=i, count=count)
-        for i, (start, stop) in enumerate(ranges)
-    ]
-
-
-def shard_columns(
-    columns: Columns, start: int, stop: int
-) -> Columns:
-    """The ``[start, stop)`` slice of a relation's columns.
-
-    The whole-range call passes the columns through unsliced — the
-    serial path and single-shard workers read the relation's own store
-    instead of copying it.
-    """
-    if start == 0 and (not columns or stop >= len(columns[0])):
-        return columns
-    return tuple(col[start:stop] for col in columns)
 
 
 def shard_key_fn(
     columns: Columns, n_rows: int
 ) -> KeyLists:
-    """A ``key_lists`` callable over (already sliced) shard columns.
+    """A ``key_lists`` callable over *columns* of *n_rows* rows.
 
     Memoizes per distinct position tuple, mirroring the executor's
-    scan-lifetime projection sharing at shard granularity.
+    scan-lifetime projection sharing.
     """
     memo: dict[tuple[int, ...], list] = {}
 
@@ -226,14 +91,12 @@ def filter_by_checks(
 
 
 class CFDGroupState:
-    """Mergeable partial state of one CFD scan group over some row range.
+    """The state of one CFD scan group over some rows.
 
     Per RHS variant: ``first`` maps each group key to the first RHS
     projection observed for it (insertion order = first-occurrence order
-    within the covered rows) and ``disagree`` holds the keys whose groups
-    saw a second distinct projection. Merging two states joins the maps
-    with setdefault semantics and promotes first-value conflicts to
-    disagreements — the associative first-value/disagree join.
+    within the rows) and ``disagree`` holds the keys whose groups saw a
+    second distinct projection.
     """
 
     __slots__ = ("variants",)
@@ -247,42 +110,18 @@ class CFDGroupState:
         #: variant positions -> (first map, disagree set)
         self.variants = variants
 
-    def merge(self, other: "CFDGroupState") -> "CFDGroupState":
-        """Fold *other* (a later shard) into this state, in place."""
-        for variant, (ofirst, odisagree) in other.variants.items():
-            mine = self.variants.get(variant)
-            if mine is None:
-                self.variants[variant] = (dict(ofirst), set(odisagree))
-                continue
-            first, disagree = mine
-            disagree |= odisagree
-            setdefault = first.setdefault
-            add = disagree.add
-            for key, rkey in ofirst.items():
-                if setdefault(key, rkey) != rkey:
-                    add(key)
-        return self
-
-    def payload(self) -> dict:
-        """A plain-data image (value tuples only — safe to pickle)."""
-        return self.variants
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CFDGroupState":
-        return cls(payload)
-
     def __repr__(self) -> str:
         keys = sum(len(first) for first, __ in self.variants.values())
         return f"<CFDGroupState {len(self.variants)} variant(s), {keys} key(s)>"
 
 
 def cfd_map_shard(group: CFDScanGroup, key_lists: KeyLists) -> CFDGroupState:
-    """Build the group's partial state over one shard's rows.
+    """Build the group's state over the rows ``key_lists`` projects.
 
-    ``key_lists`` must yield per-row projection lists for exactly the
-    shard's row range; the whole-relation call is the serial executor.
-    Each distinct projection (the ``X`` key and every distinct RHS
-    variant) is computed exactly once for the shard.
+    The whole-relation call is the serial executor; the carry calls it
+    over the rows of the keys a batch touched. Each distinct projection
+    (the ``X`` key and every distinct RHS variant) is computed exactly
+    once.
     """
     lhs_positions = group.lhs_positions
     keys = key_lists(lhs_positions)
@@ -308,24 +147,14 @@ def cfd_map_shard(group: CFDScanGroup, key_lists: KeyLists) -> CFDGroupState:
     return CFDGroupState(variants)
 
 
-def merge_cfd_states(states: Sequence[CFDGroupState]) -> CFDGroupState:
-    """Fold shard states in shard order into one group-level state."""
-    if not states:
-        return CFDGroupState({})
-    merged = states[0]
-    for state in states[1:]:
-        merged.merge(state)
-    return merged
-
-
 def cfd_finalize(
     group: CFDScanGroup, state: CFDGroupState
 ) -> list[tuple[Any, tuple[Any, ...], str]]:
-    """Evaluate every task of *group* against the merged state.
+    """Evaluate every task of *group* against *state*.
 
     Returns the violating ``(task, key, kind)`` triples — tasks in group
-    order, keys in the state's first-occurrence order (scan order when
-    shards were merged in shard order). Each distinct ``key_checks``
+    order, keys in the state's first-occurrence order (scan order). Each
+    distinct ``key_checks``
     filter runs once per distinct group key, and structurally identical
     tasks are evaluated once and replicated.
     """
@@ -382,26 +211,13 @@ def cfd_finalize(
 
 
 class WitnessState:
-    """Mergeable witness key sets, one per spec, for one RHS relation.
-
-    Sets are kept in a list aligned with the plan's spec order for the
-    relation (spec objects don't survive pickling with their identity, so
-    positions are the cross-process currency). Merge is per-position set
-    union — associative and commutative.
-    """
+    """Witness key sets, one per spec, for one RHS relation, in the
+    order of the specs they were mapped for."""
 
     __slots__ = ("sets",)
 
     def __init__(self, sets: list[set]):
         self.sets = sets
-
-    def merge(self, other: "WitnessState") -> "WitnessState":
-        for mine, theirs in zip(self.sets, other.sets):
-            mine |= theirs
-        return self
-
-    def as_dict(self, specs: Sequence[WitnessSpec]) -> dict[WitnessSpec, set]:
-        return dict(zip(specs, self.sets))
 
     def __repr__(self) -> str:
         return (
@@ -415,7 +231,7 @@ def witness_map_shard(
     columns: Columns,
     key_lists: KeyLists,
 ) -> WitnessState:
-    """Witness key sets for every spec over one shard's rows.
+    """Witness key sets for every spec over the given rows.
 
     Specs sharing ``Y`` positions share one projection key list (via the
     memoizing ``key_lists``).
@@ -427,38 +243,22 @@ def witness_map_shard(
     return WitnessState(sets)
 
 
-def merge_witness_states(states: Sequence[WitnessState]) -> WitnessState:
-    if not states:
-        return WitnessState([])
-    merged = states[0]
-    for state in states[1:]:
-        merged.merge(state)
-    return merged
-
-
 # -- CIND LHS probes -----------------------------------------------------------
 
 
 class CINDScanState:
-    """Mergeable per-task hit buckets of one CIND LHS relation scan.
+    """Per-task hit buckets of one CIND LHS relation scan.
 
     ``buckets[i]`` holds the violating payload entries of task ``i`` (the
-    relation's task-list position) in scan order within the covered rows;
-    merge extends each bucket in shard order, so the concatenation is the
-    whole relation's scan order. Payload entries are whatever the mapper
-    was fed per row — row ids on the serial path, row positions in pool
-    workers.
+    relation's task-list position) in row order. Payload entries are
+    whatever the mapper was fed per row — row ids in the executor and
+    the carry.
     """
 
     __slots__ = ("buckets",)
 
     def __init__(self, buckets: list[list]):
         self.buckets = buckets
-
-    def merge(self, other: "CINDScanState") -> "CINDScanState":
-        for mine, theirs in zip(self.buckets, other.buckets):
-            mine.extend(theirs)
-        return self
 
     def __repr__(self) -> str:
         return (
@@ -474,7 +274,7 @@ def cind_map_shard(
     witnesses: dict[WitnessSpec, set],
     key_lists: KeyLists,
 ) -> CINDScanState:
-    """Per-task violation buckets over one shard's rows.
+    """Per-task violation buckets over the given rows.
 
     *payload* is the per-row value carried into the buckets (rows or value
     tuples), aligned with *columns*. Tasks sharing
@@ -510,17 +310,6 @@ def cind_map_shard(
             evaluated[signature] = hit_rows
         buckets.append(hit_rows)
     return CINDScanState(buckets)
-
-
-def merge_cind_states(states: Sequence[CINDScanState]) -> CINDScanState:
-    if not states:
-        return CINDScanState([])
-    # Buckets of later shards may alias shared `evaluated` lists; copy the
-    # first state's buckets so the in-place extends can't corrupt them.
-    merged = CINDScanState([list(b) for b in states[0].buckets])
-    for state in states[1:]:
-        merged.merge(state)
-    return merged
 
 
 def cind_finalize(

@@ -159,8 +159,7 @@ def _int_factory(i: int) -> int:
 
 
 # Named predicates (not lambdas) keep the singleton domains — and with them
-# schemas and tuples — picklable, which the process-parallel detection path
-# relies on when shipping violation payloads between workers.
+# schemas and tuples — picklable.
 def _is_string(v: Any) -> bool:
     return isinstance(v, str)
 

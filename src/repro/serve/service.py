@@ -35,18 +35,6 @@ hands the feed the report positions of the removed and added violations
 groups and keys — not a check and a diff of the whole report. When
 another connection committed to a ``sqlfile`` tenant's file, its session
 cannot tell the change, and the feed falls back to a check and a diff.
-
-Parallel tenants (``workers > 1`` in the tenant's options) compose with
-the session-persistent worker pool (the ``pool="persistent"`` default):
-the service's thread executor submits ``session.check()`` which reuses
-the tenant session's long-lived fork pool / window connection pool, so
-warm serve-layer reads pay neither fork nor connect cost per request.
-The pool's state is guarded by the dispatcher's execution lock, and the
-tenant's own reader lock (BRAVO-biased, see
-:class:`~repro.serve.registry.ReadWriteLock`) keeps DML from racing the
-pool's drift detection. Evicting or closing a tenant closes its session,
-which tears the pool down (workers, shared-memory segments, pooled
-connections).
 """
 
 from __future__ import annotations

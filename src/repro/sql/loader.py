@@ -124,25 +124,6 @@ def data_version(conn: sqlite3.Connection) -> int:
     return value
 
 
-def table_rowid_bounds(
-    conn: sqlite3.Connection, table: str
-) -> tuple[int, int, int]:
-    """``(min rowid, max rowid, row count)`` of one table, in one scan.
-
-    The rowid-window planner (:func:`repro.sql.windows.plan_rowid_windows`)
-    partitions ``[min, max]`` into contiguous spans; files written by
-    :func:`create_database_file` have dense sequential rowids, so equal
-    spans are equal row shares. An empty table reports ``(1, 0, 0)`` —
-    an empty ``BETWEEN`` range, so callers need no special case.
-    """
-    [row] = conn.execute(
-        f"SELECT MIN(rowid), MAX(rowid), COUNT(*) FROM {q(table)}"
-    ).fetchall()
-    if row[2] == 0:
-        return (1, 0, 0)
-    return (row[0], row[1], row[2])
-
-
 def read_database_file(
     path: str | Path, schema: DatabaseSchema
 ) -> DatabaseInstance:

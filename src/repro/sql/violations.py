@@ -940,7 +940,7 @@ class SQLCarry(Carry):
         first row survived, is patched from the memo and the noted rows
         (own inserts take the highest rowids, so they append); the other
         touched keys' rows are fetched by one key-restricted query."""
-        if firsts is None or not group.lhs_positions:
+        if not group.lhs_positions:
             raise Rescan
         relation, positions = group.relation, group.lhs_positions
         rel = self.executor.schema.relation(relation)

@@ -1,82 +1,44 @@
-"""Rowid-window sharding and window-function SQL for the sqlfile backend.
+"""One-pass window-function CFD detection for the sqlfile backend.
 
-Two independent accelerations of the pushed-down scan plan, sharing this
-module because both reason about *how a sqlite file is scanned* rather
-than what the scan means:
+The legacy executor runs one ``GROUP BY X HAVING COUNT(DISTINCT rhs) >
+1`` query per RHS variant plus one tableau self-join per CFD — four to
+six sorts of the relation per scan group. The one-pass path replaces
+them with two stages:
 
-* **One-pass window-function CFD detection** (the serial fast path).
-  The legacy executor runs one ``GROUP BY X HAVING COUNT(DISTINCT
-  rhs) > 1`` query per RHS variant plus one tableau self-join per CFD —
-  four to six sorts of the relation per scan group. The one-pass path
-  replaces them with two stages:
+1. :func:`cfd_candidate_sql` — a single aggregate prefilter scan per
+   group returning a *superset* of the violating group keys (a NULL-safe
+   ``QUOTE``-encoding of the whole RHS projection detects any
+   disagreement; bare first-row columns detect pattern-constant misses).
+   On clean data this one scan replaces every legacy query and returns
+   zero rows.
+2. :func:`cfd_refine_sql` — only when candidates exist: one
+   window-function scan restricted to the candidate keys, computing the
+   exact per-variant disagreements (``MIN(rhs) OVER (PARTITION BY X) IS
+   NOT MAX(rhs) OVER ...`` — sqlite rejects ``COUNT(DISTINCT ...) OVER``,
+   and min-vs-max over the partition is the same predicate with the same
+   NULL treatment) and each key's first-occurrence row in the same pass,
+   replacing the per-variant GROUP BYs *and* the tableau self-join.
+   Python-side task evaluation then replays the in-memory engine's
+   finalize semantics exactly, so hits are bit-identical including order.
 
-  1. :func:`cfd_candidate_sql` — a single aggregate prefilter scan per
-     group returning a *superset* of the violating group keys (a
-     NULL-safe ``QUOTE``-encoding of the whole RHS projection detects any
-     disagreement; bare first-row columns detect pattern-constant
-     misses). On clean data this one scan replaces every legacy query
-     and returns zero rows.
-  2. :func:`cfd_refine_sql` — only when candidates exist: one
-     window-function scan restricted to the candidate keys, computing the
-     exact per-variant disagreements (``MIN(rhs) OVER (PARTITION BY X)
-     IS NOT MAX(rhs) OVER ...`` — sqlite rejects ``COUNT(DISTINCT ...)
-     OVER``, and min-vs-max over the partition is the same predicate with
-     the same NULL treatment) and each key's first-occurrence row in the
-     same pass, replacing the per-variant GROUP BYs *and* the tableau
-     self-join. Python-side task evaluation then replays the in-memory
-     engine's finalize semantics exactly, so hits are bit-identical
-     including order.
-
-  The superset argument makes stage 1 safe by construction: any key a
-  legacy query would return differs somewhere in its RHS projection (or
-  misses a constant on every row), and both conditions survive the
-  encoding — sqlite quirks can only add false positives, which stage 2
-  discards. :func:`supports_window_functions` probes the library once;
-  executors fall back to the legacy SQL wholesale when the build is too
-  old (< 3.25) or the caller forces ``window_functions="off"``.
-
-* **Contiguous rowid windows** (the parallel path — the file-side twin
-  of :class:`~repro.engine.shards.ShardSpec`). :func:`plan_rowid_windows`
-  splits a relation's ``[MIN(rowid), MAX(rowid)]`` span into contiguous
-  ``BETWEEN`` ranges; per-window scans (:func:`cfd_window_state`,
-  :func:`witness_window_set`, :func:`cind_window_state`) produce exactly
-  the engine's mergeable partial states
-  (:class:`~repro.engine.shards.CFDGroupState` /
-  :class:`~repro.engine.shards.WitnessState` /
-  :class:`~repro.engine.shards.CINDScanState`), so the existing merge +
-  finalize machinery reassembles bit-identical results no matter how the
-  file was partitioned. Windows run concurrently on a
-  :class:`ReadonlyConnectionPool` — sqlite releases the GIL inside
-  queries, so a thread pool scales on real cores.
+The superset argument makes stage 1 safe by construction: any key a
+legacy query would return differs somewhere in its RHS projection (or
+misses a constant on every row), and both conditions survive the
+encoding — sqlite quirks can only add false positives, which stage 2
+discards. :func:`supports_window_functions` probes the library once;
+executors fall back to the legacy SQL wholesale when the build is too
+old (< 3.25) or the caller forces ``window_functions="off"``.
 """
 
 from __future__ import annotations
 
-import queue
 import sqlite3
-from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from repro.engine.planner import (
-    CFDScanGroup,
-    CINDRowTask,
-    WitnessSpec,
-    passes,
-)
-from repro.engine.shards import (
-    CFDGroupState,
-    CINDScanState,
-    WitnessState,
-    plan_shard_ranges,
-    resolve_shard_count,
-)
-from repro.relational.instance import Tuple
+from repro.engine.planner import CFDScanGroup, passes
 from repro.relational.schema import RelationSchema
 from repro.sql.ddl import distinct_count_expr
 from repro.sql.ddl import quote_identifier as q
-from repro.sql.loader import connect_file, table_rowid_bounds
 
 #: Past this many candidate keys the one-pass path hands the group back to
 #: the legacy SQL: the refinement scan's key-restriction list would grow
@@ -95,98 +57,6 @@ def supports_window_functions(conn: sqlite3.Connection) -> bool:
     except sqlite3.OperationalError:
         return False
     return True
-
-
-# -- rowid windows (the file-side ShardSpec) -----------------------------------
-
-
-@dataclass(frozen=True)
-class RowidWindow:
-    """One contiguous rowid span of a relation scan (both bounds inclusive).
-
-    The file-side twin of :class:`~repro.engine.shards.ShardSpec`: where a
-    shard slices a column view by row index, a window restricts a SQL scan
-    with ``rowid BETWEEN lo AND hi``. ``index`` is the window's position in
-    scan order — partial states must merge in this order for first-value /
-    bucket-order semantics to reproduce the serial scan.
-    """
-
-    relation: str
-    index: int
-    lo: int
-    hi: int
-
-    def predicate(self, alias: str = "t") -> str:
-        # rowids are integers owned by sqlite — safe to inline, which keeps
-        # the parameter list free for pattern constants.
-        return f"{alias}.rowid BETWEEN {self.lo} AND {self.hi}"
-
-
-def plan_rowid_windows(
-    conn: sqlite3.Connection,
-    relation: str,
-    workers: int,
-    min_window_rows: int = 8192,
-    shards: int = 0,
-    granularity: int = 0,
-) -> list[RowidWindow]:
-    """Contiguous rowid windows covering *relation*, sized like shards.
-
-    Reuses the engine's :func:`~repro.engine.shards.resolve_shard_count`
-    policy (explicit *shards* wins; otherwise ``min(workers, rows //
-    min_window_rows)``, with *granularity* raising the worker bound to
-    ``workers * granularity`` for work stealing), then splits the
-    ``[min, max]`` rowid span into equal contiguous ranges. Files written
-    by :func:`~repro.sql.loader.create_database_file` have dense
-    sequential rowids, so equal spans carry equal row shares; sparse
-    files merely skew the split — every rowid is still covered by exactly
-    one window, which is all correctness needs.
-    """
-    lo, hi, n_rows = table_rowid_bounds(conn, relation)
-    count = resolve_shard_count(
-        n_rows, workers, min_window_rows, shards, granularity
-    )
-    if n_rows == 0 or count <= 1:
-        return [RowidWindow(relation, 0, lo, hi)]
-    span = hi - lo + 1
-    ranges = plan_shard_ranges(span, min(count, span))
-    return [
-        RowidWindow(relation, i, lo + start, lo + stop - 1)
-        for i, (start, stop) in enumerate(ranges)
-    ]
-
-
-class ReadonlyConnectionPool:
-    """A bounded pool of ``readonly=True`` connections to one database file.
-
-    Window tasks borrow a connection for the duration of one query batch
-    (:meth:`connection` blocks when all are out), so ``size`` bounds the
-    file descriptors and sqlite page caches a parallel scan can hold —
-    and each connection is used by one thread at a time, which is all
-    sqlite's default thread mode asks of us. Temp tables seeded on a
-    pooled connection (CIND witness keys) die with :meth:`close`.
-    """
-
-    def __init__(self, path: str | Path, size: int):
-        self._conns = [
-            connect_file(path, readonly=True) for __ in range(max(1, size))
-        ]
-        self._queue: queue.Queue[sqlite3.Connection] = queue.Queue()
-        for conn in self._conns:
-            self._queue.put(conn)
-
-    @contextmanager
-    def connection(self) -> Iterator[sqlite3.Connection]:
-        conn = self._queue.get()
-        try:
-            yield conn
-        finally:
-            self._queue.put(conn)
-
-    def close(self) -> None:
-        for conn in self._conns:
-            conn.close()
-        self._conns = []
 
 
 # -- one-pass CFD detection (prefilter + window-function refinement) -----------
@@ -457,244 +327,3 @@ def cfd_onepass_hits(
         if first_rowids is not None:
             first_rowids.update((key, fr) for fr, key, __ in task_hits)
     return hits
-
-
-# -- per-window mergeable partial states (the parallel path) -------------------
-
-
-def cfd_window_state(
-    conn: sqlite3.Connection,
-    rel: RelationSchema,
-    group: CFDScanGroup,
-    window: RowidWindow,
-) -> CFDGroupState:
-    """One window's :class:`~repro.engine.shards.CFDGroupState` for *group*.
-
-    One deduplicating ``GROUP BY (key, RHS union)`` over the window's
-    rows — sqlite's GROUP BY equality matches the engine's Python value
-    equality for everything the loader stores — ordered by first
-    occurrence, then folded exactly like
-    :func:`~repro.engine.shards.cfd_map_shard`: per variant, a first-value
-    map in first-occurrence order plus the disagree set. Bare columns
-    ride the ``MIN(rowid)`` quirk, so first values are the actual first
-    row's (required for bit-identical report keys when sqlite coalesces
-    numerically equal values of different types).
-    """
-    names = rel.attribute_names
-    variants = group.rhs_variants()
-    positions = list(
-        dict.fromkeys(
-            (*group.lhs_positions,
-             *(p for v in variants if v != group.lhs_positions for p in v))
-        )
-    )
-    empty: dict = {
-        variant: ({}, set()) for variant in variants
-    }
-    if not positions:
-        # No key and no non-trivial RHS: candidacy collapses to "any row".
-        [(mr,)] = conn.execute(
-            f"SELECT MIN(t.rowid) FROM {q(rel.name)} t "
-            f"WHERE {window.predicate()}"
-        ).fetchall()
-        if mr is None:
-            return CFDGroupState(empty)
-        return CFDGroupState({variant: ({(): ()}, set()) for variant in variants})
-    cols = ", ".join(f"t.{q(names[p])}" for p in positions)
-    sql = (
-        f"SELECT {cols}, MIN(t.rowid) AS mr "
-        f"FROM {q(rel.name)} t "
-        f"WHERE {window.predicate()} "
-        f"GROUP BY {cols} ORDER BY mr"
-    )
-    rows = conn.execute(sql).fetchall()
-    index = {p: i for i, p in enumerate(positions)}
-    key_indices = [index[p] for p in group.lhs_positions]
-    state: dict = {}
-    for variant in variants:
-        first: dict[tuple[Any, ...], tuple] = {}
-        disagree: set = set()
-        if variant == group.lhs_positions:
-            for row in rows:
-                key = tuple(row[i] for i in key_indices)
-                first.setdefault(key, key)
-        else:
-            value_indices = [index[p] for p in variant]
-            setdefault = first.setdefault
-            add = disagree.add
-            for row in rows:
-                key = tuple(row[i] for i in key_indices)
-                rkey = tuple(row[i] for i in value_indices)
-                if setdefault(key, rkey) != rkey:
-                    add(key)
-        state[variant] = (first, disagree)
-    return CFDGroupState(state)
-
-
-def witness_window_set(
-    conn: sqlite3.Connection,
-    rel: RelationSchema,
-    spec: WitnessSpec,
-    window: RowidWindow,
-) -> set:
-    """One window's witness key set for *spec* (RHS relation scan)."""
-    names = rel.attribute_names
-    conds = [window.predicate("t2")]
-    params: list[Any] = []
-    for pos, const in spec.yp_checks:
-        conds.append(f"t2.{q(names[pos])} = ?")
-        params.append(const)
-    where = " AND ".join(conds)
-    if not spec.y_positions:
-        rows = conn.execute(
-            f"SELECT 1 FROM {q(rel.name)} t2 WHERE {where} LIMIT 1", params
-        ).fetchall()
-        return {()} if rows else set()
-    select = ", ".join(f"t2.{q(names[p])}" for p in spec.y_positions)
-    sql = f"SELECT DISTINCT {select} FROM {q(rel.name)} t2 WHERE {where}"
-    return {tuple(row) for row in conn.execute(sql, params)}
-
-
-def witness_states(
-    specs: Sequence[WitnessSpec], sets: dict[WitnessSpec, set]
-) -> WitnessState:
-    """Bundle merged per-spec sets in plan spec order (engine currency)."""
-    return WitnessState([sets[spec] for spec in specs])
-
-
-class SeededWitnesses:
-    """Merged witness key sets, materialized per pooled connection.
-
-    CIND probe windows anti-join against indexed temp witness tables —
-    but temp tables are per-connection, and the merged witness sets only
-    exist after the witness-window merge barrier. Each probing
-    connection therefore seeds its own copies lazily (executemany +
-    covering index + ANALYZE, the serial executor's exact recipe) the
-    first time it probes; a connection is held by one thread at a time,
-    so per-connection state needs no locking.
-    """
-
-    def __init__(self):
-        #: id(conn) -> {spec: temp table name (non-empty Y) | bool (empty Y)}
-        self._tables: dict[int, dict[WitnessSpec, Any]] = {}
-        self._counters: dict[int, int] = {}
-        #: id(conn) -> the connection itself, so :meth:`drop_all` can
-        #: reach every connection this instance seeded (persistent
-        #: connection pools outlive one execution; the tables must not).
-        self._conns: dict[int, sqlite3.Connection] = {}
-
-    def ensure(
-        self,
-        conn: sqlite3.Connection,
-        merged: dict[WitnessSpec, set],
-    ) -> dict[WitnessSpec, Any]:
-        self._conns[id(conn)] = conn
-        tables = self._tables.setdefault(id(conn), {})
-        for spec, keys in merged.items():
-            if spec in tables:
-                continue
-            if not spec.y_positions:
-                tables[spec] = bool(keys)
-                continue
-            count = self._counters.get(id(conn), 0) + 1
-            self._counters[id(conn)] = count
-            name = f"__winwitness_{count}"
-            width = len(spec.y_positions)
-            decl = ", ".join(q(f"k{i}") for i in range(width))
-            cursor = conn.cursor()
-            cursor.execute(f"CREATE TEMP TABLE {q(name)} ({decl})")
-            cursor.executemany(
-                f"INSERT INTO {q(name)} VALUES "
-                f"({', '.join('?' for __ in range(width))})",
-                list(keys),
-            )
-            cursor.execute(
-                f"CREATE INDEX {q(name + '_idx')} ON {q(name)} ({decl})"
-            )
-            cursor.execute(f"ANALYZE {q(name)}")
-            tables[spec] = name
-        return tables
-
-    def drop_all(self) -> None:
-        """Drop every temp table this instance seeded, on every connection.
-
-        Required when the connections come from a session-persistent pool:
-        the pool (and its connections) outlive this execution, but the
-        witness sets they were seeded with may not survive the next DML —
-        and a fresh ``SeededWitnesses`` restarts its per-connection name
-        counter, so stale tables would collide with the next execution's
-        ``CREATE TEMP TABLE``. Per-call pools skip this: closing the
-        connection drops its temp tables wholesale.
-        """
-        for conn_id, tables in self._tables.items():
-            conn = self._conns.get(conn_id)
-            if conn is None:
-                continue
-            for name in tables.values():
-                if isinstance(name, str):
-                    conn.execute(f"DROP TABLE IF EXISTS {q(name)}")
-        self._tables.clear()
-        self._counters.clear()
-        self._conns.clear()
-
-
-def cind_window_state(
-    conn: sqlite3.Connection,
-    rel: RelationSchema,
-    tasks: Sequence[CINDRowTask],
-    window: RowidWindow,
-    witness_tables: dict[WitnessSpec, Any],
-    rowids: bool = False,
-) -> CINDScanState:
-    """One window's :class:`~repro.engine.shards.CINDScanState` for one
-    LHS relation: per-task violation buckets in rowid order, probing the
-    connection's seeded witness tables with the serial executor's
-    anti-join shape (deduplicated per task signature). With *rowids*,
-    each bucket holds ``(rowid, tuple)`` pairs instead of tuples."""
-    names = rel.attribute_names
-    cols = ", ".join(f"t1.{q(n)}" for n in names)
-    if rowids:
-        cols = f"t1.rowid, {cols}"
-    evaluated: dict[tuple, list[Tuple]] = {}
-    buckets: list[list[Tuple]] = []
-    for task in tasks:
-        signature = (task.lhs_checks, task.x_positions, task.witness)
-        rows = evaluated.get(signature)
-        if rows is None:
-            witness = witness_tables[task.witness]
-            conds = [window.predicate("t1")]
-            params: list[Any] = []
-            for pos, const in task.lhs_checks:
-                conds.append(f"t1.{q(names[pos])} = ?")
-                params.append(const)
-            if not task.x_positions:
-                if witness:  # a witness exists for the shared empty key
-                    rows = []
-                    evaluated[signature] = rows
-                    buckets.append(rows)
-                    continue
-                anti = ""
-            else:
-                probe = " AND ".join(
-                    f"w.{q('k%d' % i)} = t1.{q(names[pos])}"
-                    for i, pos in enumerate(task.x_positions)
-                )
-                anti = (
-                    f" AND NOT EXISTS "
-                    f"(SELECT 1 FROM {q(witness)} w WHERE {probe})"
-                )
-            sql = (
-                f"SELECT {cols} FROM {q(rel.name)} t1 "
-                f"WHERE {' AND '.join(conds)}{anti} "
-                f"ORDER BY t1.rowid"
-            )
-            if rowids:
-                rows = [
-                    (row[0], Tuple(rel, row[1:]))
-                    for row in conn.execute(sql, params)
-                ]
-            else:
-                rows = [Tuple(rel, row) for row in conn.execute(sql, params)]
-            evaluated[signature] = rows
-        buckets.append(rows)
-    return CINDScanState(buckets)

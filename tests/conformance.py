@@ -12,9 +12,9 @@ into one reusable kit:
   order-sensitive, identity-free fingerprints every suite compares on;
 * :func:`assert_session_matches_reference` — one session held to the
   naive oracle across check/count/is_clean/stream;
-* :func:`assert_all_backends_agree` — every registered backend plus the
-  parallel dispatch path against the oracle (the historical
-  ``test_api_backends`` helper, now shared);
+* :func:`assert_all_backends_agree` — every registered in-memory backend
+  against the oracle (the historical ``test_api_backends`` helper, now
+  shared);
 * :class:`BackendContract` — a pytest suite a backend passes by
   registering **one** ``make_session`` fixture. New backends (``sqlfile``
   was the first customer) get report-order, summary, stream, is_clean,
@@ -94,9 +94,9 @@ def assert_session_matches_reference(session, reference, context=""):
 
 
 def assert_all_backends_agree(db, sigma, backends=None):
-    """Every registered in-memory backend and the parallel path produce the
-    reference report. (File-backed backends register through the
-    :class:`BackendContract` instead — they need a materialization step.)
+    """Every registered in-memory backend produces the reference report.
+    (File-backed backends register through the :class:`BackendContract`
+    instead — they need a materialization step.)
     """
     if backends is None:
         backends = in_memory_backend_names()
@@ -104,18 +104,6 @@ def assert_all_backends_agree(db, sigma, backends=None):
     for name in backends:
         with api.connect(db, sigma, backend=name) as session:
             assert_session_matches_reference(session, reference, name)
-    # Parallel dispatch (thread pool: cheap, exercises the same task-graph
-    # and merge code as the process pool) must match serial output exactly
-    # — both at scan-group granularity and with row-range sharding forced
-    # on (every unit split in two, so the shard merge paths always run).
-    parallel = api.connect(db, sigma, workers=2, executor="thread")
-    assert report_key(parallel.check()) == report_key(reference)
-    assert parallel.count().by_constraint() == reference.by_constraint()
-    sharded = api.connect(
-        db, sigma, workers=2, executor="thread", shards=2, min_shard_rows=1
-    )
-    assert report_key(sharded.check()) == report_key(reference)
-    assert sharded.count().by_constraint() == reference.by_constraint()
     return reference
 
 

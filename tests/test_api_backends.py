@@ -1,9 +1,9 @@
 """Cross-validation of the `repro.api` Session/Backend facade.
 
 The facade's contract is that choosing a backend (memory / naive / sql /
-sqlfile) or turning on parallel dispatch is a *performance* decision:
-``check()`` must return identical ``ViolationReport``s — identical down
-to violation-list order — everywhere. The reusable per-backend suite
+sqlfile) is a *performance* decision: ``check()`` must return identical
+``ViolationReport``s — identical down to violation-list order —
+everywhere. The reusable per-backend suite
 lives in :mod:`tests.conformance` (registered for all four backends in
 ``test_conformance.py``); this module keeps the Hypothesis
 cross-validation over random schemas/instances and the facade plumbing
@@ -12,17 +12,21 @@ cross-validation over random schemas/instances and the facade plumbing
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
 from repro.api import ExecutionOptions, MemoryBackend, SQLBackend
-from repro.api.parallel import fork_available
 from repro.core.violations import ConstraintSet, check_database_naive, constraint_labels
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
-from repro.errors import ReproError
+from repro.errors import ReproError, SessionClosedError
+from repro.sql.loader import create_database_file
 
 from tests.conformance import (
     assert_all_backends_agree,
@@ -94,30 +98,6 @@ def test_backends_identical_on_random_constraint_sets(data):
     assert_all_backends_agree(db, sigma)
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestProcessParallel:
-    """The fork-based process pool path (true CPU parallelism)."""
-
-    def test_matches_serial_on_bank(self):
-        db = scaled_bank_instance(300, error_rate=0.05, seed=5)
-        sigma = bank_constraints()
-        serial = api.connect(db, sigma).check()
-        parallel = api.connect(
-            db, sigma, workers=4, executor="process"
-        ).check()
-        assert report_key(parallel) == report_key(serial)
-
-    def test_count_mode_matches(self):
-        db = commerce_instance(n_orders=150, error_rate=0.1, seed=5)
-        sigma = commerce_constraints()
-        serial = api.connect(db, sigma).count()
-        parallel = api.connect(
-            db, sigma, workers=4, executor="process",
-        ).count()
-        assert parallel.by_constraint() == serial.by_constraint()
-        assert parallel.total == serial.total
-
-
 class TestMutations:
     #: A UK checking interest row with the wrong rate: a single-tuple
     #: violation of ϕ3 (the tableau demands rt='1.5%').
@@ -180,14 +160,7 @@ class TestFacadePlumbing:
         with pytest.raises(ValueError):
             ExecutionOptions(workers=0)
         with pytest.raises(ValueError):
-            ExecutionOptions(executor="gpu")
-        with pytest.raises(ValueError):
-            ExecutionOptions(min_shard_rows=0)
-        with pytest.raises(ValueError):
-            ExecutionOptions(shards=-1)
-        # The shard knobs accept their documented values.
-        opts = ExecutionOptions(workers=2, min_shard_rows=1, shards=4)
-        assert opts.parallel and opts.shards == 4
+            ExecutionOptions(window_functions="sometimes")
 
     def test_options_and_fields_are_exclusive(self, bank):
         with pytest.raises(ReproError):
@@ -208,3 +181,116 @@ class TestFacadePlumbing:
             line for line in text.splitlines() if line.startswith("  ") and "<-" in line
         ]
         assert dirty_lines == sorted(dirty_lines)
+
+
+def _bank_source(backend, tmp_path, n_accounts=60):
+    """A dirty bank instance, on disk for ``sqlfile``."""
+    db = scaled_bank_instance(n_accounts, error_rate=0.1, seed=3)
+    if backend == "sqlfile":
+        return create_database_file(tmp_path / "bank.db", db)
+    return db
+
+
+class TestWorkersDoNothing:
+    """``workers`` is still accepted and validated, and detection is
+    serial at every value; the other parallel options are gone."""
+
+    REMOVED = ("executor", "pool", "steal_granularity", "min_shard_rows", "shards")
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlfile"])
+    def test_report_identical_to_one_worker(self, backend, tmp_path):
+        source = _bank_source(backend, tmp_path)
+        sigma = bank_constraints()
+        with api.connect(source, sigma, backend=backend) as one:
+            expected, expected_count = one.check(), one.count()
+        with api.connect(source, sigma, backend=backend, workers=4) as four:
+            report = four.check()
+            assert four.count() == expected_count
+        assert not expected.is_clean
+        assert report_key(report) == report_key(expected)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlfile"])
+    def test_starts_no_process_or_thread(self, backend, tmp_path):
+        source = _bank_source(backend, tmp_path)
+        children = multiprocessing.active_children()
+        threads = set(threading.enumerate())
+        with api.connect(source, bank_constraints(), backend=backend, workers=4) as session:
+            session.check()
+            session.count()
+            session.is_clean()
+            assert multiprocessing.active_children() == children == []
+            assert set(threading.enumerate()) <= threads
+
+    @pytest.mark.parametrize("field", REMOVED)
+    def test_removed_fields_raise_type_error(self, bank, field):
+        with pytest.raises(TypeError):
+            ExecutionOptions(**{field: 1})
+        with pytest.raises(TypeError):
+            api.connect(bank.db, bank.constraints, **{field: 1})
+
+    def test_zero_workers_still_rejected(self, bank):
+        with pytest.raises(ValueError):
+            api.connect(bank.db, bank.constraints, workers=0)
+        assert len(dataclasses.fields(ExecutionOptions)) == 6
+
+
+class _SignallingLock:
+    """A lock wrapper that says when another thread starts to take it."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.owner = threading.current_thread()
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is not self.owner:
+            self.contended.set()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+class TestCloseWhileInFlight:
+    """A call that passed the session's open check and then waited on
+    the backend's lock while the session closed raises
+    :class:`SessionClosedError`, not a sqlite error."""
+
+    @pytest.mark.parametrize("call", ["check", "delta", "is_clean", "apply"])
+    def test_sqlfile_call_blocked_on_the_lock(self, tmp_path, call):
+        path = _bank_source("sqlfile", tmp_path, n_accounts=20)
+        session = api.connect(path, bank_constraints(), backend="sqlfile")
+        session.check()
+        backend = session.backend
+        backend._lock = lock = _SignallingLock(backend._lock)
+        row = ("interest", {"ab": "GLA", "ct": "UK", "at": "checking", "rt": "9%"})
+        run = {
+            "check": session.check,
+            "delta": session.delta,
+            "is_clean": session.is_clean,
+            "apply": lambda: session.apply(inserts=[row]),
+        }[call]
+        raised = []
+
+        def in_flight():
+            try:
+                run()
+            except Exception as exc:  # the assertion below names it
+                raised.append(exc)
+
+        worker = threading.Thread(target=in_flight)
+        with lock:
+            worker.start()
+            assert lock.contended.wait(10)
+            session.close()  # re-entrant: runs while the worker waits
+        worker.join(10)
+        assert not worker.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], SessionClosedError), raised
+
+    def test_sql_backend_refuses_to_reopen_after_close(self, bank):
+        backend = SQLBackend(bank.db, bank.constraints)
+        backend.check()
+        backend.close()
+        with pytest.raises(SessionClosedError):
+            backend.check()
+        assert backend._detector is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main, parse_schema_text
+from repro.cli import build_parser, main, parse_schema_text
 from repro.errors import ParseError
 from repro.relational.csvio import write_database_csv
 from repro.relational.domains import INTEGER, FiniteDomain
@@ -176,6 +176,33 @@ class TestRepairCommand:
             "--constraints", str(rules_file), "--data", str(out_dir),
         ])
         assert code == 0
+
+
+class TestWorkersFlag:
+    """Detection is serial: ``check`` and ``repair`` have no ``--workers``
+    (a usage error), while ``serve --workers`` sizes the service's
+    thread executor."""
+
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    def test_check_and_repair_reject_workers(self, workspace, capsys, command):
+        schema_file, rules_file, data_dir, tmp_path = workspace
+        args = [
+            command, "--schema", str(schema_file),
+            "--constraints", str(rules_file), "--data", str(data_dir),
+            "--workers", "2",
+        ]
+        if command == "repair":
+            args += ["--out", str(tmp_path / "repaired")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_serve_workers_still_parses(self):
+        args = build_parser().parse_args([
+            "serve", "--schema", "s", "--constraints", "c", "--workers", "3",
+        ])
+        assert args.workers == 3
 
 
 class TestConsistencyCommand:

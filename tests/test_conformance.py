@@ -2,9 +2,9 @@
 
 One registration (a ``make_session`` fixture) per backend — including the
 out-of-core ``sqlfile`` backend, which materializes the canonical
-instance into an on-disk sqlite file first, and a parallel-dispatch
-variant of the memory backend to show option combinations register just
-as easily. This file is the entry bar for new backends: add a class,
+instance into an on-disk sqlite file first, and option variants of it
+(sparse rowids, the legacy SQL) to show option combinations register
+just as easily. This file is the entry bar for new backends: add a class,
 inherit the contract, done.
 
 The second half registers every backend against the
@@ -23,7 +23,6 @@ import sqlite3
 import pytest
 
 from repro import api
-from repro.api.parallel import fork_available
 from repro.sql.loader import create_database_file
 
 from tests.conformance import BackendContract, ServiceContract
@@ -52,74 +51,6 @@ class TestSQLContract(BackendContract):
     @pytest.fixture
     def make_session(self):
         return _simple_factory("sql")
-
-
-class TestParallelMemoryContract(BackendContract):
-    """The memory backend under thread-pool scan-group dispatch."""
-
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory("memory", workers=2, executor="thread")
-
-
-class TestShardedParallelMemoryContract(BackendContract):
-    """The memory backend with row-range sharding forced *on*: every scan
-    unit splits into three shards (min_shard_rows=1 so even the tiny
-    fixture relations shard), exercising the task-graph scheduler's
-    map/merge/finalize path end to end against the full contract."""
-
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory(
-            "memory", workers=2, executor="thread",
-            shards=3, min_shard_rows=1,
-        )
-
-
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestProcessShardedParallelMemoryContract(BackendContract):
-    """The memory backend on the fork-based *process* pool with sharding
-    forced on: shard states and hit payloads cross a real process
-    boundary (pickled plain values, parent-side rebind) and must still
-    satisfy the whole contract bit-identically."""
-
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory(
-            "memory", workers=2, executor="process",
-            shards=2, min_shard_rows=1,
-        )
-
-
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestPersistentPoolMemoryContract(BackendContract):
-    """The session-persistent fork pool with work stealing forced on:
-    one pool serves every check/count/is_clean in a contract scenario,
-    DML between calls drives the drift protocol (shared-memory column
-    segments or epoch re-forks), and over-partitioned shards
-    (``steal_granularity``) make idle workers steal — all while every
-    report stays bit-identical to the serial oracle, list order
-    included."""
-
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory(
-            "memory", workers=2, executor="process",
-            pool="persistent", steal_granularity=2, min_shard_rows=1,
-        )
-
-
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestPerCallPoolMemoryContract(BackendContract):
-    """``pool="per-call"`` keeps the historical fork-per-check dispatch
-    alive as an explicit opt-out; it must stay on the same contract."""
-
-    @pytest.fixture
-    def make_session(self):
-        return _simple_factory(
-            "memory", workers=2, executor="process",
-            pool="per-call", shards=2, min_shard_rows=1,
-        )
 
 
 class TestSparseRowidSQLFileContract(BackendContract):
@@ -158,53 +89,6 @@ class TestSQLFileContract(BackendContract):
             path = tmp_path / f"contract_{next(counter)}.db"
             create_database_file(path, db)
             return api.connect(path, sigma, backend="sqlfile")
-
-        return factory
-
-
-class TestWindowedSQLFileContract(BackendContract):
-    """The out-of-core backend under rowid-window parallel dispatch:
-    every cold scan unit splits into three contiguous rowid windows
-    (min_shard_rows=1 so even the tiny fixture relations split) run
-    concurrently on a pool of read-only connections, and the merged
-    partial states must satisfy the whole contract bit-identically —
-    including violation-list order."""
-
-    @pytest.fixture
-    def make_session(self, tmp_path):
-        counter = itertools.count()
-
-        def factory(db, sigma):
-            path = tmp_path / f"windowed_{next(counter)}.db"
-            create_database_file(path, db)
-            return api.connect(
-                path, sigma, backend="sqlfile",
-                workers=2, executor="thread",
-                shards=3, min_shard_rows=1,
-            )
-
-        return factory
-
-
-class TestPersistentWindowedSQLFileContract(BackendContract):
-    """The out-of-core backend with its persistent window connection
-    pool and stealing-grade rowid windows: read-only connections live
-    for the session (seeded witness tables dropped between executions),
-    and over-partitioned windows merge in index order — the contract
-    must hold across repeated checks and DML on one session."""
-
-    @pytest.fixture
-    def make_session(self, tmp_path):
-        counter = itertools.count()
-
-        def factory(db, sigma):
-            path = tmp_path / f"persistent_{next(counter)}.db"
-            create_database_file(path, db)
-            return api.connect(
-                path, sigma, backend="sqlfile",
-                workers=2, executor="thread", pool="persistent",
-                steal_granularity=2, min_shard_rows=1,
-            )
 
         return factory
 

@@ -81,31 +81,16 @@ class TestLayeringRule:
         assert _lint_snippet(tmp_path, rel, stmt + "\n") == []
 
     @pytest.mark.parametrize("stmt", [
-        "from repro.engine.shards import resolve_shard_count",
-        "from repro.relational.instance import DatabaseInstance",
+        "from repro.engine.shards import cfd_map_shard",
+        "from repro.engine.cache import ScanCache",
     ])
-    def test_workerpool_pin_allows_engine_surface(self, tmp_path, stmt):
-        """``repro.api.workerpool`` is pinned to the engine/relational
-        surface — the imports it actually needs stay clean."""
-        assert _lint_snippet(
-            tmp_path, "src/repro/api/workerpool.py", stmt + "\n"
-        ) == []
-
-    @pytest.mark.parametrize("stmt", [
-        "from repro.serve import DetectionService",
-        "from repro.api.session import Session",
-        "import repro.cli",
-    ])
-    def test_workerpool_pin_blocks_upper_layers(self, tmp_path, stmt):
-        """The pin is an allowlist: anything outside the engine surface
-        — the facade, serve, the CLI — is a layering violation even
-        though workerpool lives inside the api package."""
+    def test_windows_pin_blocks_engine_state(self, tmp_path, stmt):
+        """The window-function SQL takes plan types only: the scan
+        kernels and the cache stay outside its allowlist."""
         violations = _lint_snippet(
-            tmp_path, "src/repro/api/workerpool.py", stmt + "\n"
+            tmp_path, "src/repro/sql/windows.py", stmt + "\n"
         )
-        # (a serve import also trips the serve-terminal rule — every
-        # violation must still be a layering one)
-        assert violations and {v.rule for v in violations} == {"layering"}
+        assert [v.rule for v in violations] == ["layering"]
 
     @pytest.mark.parametrize("stmt", [
         "from repro.errors import SchemaError",

@@ -141,27 +141,6 @@ class TestScanCache:
         with pytest.raises(ValueError):
             execute_plan(plan, db, cache=foreign)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_dispatch_shares_the_cache(self, executor):
-        from repro.api.parallel import fork_available
-
-        if executor == "process" and not fork_available():
-            pytest.skip("fork start method unavailable")
-        db = scaled_bank_instance(40, error_rate=0.1, seed=2)
-        sigma = bank_constraints()
-        session = api.connect(db, sigma, workers=2, executor=executor)
-        first = session.check()
-        cache = session.backend.cache
-        misses = cache.misses
-        # Warm: every scan unit answers parent-side, nothing is dispatched.
-        assert report_key(session.check()) == report_key(first)
-        assert cache.misses == misses
-        t = next(iter(db["saving"]))
-        session.delete("saving", t)
-        assert report_key(session.check()) == report_key(
-            check_database_naive(db, sigma)
-        )
-
     def test_count_and_is_clean_share_check_entries(self):
         db = scaled_bank_instance(25, error_rate=0.1, seed=9)
         session = api.connect(db, bank_constraints())

@@ -18,12 +18,11 @@ but ordinary linters don't know about:
 
 * **layering** also enforces per-module *import allowlists*
   (``MODULE_IMPORT_ALLOWLISTS``) for modules whose dependency surface is
-  deliberately narrow. ``repro.sql.windows`` — the rowid-window planner
-  and window-function scan kernels — may reach only the engine's shard
-  policy/mergeable states, the planner's scan-group types, the
-  relational schema/instance types, and its sql siblings (ddl, loader);
-  growing an import there (say, on the columnar views or the matching
-  layer) widens what a windowed scan can observe and must be a reviewed
+  deliberately narrow. ``repro.sql.windows`` — the window-function CFD
+  scan kernels — may reach only the planner's scan-group types, the
+  relational schema types, and its sql siblings (ddl, loader); growing
+  an import there (say, on the columnar views or the matching layer)
+  widens what a pushed-down scan can observe and must be a reviewed
   decision, not drift. ``repro.relational.instance`` — the column store
   — may import only ``repro.errors`` and its relational siblings.
 
@@ -89,15 +88,13 @@ LOW_LAYERS = (
 #: Modules pinned to an explicit set of allowed ``repro.*`` import
 #: prefixes. Keyed by dotted module name; any ``repro.*`` import from
 #: that module whose target matches none of the prefixes is flagged.
-#: ``repro.sql.windows`` runs partial scans over arbitrary database
-#: files on pooled read-only connections — its inputs are meant to be
-#: *only* plan types, shard policy, schema/tuple types, and the sql
-#: layer's own DDL/URI helpers, so merged window results provably
-#: depend on nothing the serial executor doesn't also see.
+#: ``repro.sql.windows`` builds the CFD scan SQL over arbitrary database
+#: files — its inputs are meant to be *only* plan types, schema types,
+#: and the sql layer's own DDL/URI helpers, so its hits provably depend
+#: on nothing the in-memory executor doesn't also see.
 MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     "repro.sql.windows": (
         "repro.engine.planner",
-        "repro.engine.shards",
         "repro.relational",
         "repro.sql.ddl",
         "repro.sql.loader",
@@ -109,16 +106,6 @@ MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     # to the historical eager loop (and trivially testable).
     "repro.cleaning.planner": (
         "repro.core",
-        "repro.relational",
-    ),
-    # The persistent worker pool manages process lifecycles and
-    # /dev/shm segments for *any* dispatcher. Its only repro inputs are
-    # the relation version counters (relational) and the shard-state
-    # machinery its payloads feed (engine.shards); importing the facade,
-    # the CLI, or the serving layer from here would let pool plumbing
-    # observe — and eventually depend on — the layers hosting it.
-    "repro.api.workerpool": (
-        "repro.engine.shards",
         "repro.relational",
     ),
     # The relation store (columns, row ids, indexes, Tuple views) is the
