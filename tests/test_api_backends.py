@@ -98,6 +98,28 @@ def test_backends_identical_on_random_constraint_sets(data):
     assert_all_backends_agree(db, sigma)
 
 
+class TestProcessParallel:
+    """``workers=4`` — the value that once forked a process pool — on a
+    larger dirty instance and in count mode: detection is serial, so the
+    answers are the ``workers=1`` answers."""
+
+    def test_matches_serial_on_bank(self):
+        db = scaled_bank_instance(300, error_rate=0.05, seed=5)
+        sigma = bank_constraints()
+        serial = api.connect(db, sigma).check()
+        parallel = api.connect(db, sigma, workers=4).check()
+        assert not serial.is_clean
+        assert report_key(parallel) == report_key(serial)
+
+    def test_count_mode_matches(self):
+        db = commerce_instance(n_orders=150, error_rate=0.1, seed=5)
+        sigma = commerce_constraints()
+        serial = api.connect(db, sigma).count()
+        parallel = api.connect(db, sigma, workers=4).count()
+        assert parallel.by_constraint() == serial.by_constraint()
+        assert parallel.total == serial.total
+
+
 class TestMutations:
     #: A UK checking interest row with the wrong rate: a single-tuple
     #: violation of ϕ3 (the tableau demands rt='1.5%').

@@ -4,7 +4,8 @@ One registration (a ``make_session`` fixture) per backend — including the
 out-of-core ``sqlfile`` backend, which materializes the canonical
 instance into an on-disk sqlite file first, and option variants of it
 (sparse rowids, the legacy SQL) to show option combinations register
-just as easily. This file is the entry bar for new backends: add a class,
+just as easily. The ``workers`` registrations pin that the option still
+changes nothing: detection is serial at every value. This file is the entry bar for new backends: add a class,
 inherit the contract, done.
 
 The second half registers every backend against the
@@ -18,6 +19,7 @@ concurrent interleavings).
 from __future__ import annotations
 
 import itertools
+import os
 import sqlite3
 
 import pytest
@@ -51,6 +53,26 @@ class TestSQLContract(BackendContract):
     @pytest.fixture
     def make_session(self):
         return _simple_factory("sql")
+
+
+class TestParallelMemoryContract(BackendContract):
+    """The memory backend with ``workers=2``: the option is accepted and
+    detection stays serial, so the whole contract holds unchanged."""
+
+    @pytest.fixture
+    def make_session(self):
+        return _simple_factory("memory", workers=2)
+
+
+class TestPersistentPoolMemoryContract(BackendContract):
+    """The session the benchmark's ``par_check`` op opens —
+    ``workers=os.cpu_count()`` on one long-lived session that serves
+    every check/count/is_clean and the DML between them — must stay on
+    the same contract as the default session."""
+
+    @pytest.fixture
+    def make_session(self):
+        return _simple_factory("memory", workers=os.cpu_count() or 1)
 
 
 class TestSparseRowidSQLFileContract(BackendContract):
@@ -89,6 +111,23 @@ class TestSQLFileContract(BackendContract):
             path = tmp_path / f"contract_{next(counter)}.db"
             create_database_file(path, db)
             return api.connect(path, sigma, backend="sqlfile")
+
+        return factory
+
+
+class TestWindowedSQLFileContract(BackendContract):
+    """The out-of-core backend with ``workers=2``, the setting that once
+    split its scans into rowid windows: detection is serial now, and the
+    contract must hold unchanged, violation-list order included."""
+
+    @pytest.fixture
+    def make_session(self, tmp_path):
+        counter = itertools.count()
+
+        def factory(db, sigma):
+            path = tmp_path / f"windowed_{next(counter)}.db"
+            create_database_file(path, db)
+            return api.connect(path, sigma, backend="sqlfile", workers=2)
 
         return factory
 
