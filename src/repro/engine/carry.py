@@ -215,12 +215,14 @@ def _evaluate(group: CFDScanGroup, rows: list, keys: list) -> list:
     if not rows:
         return [[] for __ in group.tasks]
     # Each key's rows share it: the X-key list is given, not projected.
-    project = shard_key_fn(list(zip(*rows)), len(rows))
+    columns = list(zip(*rows))
+    project = shard_key_fn(columns, len(rows))
 
     def key_lists(positions: tuple[int, ...]) -> list:
         return keys if positions == group.lhs_positions else project(positions)
 
-    return _segments(group.tasks, cfd_finalize(group, cfd_map_shard(group, key_lists)))
+    state = cfd_map_shard(group, columns, key_lists)
+    return _segments(group.tasks, cfd_finalize(group, state))
 
 
 class Carry:
@@ -806,8 +808,12 @@ class MemoryCarry(Carry):
         return rows, keys, first
 
     def cfd_rescan(self, group: CFDScanGroup) -> tuple[list, dict | None]:
-        key_lists = self._key_lists(group.relation)
-        return cfd_finalize(group, cfd_map_shard(group, key_lists)), None
+        state = cfd_map_shard(
+            group,
+            self.db[group.relation].columns(),
+            self._key_lists(group.relation),
+        )
+        return cfd_finalize(group, state), None
 
     def cfd_tuples(self, group: CFDScanGroup, keys: list) -> dict:
         instance = self.db[group.relation]

@@ -133,10 +133,10 @@ def cfd_group_hits(
     """One shared scan of *group*: every violating ``(task, key, kind)``.
 
     Tasks appear in group order and keys in scan (first-occurrence) order —
-    the naive checker's order. Each distinct projection (the ``X`` key and
-    every distinct RHS variant) is computed exactly once per tuple, and each
-    distinct ``key_checks`` filter exactly once per distinct group key. With
-    a cache, the whole hit list is memoized against the relation version.
+    the naive checker's order. The ``X`` key is projected once per tuple,
+    and RHS values are compared only under keys that repeat (see
+    :func:`~repro.engine.shards.cfd_map_shard`). With a cache, the whole
+    hit list is memoized against the relation version.
 
     One :func:`~repro.engine.shards.cfd_map_shard` over the whole
     relation, then :func:`~repro.engine.shards.cfd_finalize`.
@@ -147,7 +147,9 @@ def cfd_group_hits(
         if cached is not None:
             return cached
 
-    state = cfd_map_shard(group, instance_key_fn(instance, cache))
+    state = cfd_map_shard(
+        group, instance.columns(), instance_key_fn(instance, cache)
+    )
     hits = cfd_finalize(group, state)
 
     if cache is not None:

@@ -4,14 +4,20 @@ Each of the paper's scan units is computed by two steps — a ``*_map``
 over rows producing a state, then a finalize that evaluates the plan's
 tasks against it:
 
-* :class:`CFDGroupState` — per RHS variant, the first observed RHS
-  projection per group key plus the keys whose groups disagree (exactly
-  the pairwise-violation condition); :func:`cfd_map_shard` builds it,
-  :func:`cfd_finalize` evaluates a CFD ``X``-group's tasks against it;
+* :class:`CFDGroupState` — the distinct group keys in scan order and,
+  per RHS variant, the keys whose groups disagree (exactly the
+  pairwise-violation condition) plus, for a variant a constant-RHS task
+  reads, each key's RHS value; :func:`cfd_map_shard` builds it,
+  :func:`cfd_finalize` evaluates a CFD ``X``-group's tasks against it.
+  A group of one row cannot disagree, so RHS values are compared only
+  when some ``X``-key occurs more than once: with none, the map
+  projects only the variants a constant-RHS task reads, and the
+  finalize of a wildcard-RHS task reads nothing but its (empty)
+  disagreeing keys;
 * :class:`WitnessState` — one key set per witness spec
   (:func:`witness_map_shard`);
 * :class:`CINDScanState` — per-task hit buckets in row order
-  (:func:`cind_map_shard`, flattened by :func:`cind_finalize`).
+  (:func:`cind_map_shard`).
 
 The serial executor (:mod:`repro.engine.executor`) maps each unit over
 the whole relation; the carry-forward (:mod:`repro.engine.carry`) maps
@@ -22,11 +28,14 @@ Mapping functions take the rows' *columns* plus a ``key_lists``
 callable (positions -> per-row projection key list for those rows), so
 the executor can plug in its cache-memoized projection lists
 (:func:`instance_key_fn`) and the carry fresh ones over the rows it
-re-evaluates (:func:`shard_key_fn`).
+re-evaluates (:func:`shard_key_fn`). The CFD map projects the repeated
+keys' rows straight from the columns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.cache import Columns, projection_column_keys
@@ -93,58 +102,135 @@ def filter_by_checks(
 class CFDGroupState:
     """The state of one CFD scan group over some rows.
 
-    Per RHS variant: ``first`` maps each group key to the first RHS
-    projection observed for it (insertion order = first-occurrence order
-    within the rows) and ``disagree`` holds the keys whose groups saw a
-    second distinct projection.
+    ``keys`` lists the distinct group keys in first-occurrence (scan)
+    order. Per RHS variant, ``variants`` holds ``(values, disagree)``:
+
+    * ``disagree`` lists the keys whose rows carry more than one distinct
+      RHS projection, in first-occurrence order (a dict used as an ordered
+      set). A one-row group cannot disagree, so rows need comparing
+      only under keys that occur more than once (see
+      :func:`cfd_map_shard`);
+    * ``values`` maps every key to an RHS projection of its rows, kept
+      only for a variant that some constant-RHS task reads (``None``
+      otherwise). A key that agrees has exactly one projection, so that
+      is its value. A disagreeing key's value is one of its rows'
+      projections and is never read: the key violates as a pair.
     """
 
-    __slots__ = ("variants",)
+    __slots__ = ("keys", "variants")
 
     def __init__(
         self,
-        variants: dict[
-            tuple[int, ...], tuple[dict[tuple[Any, ...], tuple], set]
-        ],
+        keys: dict[tuple[Any, ...], Any],
+        variants: dict[tuple[int, ...], tuple[dict | None, dict]],
     ):
-        #: variant positions -> (first map, disagree set)
+        #: distinct group keys, first-occurrence order
+        self.keys = keys
+        #: variant positions -> (values map or None, disagreeing keys)
         self.variants = variants
 
     def __repr__(self) -> str:
-        keys = sum(len(first) for first, __ in self.variants.values())
-        return f"<CFDGroupState {len(self.variants)} variant(s), {keys} key(s)>"
+        disagree = sum(len(d) for __, d in self.variants.values())
+        return (
+            f"<CFDGroupState {len(self.variants)} variant(s), "
+            f"{len(self.keys)} key(s), {disagree} disagreement(s)>"
+        )
 
 
-def cfd_map_shard(group: CFDScanGroup, key_lists: KeyLists) -> CFDGroupState:
-    """Build the group's state over the rows ``key_lists`` projects.
+def _slot_keys(
+    columns: Columns, positions: tuple[int, ...], slots: list[int]
+) -> list[tuple[Any, ...]]:
+    """The projection on *positions* of the rows at *slots* only."""
+    picked = [list(map(columns[p].__getitem__, slots)) for p in positions]
+    return projection_column_keys(picked, tuple(range(len(positions))), len(slots))
+
+
+def _compare(keys: list, rkeys: list) -> tuple[dict, dict]:
+    """Each key's first RHS projection over the rows given, and the keys
+    whose rows disagree, in first-occurrence order."""
+    first: dict[tuple[Any, ...], tuple] = {}
+    differs: set[tuple[Any, ...]] = set()
+    setdefault = first.setdefault
+    add = differs.add
+    for key, rkey in zip(keys, rkeys):
+        if setdefault(key, rkey) != rkey:
+            add(key)
+    if not differs:
+        return first, {}
+    return first, dict.fromkeys(compress(first, map(differs.__contains__, first)))
+
+
+def cfd_map_shard(
+    group: CFDScanGroup, columns: Columns, key_lists: KeyLists
+) -> CFDGroupState:
+    """Build the group's state over the rows of *columns*.
 
     The whole-relation call is the serial executor; the carry calls it
-    over the rows of the keys a batch touched. Each distinct projection
-    (the ``X`` key and every distinct RHS variant) is computed exactly
-    once.
+    over the rows of the keys a batch touched. The ``X`` key list comes
+    from ``key_lists``, and one C-speed pass over it says whether any
+    key repeats, since only a repeated key can disagree:
+
+    * no key repeats: nothing is compared, and only the variants a
+      constant-RHS task reads are projected (a one-row group can still
+      miss a constant);
+    * fewer extra rows than keys (most groups have one row): the rows of
+      the keys that repeat are found by counting in C, and only they are
+      projected, straight from *columns*, and compared;
+    * otherwise groups average two rows or more, so selecting rows would
+      save little: every row is compared, as one pass.
+
+    A variant a constant-RHS task reads is projected over every row
+    through ``key_lists``, once.
     """
     lhs_positions = group.lhs_positions
     keys = key_lists(lhs_positions)
-    variants: dict[
-        tuple[int, ...], tuple[dict[tuple[Any, ...], tuple], set]
-    ] = {}
+    n = len(keys)
+    distinct = dict.fromkeys(keys)
+    # The rows to compare: none, the repeated keys' rows, or all (None).
+    slots: list[int] | None = []
+    if len(distinct) < n:
+        slots = None
+        if 2 * len(distinct) > n:
+            counts = Counter(keys)
+            slots = list(
+                compress(range(n), map((1).__lt__, map(counts.__getitem__, keys)))
+            )
+            slot_keys = list(map(keys.__getitem__, slots))
+    read = {task.rhs_positions for task in group.tasks if task.rhs_checks}
+    variants: dict[tuple[int, ...], tuple[dict | None, dict]] = {}
     for variant in group.rhs_variants():
-        first: dict[tuple[Any, ...], tuple] = {}
-        disagree: set[tuple[Any, ...]] = set()
+        first = None
+        disagree: dict = {}
         if variant == lhs_positions:
-            # RHS projection == group key: groups can never disagree.
-            # (dict(zip(..)) keeps first-occurrence insertion order; the
-            # value is the key itself either way.)
-            first = dict(zip(keys, keys))
-        else:
-            rkeys = key_lists(variant)
-            setdefault = first.setdefault
-            add = disagree.add
-            for key, rkey in zip(keys, rkeys):
-                if setdefault(key, rkey) != rkey:
-                    add(key)
-        variants[variant] = (first, disagree)
-    return CFDGroupState(variants)
+            pass  # the RHS projection is the key itself: no group disagrees
+        elif slots is None:
+            first, disagree = _compare(keys, key_lists(variant))
+        elif slots:
+            if variant in read:
+                picked = list(map(key_lists(variant).__getitem__, slots))
+            else:
+                picked = _slot_keys(columns, variant, slots)
+            __, disagree = _compare(slot_keys, picked)
+        values = None
+        if variant in read:
+            # A key that agrees has one value, and a disagreeing key's is
+            # never read, so any row's value serves: the first, or the
+            # last to be written.
+            values = first if first is not None else dict(zip(keys, key_lists(variant)))
+        variants[variant] = (values, disagree)
+    return CFDGroupState(distinct, variants)
+
+
+def _passing(
+    keys: Iterable[tuple[Any, ...]], checks: tuple[tuple[int, Any], ...]
+) -> Iterable[tuple[Any, ...]]:
+    """The group keys (in order) that satisfy the ``key_checks``."""
+    if not checks:
+        return keys
+    if len(checks) == 1:
+        (pos, const), = checks
+        return [k for k in keys if k[pos] == const]
+    return [k for k in keys if passes(k, checks)]
 
 
 def cfd_finalize(
@@ -153,18 +239,14 @@ def cfd_finalize(
     """Evaluate every task of *group* against *state*.
 
     Returns the violating ``(task, key, kind)`` triples — tasks in group
-    order, keys in the state's first-occurrence order (scan order). Each
-    distinct ``key_checks``
-    filter runs once per distinct group key, and structurally identical
-    tasks are evaluated once and replicated.
+    order, keys in the state's first-occurrence order (scan order). A
+    constant-RHS task filters every distinct key by its ``key_checks``
+    (once per distinct filter); a wildcard-RHS task can only be violated
+    by a disagreeing key, so it filters just its variant's disagreeing
+    keys. Structurally identical tasks are evaluated once and
+    replicated.
     """
     variant_state = state.variants
-    # Any variant's first-map lists the distinct group keys in scan order.
-    first_variant = next(iter(variant_state), None)
-    distinct = (
-        variant_state[first_variant][0] if first_variant is not None else {}
-    )
-
     hits: list[tuple[Any, tuple[Any, ...], str]] = []
     filtered: dict[tuple, Any] = {}
     evaluated: dict[tuple, list[tuple[tuple[Any, ...], str]]] = {}
@@ -176,31 +258,24 @@ def cfd_finalize(
         pairs = evaluated.get(signature)
         if pairs is None:
             key_checks = task.key_checks
-            candidates = filtered.get(key_checks)
-            if candidates is None:
-                if not key_checks:
-                    candidates = distinct
-                elif len(key_checks) == 1:
-                    (pos, const), = key_checks
-                    candidates = [k for k in distinct if k[pos] == const]
-                else:
-                    candidates = [k for k in distinct if passes(k, key_checks)]
-                filtered[key_checks] = candidates
-            first, disagree = variant_state[task.rhs_positions]
+            values, disagree = variant_state[task.rhs_positions]
             rhs_checks = task.rhs_checks
             if rhs_checks:
+                candidates = filtered.get(key_checks)
+                if candidates is None:
+                    candidates = filtered[key_checks] = _passing(
+                        state.keys, key_checks
+                    )
                 pairs = []
                 for key in candidates:
                     if key in disagree:
                         pairs.append((key, "pair"))
-                    elif not passes(first[key], rhs_checks):
+                    elif not passes(values[key], rhs_checks):
                         # A single shared RHS value only violates when it
                         # misses a constant of the pattern's RHS.
                         pairs.append((key, "single"))
-            elif disagree:
-                pairs = [(key, "pair") for key in candidates if key in disagree]
             else:
-                pairs = []
+                pairs = [(key, "pair") for key in _passing(disagree, key_checks)]
             evaluated[signature] = pairs
         for key, kind in pairs:
             hits.append((task, key, kind))
@@ -311,12 +386,3 @@ def cind_map_shard(
         buckets.append(hit_rows)
     return CINDScanState(buckets)
 
-
-def cind_finalize(
-    tasks: Sequence[CINDRowTask], state: CINDScanState
-) -> Iterable[tuple[CINDRowTask, Any]]:
-    """Flatten per-task buckets into ``(task, payload)`` pairs, task-major."""
-    out: list[tuple[CINDRowTask, Any]] = []
-    for task, bucket in zip(tasks, state.buckets):
-        out.extend((task, p) for p in bucket)
-    return out

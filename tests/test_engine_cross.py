@@ -12,17 +12,25 @@ per-constraint reference evaluation
 * replay: over randomized insert/delete sequences on both ready-made
   datasets (bank and commerce), a ``memory`` session carrying its scan
   cache forward by the same ops, a cold engine run, and the naive oracle
-  agree at every checkpoint, over Σ as given and over ``Σ.normalized()``.
+  agree at every checkpoint, over Σ as given and over ``Σ.normalized()``;
+* the CFD kernel's key regimes: instances whose ``X``-keys are all
+  distinct (nothing is compared), partly repeated (only the repeated
+  keys' rows are compared) and all repeated (every row is), held to the
+  oracle, and a second row added under an existing key and removed
+  again, with the carried report equal to a cold one at each step.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core.cfd import CFD
 from repro.core.violations import (
     ConstraintSet,
     check_database_naive,
@@ -36,7 +44,11 @@ from repro.engine import (
     execute_plan,
     plan_detection,
 )
-from repro.relational.domains import FiniteDomain
+from repro.relational.domains import STRING, FiniteDomain
+from repro.relational.instance import DatabaseInstance
+from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.relational.values import WILDCARD as _
+from repro.sql.loader import create_database_file
 
 from tests.conformance import assert_reports_bit_identical
 from tests.strategies import cfds as cfd_strategy
@@ -164,3 +176,119 @@ def test_replay_agreement_bank(seed):
 def test_replay_agreement_commerce(seed):
     db = commerce_instance(n_orders=40, error_rate=0.15, seed=seed)
     _replay(db, commerce_constraints(), seed)
+
+
+# -- the CFD kernel's key regimes -----------------------------------------------
+
+_KEYED = DatabaseSchema(
+    [RelationSchema("K", [Attribute(n, STRING) for n in ("a", "b", "c", "e", "t")])]
+)
+
+
+def _keyed_sigma() -> ConstraintSet:
+    """CFDs sharing ``X = (a, b)``: a wildcard FD, constant-RHS rows (and
+    a structural duplicate the pruner drops), a two-attribute RHS, and an
+    RHS equal to ``X``; plus ``X = (a,)``, whose few keys repeat, and an
+    empty ``X``, whose one key holds every row."""
+    rel = _KEYED.relation("K")
+    sigma = ConstraintSet(_KEYED)
+    sigma.add_cfd(CFD(rel, ("a", "b"), ("c",), [((_, _), (_,)), (("a0", _), (_,))], name="fd"))
+    for name in ("const", "const_twin"):
+        sigma.add_cfd(CFD(
+            rel, ("a", "b"), ("c",), [((_, _), ("c0",)), (("a1", _), ("c1",))], name=name,
+        ))
+    sigma.add_cfd(CFD(
+        rel, ("a", "b"), ("c", "e"), [((_, _), (_, _)), ((_, _), (_, "e0"))], name="pair",
+    ))
+    sigma.add_cfd(CFD(
+        rel, ("a", "b"), ("a", "b"), [((_, _), (_, _)), (("a0", _), (_, "b1"))], name="rhs_x",
+    ))
+    sigma.add_cfd(CFD(rel, ("a",), ("e",), [((_,), (_,)), (("a2",), ("e1",))], name="by_a"))
+    sigma.add_cfd(CFD(rel, (), ("c",), [((), (_,)), ((), ("c0",))], name="empty_x"))
+    return sigma
+
+
+@st.composite
+def keyed_rows(draw):
+    """Rows of ``K`` whose ``(a, b)``-keys are all distinct, partly
+    repeated or all repeated, in drawn order; ``t`` keeps rows apart."""
+    regime = draw(st.sampled_from(("distinct", "partly", "repeated")))
+    n_keys = draw(st.integers(min_value=1, max_value=5))
+    sizes = {
+        "distinct": st.just([1] * n_keys),
+        "partly": st.lists(
+            st.integers(min_value=1, max_value=3), min_size=n_keys, max_size=n_keys
+        ).map(lambda drawn: [1, 2] + drawn),
+        "repeated": st.lists(
+            st.integers(min_value=2, max_value=4), min_size=n_keys, max_size=n_keys
+        ),
+    }[regime]
+    rows = []
+    for k, size in enumerate(draw(sizes)):
+        key = (draw(st.sampled_from(("a0", "a1", "a2"))), f"b{k % 3}{k}")
+        for __ in range(size):
+            rows.append(key + (
+                draw(st.sampled_from(("c0", "c1"))),
+                draw(st.sampled_from(("e0", "e1"))),
+                f"t{len(rows)}",
+            ))
+    return draw(st.permutations(rows))
+
+
+def _keyed_db(rows) -> DatabaseInstance:
+    db = DatabaseInstance(_KEYED)
+    for row in rows:
+        db.add("K", row)
+    return db
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=keyed_rows())
+def test_cfd_kernel_key_regimes_match_oracle(rows):
+    sigma = _keyed_sigma()
+    db = _keyed_db(rows)
+    naive = check_database_naive(db, sigma)
+    assert_reports_identical(detect(db, sigma), naive)
+    summary = count_violations(db, sigma)
+    assert summary.by_constraint() == naive.by_constraint()
+    assert summary.total == naive.total
+    assert database_is_clean(db, sigma) == naive.is_clean
+    for prune in (False, True):
+        session = api.connect(db.copy(), sigma, prune_implied=prune)
+        assert session.is_clean() == naive.is_clean
+        assert_reports_identical(session.check(), naive)
+        assert session.count().by_constraint() == naive.by_constraint()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=keyed_rows(), data=st.data())
+def test_cfd_kernel_second_row_under_a_key_carries(rows, data):
+    """Insert a row under an existing ``(a, b)``-key, then delete it: the
+    carried check of a memory and of a sqlfile session equals a cold
+    check and the oracle after each step."""
+    sigma = _keyed_sigma()
+    db = _keyed_db(rows)
+    a, b, __, __e, __t = data.draw(st.sampled_from(rows))
+    extra = (a, b, data.draw(st.sampled_from(("c0", "c1"))), "e1", "t-extra")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = create_database_file(Path(tmp) / "keyed.db", db)
+        sessions = [
+            api.connect(db.copy(), sigma),
+            api.connect(path, sigma, backend="sqlfile"),
+        ]
+        try:
+            for step in (None, {"inserts": [("K", extra)]}, {"deletes": [("K", extra)]}):
+                if step is not None:
+                    if "inserts" in step:
+                        db.add("K", extra)
+                    else:
+                        db["K"].discard(db["K"].lookup(("t",), ("t-extra",))[0])
+                cold = detect(db, sigma)
+                assert_reports_identical(cold, check_database_naive(db, sigma))
+                for session in sessions:
+                    if step is not None:
+                        session.apply(**step)
+                    assert_reports_identical(session.check(), cold)
+        finally:
+            for session in sessions:
+                session.close()
