@@ -21,9 +21,10 @@ dataset generators and times three evaluations of the same workload:
   ``check()`` (the default one-pass window-function scans inside
   sqlite), warm = the same session's second ``check()`` (its scan
   cache, kept while ``PRAGMA data_version`` stands, skips SQL entirely);
-* ``sqlfile_legacy`` — the same cold check with
-  ``window_functions="off"``: the GROUP-BY-then-self-join SQL that was
-  the only path before the one-pass rewrite. ``sqlfile_window_speedup``
+* ``sqlfile_legacy`` — the same cold check on a sqlite library without
+  window functions (the probe ``supports_window_functions`` patched to
+  say so): the GROUP-BY-then-self-join SQL that was the only path before
+  the one-pass rewrite. ``sqlfile_window_speedup``
   = legacy / default is the single-core algorithmic win and is gateable
   with ``--min-sqlfile-window-speedup`` even on a 1-CPU box.
 
@@ -64,8 +65,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
-from repro.api import ExecutionOptions, connect
+from repro.api import connect
 from repro.sql.loader import create_database_file
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
@@ -284,15 +286,16 @@ def run_case(
         file_session.close()
 
         # Legacy SQL baseline: the pre-rewrite GROUP-BY-then-self-join
-        # path, still selectable via window_functions="off". The ratio
-        # against the default (window-function) cold check is the
-        # single-core algorithmic win of the one-pass rewrite.
-        legacy_options = ExecutionOptions(window_functions="off")
-
+        # path, which a sqlite library without window functions gets.
+        # The ratio against the default (window-function) cold check is
+        # the single-core algorithmic win of the one-pass rewrite.
         def sqlfile_legacy_cold():
-            with connect(
-                db_path, sigma, backend="sqlfile", options=legacy_options
-            ) as s:
+            with mock.patch(
+                "repro.sql.violations.supports_window_functions",
+                lambda conn: False,
+            ):
+                s = connect(db_path, sigma, backend="sqlfile")
+            with s:
                 return s.check()
 
         sqlfile_legacy_s, sqlfile_legacy_report = _best_time(

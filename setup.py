@@ -1,7 +1,16 @@
-"""Legacy setup shim: enables editable installs where the `wheel` package
-(and hence PEP 660 editable builds) is unavailable. All metadata lives in
-pyproject.toml."""
+"""Package metadata for setuptools: ``pip install .`` installs the
+``repro`` library from ``src/``.
 
-from setuptools import setup
+Tests, benchmarks and examples run from a checkout with
+``PYTHONPATH=src`` and need no install. The Python floor matches
+``mypy.ini`` and the CI matrix.
+"""
 
-setup()
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -3,12 +3,14 @@
 The paper's pitch is *one* constraint language (CFDs + CINDs) checkable
 uniformly; this package makes the implementation match: one ``connect()``
 call, one report shape, four interchangeable engines, each scanning
-serially through the engine's executor or its SQL push-down.
+serially through the engine's executor or its one SQL push-down, which
+both SQL backends run (``sql`` on a ``:memory:`` image of an instance,
+``sqlfile`` on a database file).
 
     from repro import api
 
     session = api.connect(db, sigma)                  # shared-scan engine
-    session = api.connect(db, sigma, backend="sql")   # sqlite3 anti-joins
+    session = api.connect(db, sigma, backend="sql")   # sqlite3 :memory: image
     session = api.connect("accounts.db", sigma, backend="sqlfile")  # out-of-core
 
     report  = session.check()      # ViolationReport — identical everywhere

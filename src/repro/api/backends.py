@@ -1,10 +1,6 @@
 """Detection backends: one protocol, four engines, identical answers.
 
-Before this facade the repo exposed incompatible checking APIs —
-``check_database`` returned a :class:`ViolationReport` and
-``SQLViolationDetector.check`` a ``dict[label, set[row]]`` — so every
-caller special-cased its engine. Here each engine is an adapter onto one
-:class:`Backend` shape:
+Each engine is an adapter onto one :class:`Backend` shape:
 
 ``check()``     -> ``ViolationReport``   (identical across backends,
                                           including violation-list order)
@@ -21,13 +17,16 @@ How each backend earns its keep:
 * :class:`NaiveBackend` — the per-constraint reference oracle; slow by
   design, kept as the executable transcription of the paper's
   satisfaction definitions.
-* :class:`SQLBackend` — sqlite3 anti-joins find the violating *rows*; the
-  adapter maps rows back to the canonical in-memory ``Tuple`` objects and
-  replays the engine's violation semantics over just the dirty groups, so
-  its report is tuple-for-tuple comparable with the others.
 * :class:`SQLFileBackend` — detection pushed down as SQL into an existing
   sqlite database file, out-of-core, with the memory backend's scan cache
   kept by its own DML and cleared by another connection's commit.
+* :class:`SQLBackend` — a thin in-memory ``sqlfile``: the same plan
+  executor (:class:`~repro.sql.violations.SQLPlanExecutor`) over a
+  ``:memory:`` image of the instance, loaded on first need and dropped
+  by DML.
+
+Both SQL backends answer through that one executor and the engine's
+assembly, so their reports are bit-identical to the others'.
 
 After DML, the memory and sqlfile backends carry their scan cache
 forward by the changed rows (:mod:`repro.engine.carry`): the next answer
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -59,28 +59,28 @@ from repro.core.violations import (
     ConstraintSet,
     ViolationReport,
     check_database_naive,
-    constraint_labels,
 )
 from repro.engine import (
     DetectionSummary,
     ReportDelta,
     ScanCache,
-    attribute_positions,
     carry_forward,
-    compile_checks,
     execute_plan,
-    passes,
     plan_detection,
     plan_has_violation,
-    projection_column_keys,
 )
 from repro.engine.carry import run_carry
-from repro.engine.executor import assemble_from_hits
 from repro.errors import SessionClosedError, SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate, select_columns
-from repro.sql.loader import connect_file, data_version, introspect_schema
-from repro.sql.violations import SQLCarry, SQLPlanExecutor, SQLViolationDetector
+from repro.sql.loader import (
+    connect_file,
+    connect_memory,
+    data_version,
+    introspect_schema,
+    load_database,
+)
+from repro.sql.violations import SQLCarry, SQLPlanExecutor
 
 
 #: One batch-DML operation: ``(relation name, row)``. Inserts take any row
@@ -148,8 +148,8 @@ def build_plan(sigma: ConstraintSet, options: ExecutionOptions):
     With ``options.prune_implied`` the static analyzer's safe prune map
     (structural duplicates only) is compiled into the plan: duplicate
     constraints keep their report slots but share their twin's scans.
-    The plan-free backends (naive, sql) never call this — pruning is
-    trivially a no-op for them.
+    The plan-free naive backend never calls this — pruning is trivially
+    a no-op for it.
     """
     if options.prune_implied:
         from repro.analyze.redundancy import detection_prune_map
@@ -387,207 +387,72 @@ class NaiveBackend(BaseBackend):
 
 
 class SQLBackend(BaseBackend):
-    """sqlite3 detection with canonical-tuple output.
+    """A thin in-memory ``sqlfile``: sqlite3 detection over an image.
 
-    The SQL queries (tableaux shipped as data tables, anti-joins for
-    CINDs) identify the violating rows; this adapter then rebuilds
-    engine-identical violation objects by replaying the CFD group
-    semantics over *only* the dirty group keys and mapping every SQL row
-    back to its canonical in-memory :class:`Tuple`. Hybrid on purpose: SQL
-    does the data-heavy filtering, Python finalizes the (small) dirty
-    subset.
-
-    Empty-entry semantics: unlike the raw
-    :meth:`~repro.sql.violations.SQLViolationDetector.check` (which omits
-    constraints with zero violations), :meth:`violating_rows` keys *every*
-    constraint of Σ — empty set when clean — matching how
-    ``ViolationReport`` accounts for all of Σ.
+    The first call loads the instance into a private ``:memory:``
+    database and runs the plan there through the ``sqlfile`` backend's
+    :class:`~repro.sql.violations.SQLPlanExecutor`, so reports carry
+    rows as sqlite returns them, bit-identical to the other backends'
+    for data whose values round-trip their column affinity. DML changes
+    the caller's instance and drops the image; the next call reloads
+    it. Calls serialize on one lock (they share the image's temp
+    tables); a call that was waiting on it while the session closed
+    raises :class:`~repro.errors.SessionClosedError`.
     """
 
     name = "sql"
 
     def __init__(self, db, sigma, options=None):
         super().__init__(db, sigma, options)
-        self._detector: SQLViolationDetector | None = None
-        self._str_image: dict[str, dict[tuple[str, ...], int | None]] = {}
+        self._plan = build_plan(sigma, self.options)
+        self._image: SQLPlanExecutor | None = None
+        self._lock = threading.RLock()
         self._closed = False
 
-    # -- sqlite session management ----------------------------------------
+    @property
+    def plan(self):
+        return self._plan
 
-    def _get_detector(self) -> SQLViolationDetector:
-        # A call that got past the session's check while close() ran must
-        # not reopen a sqlite image nothing would close.
-        if self._closed:
-            raise SessionClosedError("sql backend is closed")
-        if self._detector is None:
-            self._detector = SQLViolationDetector(db=self.db)
-        return self._detector
-
-    def _drop_detector(self) -> None:
-        if self._detector is not None:
-            self._detector.close()
-            self._detector = None
-
-    def _invalidate(self) -> None:
-        # The sqlite image and the string-image map mirror the data; a
-        # mutation invalidates both (reloaded lazily on the next call).
-        self._drop_detector()
-        self._str_image.clear()
-
-    def close(self) -> None:
-        self._closed = True
-        self._drop_detector()
-
-    # -- row -> canonical tuple mapping ------------------------------------
-
-    def _canonical_row_id(self, relation: str, row: tuple[Any, ...]) -> int:
-        instance = self.db[relation]
-        rowid = instance.row_id(row)
-        if rowid is not None:
-            return rowid
-        # sqlite affinity may have round-tripped a value through another
-        # type (e.g. "5" stored in an INTEGER column comes back as 5);
-        # retry on the string image of every value, via a map built once
-        # per relation. Colliding images map to None so an ambiguous
-        # lookup fails loudly instead of picking an arbitrary tuple.
-        images = self._str_image.get(relation)
-        if images is None:
-            images = self._str_image[relation] = {}
-            for candidate, values in zip(
-                instance.row_ids(), zip(*instance.columns())
-            ):
-                image = tuple(map(str, values))
-                images[image] = None if image in images else candidate
-        rowid = images.get(tuple(map(str, row)))
-        if rowid is not None:
-            return rowid
-        raise SQLBackendError(
-            f"SQL row {row!r} has no unambiguous counterpart in relation "
-            f"{relation!r}; the sqlite image is stale, a value did not "
-            "round-trip, or two tuples share its string image"
-        )
-
-    # -- detection ---------------------------------------------------------
-
-    def _cfd_violations(self, detector: SQLViolationDetector) -> list[CFDViolation]:
-        out: list[CFDViolation] = []
-        for cfd in self.sigma.cfds:
-            rows = detector.cfd_violating_rows(cfd)
-            if not rows:
-                continue
-            relation = cfd.relation.name
-            instance = self.db[relation]
-            dirty = {
-                instance.view(self._canonical_row_id(relation, row)).project(
-                    cfd.lhs
-                )
-                for row in rows
-            }
-            # Candidate keys in scan (first-occurrence) order — the order
-            # the engine's group-by would surface them in.
-            keys = projection_column_keys(
-                instance.columns(),
-                attribute_positions(cfd.relation, cfd.lhs),
-                len(instance),
-            )
-            ordered = [key for key in dict.fromkeys(keys) if key in dirty]
-            out.extend(self._replay_cfd(cfd, instance, ordered))
-        return out
-
-    def _replay_cfd(
-        self,
-        cfd,
-        instance: RelationInstance,
-        ordered_keys: list[tuple[Any, ...]],
-    ) -> Iterator[CFDViolation]:
-        """Engine violation semantics over the dirty group keys only."""
-        rhs_positions = attribute_positions(cfd.relation, cfd.rhs)
-        groups = {key: instance.group_rows(cfd.lhs, key) for key in ordered_keys}
-        rhs_sets = {
-            key: {
-                tuple(values[i] for i in rhs_positions) for values in group.values
-            }
-            for key, group in groups.items()
-        }
-        for row_index, row in enumerate(cfd.tableau):
-            key_checks = compile_checks(
-                row.lhs_projection(cfd.lhs), range(len(cfd.lhs))
-            )
-            rhs_checks = compile_checks(
-                row.rhs_projection(cfd.rhs), range(len(cfd.rhs))
-            )
-            for key in ordered_keys:
-                if not passes(key, key_checks):
-                    continue
-                rhs_values = rhs_sets[key]
-                disagree = len(rhs_values) > 1
-                if not disagree:
-                    if not rhs_checks or all(
-                        passes(vals, rhs_checks) for vals in rhs_values
-                    ):
-                        continue
-                yield CFDViolation(
-                    cfd=cfd,
-                    pattern_index=row_index,
-                    lhs_values=key,
-                    tuples=groups[key],
-                    kind="pair" if disagree else "single",
-                )
-
-    def _cind_violations(self, detector: SQLViolationDetector) -> list[CINDViolation]:
-        out: list[CINDViolation] = []
-        for cind in self.sigma.cinds:
-            relation = cind.lhs_relation.name
-            for row_index, rows in enumerate(
-                detector.cind_violating_rows_by_pattern(cind)
-            ):
-                if not rows:
-                    continue
-                # Row ids ascend in scan order.
-                instance = self.db[relation]
-                rowids = sorted(
-                    self._canonical_row_id(relation, row) for row in rows
-                )
-                out.extend(
-                    CINDViolation(
-                        cind=cind,
-                        pattern_index=row_index,
-                        tuple_=instance.view(rowid),
-                    )
-                    for rowid in rowids
-                )
-        return out
+    def _scan(self, answer: Callable[[SQLPlanExecutor], Any]) -> Any:
+        """*answer* from the image's executor, under the lock."""
+        with self._lock:
+            # A call that got past the session's check while close() ran
+            # must not reopen an image nothing would close.
+            if self._closed:
+                raise SessionClosedError("sql backend is closed")
+            image = self._image
+            if image is None:
+                conn = connect_memory()
+                try:
+                    load_database(conn, self.db)
+                except BaseException:
+                    conn.close()
+                    raise
+                image = self._image = SQLPlanExecutor(conn, self._plan)
+            try:
+                return answer(image)
+            finally:
+                image.release_witnesses()
 
     def check(self) -> ViolationReport:
-        detector = self._get_detector()
-        return ViolationReport(
-            self._cfd_violations(detector),
-            self._cind_violations(detector),
-            constraints=self.sigma,
-        )
+        return self._scan(lambda executor: executor.execute("full"))
 
-    def violating_rows(self) -> dict[str, set[tuple[Any, ...]]]:
-        """Raw violating rows per constraint label — every constraint keyed.
-
-        Normalized empty-entry semantics: constraints with no violations
-        map to an empty set instead of being omitted (the raw detector's
-        behaviour), so ``set(backend.violating_rows())`` always equals the
-        label set of Σ and cross-engine comparisons need no special cases.
-        """
-        detector = self._get_detector()
-        labels = constraint_labels(self.sigma)
-        out: dict[str, set[tuple[Any, ...]]] = {
-            labels[id(c)]: set() for c in self.sigma
-        }
-        for cfd in self.sigma.cfds:
-            out[labels[id(cfd)]] |= detector.cfd_violating_rows(cfd)
-        for cind in self.sigma.cinds:
-            out[labels[id(cind)]] |= detector.cind_violating_rows(cind)
-        return out
+    def count(self) -> DetectionSummary:
+        return self._scan(lambda executor: executor.execute("count"))
 
     def is_clean(self) -> bool:
-        detector = self._get_detector()
-        return detector.is_clean(self.sigma)
+        return self._scan(SQLPlanExecutor.is_clean)
+
+    def _invalidate(self) -> None:
+        with self._lock:
+            if self._image is not None:
+                self._image.conn.close()
+                self._image = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._invalidate()
 
 
 class SQLFileBackend(BaseBackend):
@@ -598,10 +463,9 @@ class SQLFileBackend(BaseBackend):
     detection where the data lives: the plan's shared scan groups are
     pushed down as SQL by a :class:`~repro.sql.violations.SQLPlanExecutor`
     (a one-pass prefilter + window-function scan per CFD group when the
-    sqlite library supports it — ``options.window_functions`` controls the
-    dispatch, with automatic fallback to the legacy GROUP-BY-then-join SQL
-    on older builds — one witness anti-join per CIND bucket, count-only
-    and ``EXISTS`` early-exit variants), and the hits are assembled
+    sqlite library supports it, else the legacy GROUP-BY-then-join SQL;
+    one witness anti-join per CIND bucket, count-only and ``EXISTS``
+    early-exit variants), and the hits are assembled
     through the engine's serial assembly so reports are bit-identical —
     including list order — to the memory backend over equivalent data
     (rowid order standing in for tuple insertion order).
@@ -665,9 +529,7 @@ class SQLFileBackend(BaseBackend):
         #: table, and for every table when another connection commits.
         self._versions = dict.fromkeys(sigma.schema.relation_names, 0)
         self._executor = SQLPlanExecutor(
-            self.conn, self._plan,
-            window_functions=self.options.window_functions,
-            cache=self._cache, versions=self._versions,
+            self.conn, self._plan, cache=self._cache, versions=self._versions
         )
         #: table -> row count, counted on first need and kept by own DML.
         self._sizes: dict[str, int] = {}
@@ -761,28 +623,15 @@ class SQLFileBackend(BaseBackend):
         finally:
             self._executor.release_witnesses()
 
-    def _execute(self, mode: str) -> ViolationReport | DetectionSummary:
-        """Carry, scan what stays cold (the executor answers warm units
-        from the cache), and assemble the per-unit hit lists in *mode* —
-        all under the session lock."""
+    def _scan(self, answer: Callable[[SQLPlanExecutor], Any]) -> Any:
+        """Carry, then *answer* from the executor, which scans what
+        stays cold and answers warm units from the cache — all under
+        the session lock."""
         with self._while_open():
             self._sync()
             try:
                 self._carry()
-                executor = self._executor
-                cfd_hits = [
-                    (group, executor.cfd_group_hits(group))
-                    for group in self._plan.cfd_groups
-                ]
-                cind_hits = [
-                    (relation, *executor.cind_relation_hits(relation, tasks))
-                    for relation, tasks in self._plan.cind_scans.items()
-                ]
-                self._cache.mark_synced(self._plan, self._versions.__getitem__)
-                return assemble_from_hits(
-                    self._plan, cfd_hits, cind_hits, mode,
-                    executor.cfd_group_tuples,
-                )
+                return answer(self._executor)
             finally:
                 # Witness materializations mirror the file's current
                 # content; they are valid for exactly one execution.
@@ -791,31 +640,13 @@ class SQLFileBackend(BaseBackend):
     # -- detection ---------------------------------------------------------
 
     def check(self) -> ViolationReport:
-        return self._execute("full")
+        return self._scan(lambda executor: executor.execute("full"))
 
     def count(self) -> DetectionSummary:
-        return self._execute("count")
+        return self._scan(lambda executor: executor.execute("count"))
 
     def is_clean(self) -> bool:
-        # Early exit: stop at the first scan unit with a hit. CFD hit
-        # lists are computed (and cached) whole — the pushed-down queries
-        # already return only violating candidates — while CIND buckets
-        # use EXISTS probes, which store the empty hit list they prove.
-        with self._while_open():
-            self._sync()
-            try:
-                self._carry()
-                executor = self._executor
-                for group in self._plan.cfd_groups:
-                    if executor.cfd_group_hits(group):
-                        return False
-                for relation, tasks in self._plan.cind_scans.items():
-                    if not executor.cind_relation_clean(relation, tasks):
-                        return False
-                self._cache.mark_synced(self._plan, self._versions.__getitem__)
-                return True
-            finally:
-                self._executor.release_witnesses()
+        return self._scan(SQLPlanExecutor.is_clean)
 
     def delta(self) -> ReportDelta | None:
         """Carry the cache forward by this session's noted DML and return

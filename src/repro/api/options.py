@@ -5,7 +5,9 @@ One small immutable dataclass instead of per-backend keyword soup: the
 onto its own fast paths. Callers never choose "count-only scan" vs
 "early-exit scan" vs "SQL anti-join" directly — that dispatch is the
 backend's job, in the spirit of BRAVO's single reader API over
-internally-selected fast/slow paths.
+internally-selected fast/slow paths. The SQL backends pick their CFD
+queries the same way: from what the sqlite library supports and how
+many candidate keys a group has, never from an option.
 
 Detection is serial on every backend: each scan unit runs once, through
 the serial executor (or its SQL push-down) and the carry-forward.
@@ -17,12 +19,6 @@ from dataclasses import dataclass
 
 #: What a :meth:`Session.run` call should compute.
 MODES = ("full", "count", "early-exit")
-
-#: Whether the ``sqlfile`` backend may use sqlite window functions for its
-#: one-pass CFD detection queries (``auto`` probes the library at connect
-#: time and silently falls back to the legacy GROUP-BY-then-join SQL when
-#: the sqlite build predates window functions, i.e. < 3.25).
-WINDOW_FUNCTIONS = ("auto", "off", "require")
 
 
 @dataclass(frozen=True)
@@ -43,15 +39,6 @@ class ExecutionOptions:
         ``workers=1``'s. The field stays only because the repo benchmark
         (``perfbench``'s audit ``par_check`` op) still passes it; the
         benchmark change that retires that op removes this field too.
-    window_functions:
-        Whether the ``sqlfile`` backend's CFD detection may use sqlite
-        window functions (``MIN(rhs) OVER (PARTITION BY X)`` one-pass
-        queries): ``"auto"`` (default) probes the sqlite library at
-        connect time and falls back to the legacy GROUP-BY-then-join SQL
-        when unavailable (< 3.25); ``"off"`` forces the legacy SQL
-        (benchmark baselines, differential tests); ``"require"`` raises
-        :class:`~repro.errors.SQLBackendError` instead of falling back.
-        Results are bit-identical either way. Other backends ignore it.
     readonly:
         Only meaningful for file-backed backends (``sqlfile``): open the
         database file read-only, so ``insert``/``delete`` fail loudly and
@@ -73,12 +60,11 @@ class ExecutionOptions:
         the kept twin and are bit-identical — including ordering — to an
         unpruned run's; merely *implied* constraints are never pruned
         (their violation lists are their own). No-op on the plan-free
-        ``naive`` and ``sql`` backends.
+        ``naive`` backend.
     """
 
     mode: str = "full"
     workers: int = 1
-    window_functions: str = "auto"
     readonly: bool = False
     validate: bool = False
     prune_implied: bool = False
@@ -90,11 +76,6 @@ class ExecutionOptions:
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive int, got {self.workers!r}")
-        if self.window_functions not in WINDOW_FUNCTIONS:
-            raise ValueError(
-                f"window_functions must be one of {WINDOW_FUNCTIONS}, got "
-                f"{self.window_functions!r}"
-            )
         if not isinstance(self.readonly, bool):
             raise ValueError(
                 f"readonly must be a bool, got {self.readonly!r}"

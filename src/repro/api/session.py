@@ -8,7 +8,7 @@
         report = session.check()                      # ViolationReport
         print(report.summary())
 
-    api.connect(db, sigma, backend="sql").check()     # same report, SQL
+    api.connect(db, sigma, backend="sql").check()     # same report, in sqlite
 
     live = api.connect(db, sigma)
     live.insert("orders", {...})
@@ -24,6 +24,8 @@ mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 memoized scan results instead of re-scanning, and after ``insert``/
 ``delete``/``apply`` the next check re-evaluates only the groups and keys
 the changed rows touch (:meth:`Session.delta` reports what that changed).
+The ``sql`` backend keeps its ``:memory:`` image of the instance until
+the next DML, so it loads the data once per batch, not once per call.
 Keep one session per (db, Σ) workload rather than reconnecting per call.
 """
 

@@ -1,4 +1,4 @@
-"""SQL backend: DDL, loading, and violation detection on sqlite3."""
+"""SQL backends: DDL, loading, and plan-level violation detection on sqlite3."""
 
 from repro.sql.ddl import (
     create_schema_sql,
@@ -13,10 +13,10 @@ from repro.sql.loader import (
     load_database,
     read_database_file,
 )
-from repro.sql.violations import SQLViolationDetector, sql_check_database
+from repro.sql.violations import SQLPlanExecutor
 
 __all__ = [
-    "SQLViolationDetector",
+    "SQLPlanExecutor",
     "connect_memory",
     "create_database_file",
     "create_schema_sql",
@@ -25,6 +25,5 @@ __all__ = [
     "load_database",
     "quote_identifier",
     "read_database_file",
-    "sql_check_database",
     "sql_type",
 ]

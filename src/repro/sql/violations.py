@@ -1,35 +1,35 @@
-"""SQL-based violation detection for CFDs and CINDs.
+"""SQL violation detection: a detection plan executed inside sqlite.
 
-For CFDs this follows the technique of [9] (as the paper recommends in
-Section 7/8): the pattern tableau is loaded as a *data table* (wildcards
-as NULL) and two queries per CFD find
+:class:`SQLPlanExecutor` pushes a
+:class:`~repro.engine.planner.DetectionPlan`'s *shared* scan units down
+as SQL — one scan group per CFD ``(relation, X)`` and one witness
+anti-join per deduplicated CIND signature — with count-only and
+``EXISTS``-based early-exit variants mirroring the in-memory engine's
+scan modes. It serves both SQL backends: ``sqlfile`` runs it on the
+user's database file and ``sql`` on a ``:memory:`` image of an
+in-memory instance.
 
-* ``Q1`` — single-tuple violations: tuples matching some pattern row's LHS
-  whose RHS value differs from the row's RHS constant;
-* ``Q2`` — pair violations: LHS groups matching a row that disagree on the
-  RHS attribute (all tuples of such a group are reported, mirroring the
-  in-memory engine).
+For CFDs a group runs the one-pass prefilter + window-function scan of
+:mod:`repro.sql.windows`, or, on a sqlite without window functions and
+for groups past the bounded refinement, the legacy SQL of [9] (as the
+paper recommends in Section 7/8): the pattern tableau is loaded as a
+*data table* (wildcards as NULL), ``GROUP BY X`` per RHS variant finds
+the keys whose groups disagree, and one tableau join per CFD finds the
+keys whose RHS misses a pattern constant.
 
 For CINDs (Section 8 flags this as the paper's planned follow-up, so we
-build it) each normal-form row becomes one anti-join::
+build it) each normal-form row becomes one anti-join against the
+witness keys of its right-hand side, materialized once per execution in
+an indexed temp table::
 
-    SELECT t1.* FROM Ra t1
+    SELECT t1.rowid, t1.* FROM Ra t1
     WHERE t1.xp = :consts...
-      AND NOT EXISTS (SELECT 1 FROM Rb t2
-                      WHERE t2.B1 = t1.A1 AND ... AND t2.yp = :consts...)
+      AND NOT EXISTS (SELECT 1 FROM witness w WHERE w.k0 = t1.A1 AND ...)
 
 All constants travel as bound parameters — nothing is interpolated into
-SQL text except quoted identifiers.
-
-:class:`SQLPlanExecutor` is the out-of-core counterpart: it pushes a
-:class:`~repro.engine.planner.DetectionPlan`'s *shared* scan units down as
-SQL — one ``GROUP BY`` pass per CFD ``(relation, X)`` scan group (reusing
-one tableau temp table per CFD across every constraint in the group) and
-one witness anti-join per deduplicated CIND signature — instead of the
-per-constraint full-table rescans above, with count-only and
-``EXISTS``-based early-exit variants mirroring the in-memory engine's
-scan modes. Its scans keep the row ids a carried cache needs: each CFD
-hit key's first rowid and each CIND hit's rowid.
+SQL text except quoted identifiers. The scans keep the row ids a
+carried cache needs: each CFD hit key's first rowid and each CIND hit's
+rowid.
 
 :class:`SQLCarry` carries a ``sqlfile`` session's
 :class:`~repro.engine.cache.ScanCache` forward by the rows its own DML
@@ -46,26 +46,32 @@ import sqlite3
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.cfd import CFD
-from repro.core.cind import CIND, CINDViolation
-from repro.core.violations import ConstraintSet, constraint_labels
+from repro.core.cind import CINDViolation
+from repro.core.violations import ViolationReport
 from repro.engine.cache import ScanCache
 from repro.engine.carry import Carry, Rescan
-from repro.engine.executor import cind_task_violations
+from repro.engine.executor import (
+    DetectionSummary,
+    assemble_from_hits,
+    cind_task_violations,
+)
 from repro.engine.planner import (
+    CFDRowTask,
     CFDScanGroup,
     CINDRowTask,
     DetectionPlan,
     WitnessSpec,
-    passes,
 )
-from repro.errors import SQLBackendError
-from repro.relational.instance import DatabaseInstance, RowGroup, Tuple
+from repro.relational.instance import RowGroup, Tuple
 from repro.relational.schema import RelationSchema
 from repro.relational.values import is_wildcard
-from repro.sql.ddl import distinct_count_expr, row_predicate, select_columns
+from repro.sql.ddl import distinct_count_expr, select_columns
 from repro.sql.ddl import quote_identifier as q
-from repro.sql.loader import connect_memory, load_database
-from repro.sql.windows import cfd_onepass_hits, supports_window_functions
+from repro.sql.windows import (
+    cfd_onepass_hits,
+    cfd_task_hits,
+    supports_window_functions,
+)
 
 
 class TableauCache:
@@ -76,8 +82,8 @@ class TableauCache:
     objects with equal tableaux — reuse one table instead of leaking a new
     ``__tableau_N`` per call onto a long-lived connection (the historical
     behaviour this class replaces). ``drop_all()`` removes every table the
-    cache created, so detectors attached to a caller's connection can
-    clean up after themselves without closing it.
+    cache created, so an executor on a caller's connection can clean up
+    after itself without closing it.
     """
 
     def __init__(self, conn: sqlite3.Connection):
@@ -140,222 +146,17 @@ class TableauCache:
         self._by_content.clear()
 
 
-class SQLViolationDetector:
-    """Runs violation queries for a constraint set over sqlite3.
-
-    Construct from an in-memory :class:`DatabaseInstance` (loaded into a
-    fresh ``:memory:`` connection the detector owns) or attach to an
-    existing connection that already holds the tables — in which case the
-    connection stays the caller's: :meth:`close` drops the detector's temp
-    tables but leaves the connection open.
-    """
-
-    def __init__(
-        self,
-        db: DatabaseInstance | None = None,
-        conn: sqlite3.Connection | None = None,
-    ):
-        if (db is None) == (conn is None):
-            raise SQLBackendError("provide exactly one of db= or conn=")
-        self._owns_conn = db is not None
-        if db is not None:
-            conn = connect_memory()
-            load_database(conn, db)
-        self.conn = conn
-        self._tableaux = TableauCache(conn)
-
-    # -- CFDs ----------------------------------------------------------------
-
-    def _load_tableau(self, cfd: CFD) -> str:
-        """The CFD's tableau as a (cached) temp data table; returns its name."""
-        return self._tableaux.get(cfd)
-
-    def cfd_violating_rows(self, cfd: CFD) -> set[tuple[Any, ...]]:
-        """All rows of the relation involved in some violation of *cfd*.
-
-        Matches :meth:`repro.core.cfd.CFD.violating_tuples` exactly (the
-        cross-validation tests rely on it).
-        """
-        rel = cfd.relation
-        tableau = self._load_tableau(cfd)
-        all_cols = ", ".join(f"t.{q(a.name)}" for a in rel)
-        match_lhs = " AND ".join(
-            f"(tp.{q('lhs_' + a)} IS NULL OR t.{q(a)} = tp.{q('lhs_' + a)})"
-            for a in cfd.lhs
-        ) or "1=1"
-
-        out: set[tuple[Any, ...]] = set()
-        cursor = self.conn.cursor()
-
-        # Q1: single-tuple violations against constant RHS patterns.
-        rhs_mismatch = " OR ".join(
-            f"(tp.{q('rhs_' + a)} IS NOT NULL AND t.{q(a)} <> tp.{q('rhs_' + a)})"
-            for a in cfd.rhs
-        )
-        q1 = (
-            f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t, {q(tableau)} tp "
-            f"WHERE {match_lhs} AND ({rhs_mismatch})"
-        )
-        out.update(cursor.execute(q1).fetchall())
-
-        # Q2: groups matching a pattern row that disagree on the RHS.
-        # sqlite has no multi-column COUNT(DISTINCT ...); concatenate the
-        # quote()d values (injective) when the RHS has several attributes.
-        if len(cfd.rhs) == 1:
-            distinct_rhs = f"t.{q(cfd.rhs[0])}"
-        else:
-            distinct_rhs = " || ',' || ".join(
-                f"quote(t.{q(a)})" for a in cfd.rhs
-            )
-        if cfd.lhs:
-            group_cols = ", ".join(f"t.{q(a)}" for a in cfd.lhs)
-            q2_groups = (
-                f"SELECT {group_cols}, tp.rowid AS prow "
-                f"FROM {q(rel.name)} t, {q(tableau)} tp "
-                f"WHERE {match_lhs} "
-                f"GROUP BY tp.rowid, {group_cols} "
-                f"HAVING COUNT(DISTINCT {distinct_rhs}) > 1"
-            )
-            join_cond = " AND ".join(
-                f"t.{q(a)} = g.{q(a)}" for a in cfd.lhs
-            )
-            q2 = (
-                f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t "
-                f"JOIN ({q2_groups}) g ON {join_cond}"
-            )
-            out.update(cursor.execute(q2).fetchall())
-        else:
-            # Empty LHS: the whole relation is one group per pattern row.
-            q2_check = (
-                f"SELECT COUNT(DISTINCT {distinct_rhs}) FROM {q(rel.name)} t"
-            )
-            (distinct,) = cursor.execute(q2_check).fetchone()
-            if distinct is not None and distinct > 1 and len(cfd.tableau) > 0:
-                q2_all = f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t"
-                out.update(cursor.execute(q2_all).fetchall())
-        return out
-
-    # -- CINDs -----------------------------------------------------------------------
-
-    def cind_violating_rows_by_pattern(
-        self, cind: CIND
-    ) -> list[set[tuple[Any, ...]]]:
-        """Violating LHS rows per pattern row, in tableau order.
-
-        One anti-join per row; the per-row split is what lets the
-        :class:`~repro.api.backends.SQLBackend` adapter rebuild
-        engine-identical ``CINDViolation`` objects (which carry the
-        pattern index).
-        """
-        ra = cind.lhs_relation
-        rb = cind.rhs_relation
-        all_cols = ", ".join(f"t1.{q(a.name)}" for a in ra)
-        out: list[set[tuple[Any, ...]]] = []
-        cursor = self.conn.cursor()
-        for row in cind.tableau:
-            premise: list[str] = []
-            params: list[Any] = []
-            for a in cind.x + cind.xp:
-                value = row.lhs_value(a)
-                if not is_wildcard(value):
-                    premise.append(f"t1.{q(a)} = ?")
-                    params.append(value)
-            witness: list[str] = []
-            for a, b in zip(cind.x, cind.y):
-                witness.append(f"t2.{q(b)} = t1.{q(a)}")
-            for b in cind.yp:
-                value = row.rhs_value(b)
-                if not is_wildcard(value):
-                    witness.append(f"t2.{q(b)} = ?")
-                    params.append(value)
-            where = " AND ".join(premise) or "1=1"
-            exists_cond = " AND ".join(witness) or "1=1"
-            sql = (
-                f"SELECT DISTINCT {all_cols} FROM {q(ra.name)} t1 "
-                f"WHERE {where} AND NOT EXISTS ("
-                f"SELECT 1 FROM {q(rb.name)} t2 WHERE {exists_cond})"
-            )
-            out.append(set(cursor.execute(sql, params).fetchall()))
-        return out
-
-    def cind_violating_rows(self, cind: CIND) -> set[tuple[Any, ...]]:
-        """LHS rows matching some pattern row with no RHS witness.
-
-        Matches :meth:`repro.core.cind.CIND.violating_tuples`.
-        """
-        out: set[tuple[Any, ...]] = set()
-        for rows in self.cind_violating_rows_by_pattern(cind):
-            out |= rows
-        return out
-
-    # -- whole constraint sets ----------------------------------------------------------
-
-    def check(self, sigma: ConstraintSet) -> dict[str, set[tuple[Any, ...]]]:
-        """Violating rows per constraint label.
-
-        Labels come from :func:`repro.core.violations.constraint_labels`, so
-        two distinct constraints with equal names/reprs get separate entries
-        (matching the in-memory engine's ``by_constraint`` keys) instead of
-        silently overwriting each other.
-
-        Constraints with **zero** violations are omitted (historical
-        behaviour, kept for compatibility). The facade-level
-        :meth:`repro.api.backends.SQLBackend.violating_rows` normalizes
-        this: it keys every constraint of Σ, empty set when clean.
-        """
-        labels = constraint_labels(sigma)
-        out: dict[str, set[tuple[Any, ...]]] = {}
-        for cfd in sigma.cfds:
-            rows = self.cfd_violating_rows(cfd)
-            if rows:
-                out[labels[id(cfd)]] = rows
-        for cind in sigma.cinds:
-            rows = self.cind_violating_rows(cind)
-            if rows:
-                out[labels[id(cind)]] = rows
-        return out
-
-    def is_clean(self, sigma: ConstraintSet) -> bool:
-        return not self.check(sigma)
-
-    def close(self) -> None:
-        """Release resources.
-
-        Owned connections (constructed with ``db=``) are closed; attached
-        connections (constructed with ``conn=``) belong to the caller and
-        stay open — only the detector's tableau temp tables are dropped.
-        """
-        if self._owns_conn:
-            self.conn.close()
-        else:
-            self._tableaux.drop_all()
-
-    def __enter__(self) -> "SQLViolationDetector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def sql_check_database(
-    db: DatabaseInstance, sigma: ConstraintSet
-) -> dict[str, set[tuple[Any, ...]]]:
-    """One-shot convenience wrapper around :class:`SQLViolationDetector`."""
-    with SQLViolationDetector(db=db) as detector:
-        return detector.check(sigma)
-
-
-# -- pushed-down shared scans (the out-of-core ``sqlfile`` path) ---------------
+# -- pushed-down shared scans -----------------------------------------------------
 
 
 class SQLPlanExecutor:
     """Execute a :class:`~repro.engine.planner.DetectionPlan` *inside* sqlite.
 
-    Where :class:`SQLViolationDetector` issues per-constraint queries, this
-    executor pushes the plan's shared scan units down whole:
+    The plan's shared scan units are pushed down whole:
 
-    * **CFD scan groups** — by default (``window_functions="auto"`` on a
-      sqlite with window functions) each group runs the *one-pass* path of
+    * **CFD scan groups** — on a sqlite with window functions (probed
+      once, by :func:`~repro.sql.windows.supports_window_functions`) each
+      group runs the *one-pass* path of
       :func:`repro.sql.windows.cfd_onepass_hits`: one aggregate prefilter
       scan yields a candidate-key superset, and one window-function scan
       over the (typically empty) candidates derives the exact violations —
@@ -364,10 +165,9 @@ class SQLPlanExecutor:
       one ``GROUP BY X`` query per distinct RHS variant for the keys whose
       groups *disagree*, plus one tableau-join query per CFD (reusing the
       group's cached tableau temp tables) for the keys whose shared RHS
-      misses a pattern constant — remains the automatic fallback when the
-      sqlite build predates window functions (< 3.25), when the caller
-      forces ``window_functions="off"``, or when a group is dirty past the
-      bounded refinement. Both paths return only *candidate* keys plus
+      misses a pattern constant — is the fallback when the sqlite build
+      predates window functions (< 3.25) and when a group is dirty past
+      the bounded refinement. Both paths return only *candidate* keys plus
       their first-occurrence rowid, so the Python side touches
       O(violations) rows, not O(tuples), and both replay the in-memory
       engine's semantics exactly — reports are bit-identical either way.
@@ -381,9 +181,10 @@ class SQLPlanExecutor:
     violations and each task's rowid bucket), so the one
     :func:`~repro.engine.executor.assemble_from_hits` produces reports
     bit-identical — including violation-list order — to every other
-    backend. Count-only callers use the same hits without fetching
-    group tuples; :meth:`cind_relation_clean` is the ``EXISTS``-based
-    early-exit variant for ``is_clean``.
+    backend. :meth:`execute` runs every unit and assembles a report or,
+    in count mode, a summary from the same hits without fetching group
+    tuples; :meth:`is_clean` stops at the first unit with a hit, using
+    :meth:`cind_relation_clean`'s ``EXISTS`` probes for CINDs.
 
     With a session's *cache* and its per-table *versions* counters, the
     unit methods (:meth:`cfd_group_hits`, :meth:`cfd_group_tuples`,
@@ -400,7 +201,6 @@ class SQLPlanExecutor:
         self,
         conn: sqlite3.Connection,
         plan: DetectionPlan,
-        window_functions: str = "auto",
         cache: ScanCache | None = None,
         versions: Mapping[str, int] | None = None,
     ):
@@ -411,22 +211,51 @@ class SQLPlanExecutor:
         self.schema = plan.sigma.schema
         self.cache = cache
         self.versions = versions
-        if window_functions == "off":
-            self.use_window_functions = False
-        else:
-            self.use_window_functions = supports_window_functions(conn)
-            if window_functions == "require" and not self.use_window_functions:
-                raise SQLBackendError(
-                    "window_functions='require' but this sqlite library "
-                    f"(version {sqlite3.sqlite_version}) does not support "
-                    "window functions (needs >= 3.25)"
-                )
+        self.use_window_functions = supports_window_functions(conn)
         self._tableaux = TableauCache(conn)
         #: Per-execution witness materializations (see _witness_table):
         #: spec -> temp table name (non-empty Y) or spec -> bool (empty Y).
         self._witness_tables: dict[Any, str] = {}
         self._witness_nonempty: dict[Any, bool] = {}
         self._witness_count = 0
+
+    # -- whole plans ---------------------------------------------------------
+
+    def execute(self, mode: str) -> ViolationReport | DetectionSummary:
+        """Every scan unit's hits, assembled in *mode* (``"full"`` or
+        ``"count"``) by the engine's one assembly. With a cache, warm
+        units answer from it and the cache is then marked synced."""
+        plan = self.plan
+        cfd_hits = [
+            (group, self.cfd_group_hits(group)) for group in plan.cfd_groups
+        ]
+        cind_hits = [
+            (relation, *self.cind_relation_hits(relation, tasks))
+            for relation, tasks in plan.cind_scans.items()
+        ]
+        self._mark_synced()
+        return assemble_from_hits(
+            plan, cfd_hits, cind_hits, mode, self.cfd_group_tuples
+        )
+
+    def is_clean(self) -> bool:
+        """Early exit: False at the first scan unit with a hit. CFD hit
+        lists are computed (and cached) whole — the pushed-down queries
+        already return only violating candidates — while CIND units use
+        ``EXISTS`` probes, which store the empty hit list they prove."""
+        plan = self.plan
+        for group in plan.cfd_groups:
+            if self.cfd_group_hits(group):
+                return False
+        for relation, tasks in plan.cind_scans.items():
+            if not self.cind_relation_clean(relation, tasks):
+                return False
+        self._mark_synced()
+        return True
+
+    def _mark_synced(self) -> None:
+        if self.cache is not None:
+            self.cache.mark_synced(self.plan, self.versions.__getitem__)
 
     # -- CFD scan groups ---------------------------------------------------
 
@@ -538,34 +367,14 @@ class SQLPlanExecutor:
             for variant in group.rhs_variants()
         }
         singles: dict[tuple, dict[int, dict[tuple[Any, ...], int]]] = {}
-        for task in group.tasks:
-            content = TableauCache._content_key(task.cfd)
-            if task.rhs_checks and content not in singles:
-                singles[content] = self._single_candidates(
-                    rel, group, task.cfd
-                )
 
-        hits: list[tuple[Any, tuple[Any, ...], str]] = []
-        for task in group.tasks:
-            variant_disagree = disagree[task.rhs_positions]
-            task_hits = [
-                (fr, key, "pair")
-                for key, fr in variant_disagree.items()
-                if passes(key, task.key_checks)
-            ]
-            if task.rhs_checks:
-                content = TableauCache._content_key(task.cfd)
-                candidates = singles[content].get(task.row_index, {})
-                task_hits.extend(
-                    (fr, key, "single")
-                    for key, fr in candidates.items()
-                    if key not in variant_disagree
-                )
-            task_hits.sort(key=lambda hit: hit[0])
-            hits.extend((task, key, kind) for __, key, kind in task_hits)
-            if firsts is not None:
-                firsts.update((key, fr) for fr, key, __ in task_hits)
-        return hits
+        def task_singles(task: CFDRowTask) -> dict[tuple[Any, ...], int]:
+            content = TableauCache._content_key(task.cfd)
+            if content not in singles:
+                singles[content] = self._single_candidates(rel, group, task.cfd)
+            return singles[content].get(task.row_index, {})
+
+        return cfd_task_hits(group, disagree, task_singles, firsts)
 
     def cfd_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]

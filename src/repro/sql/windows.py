@@ -1,4 +1,4 @@
-"""One-pass window-function CFD detection for the sqlfile backend.
+"""One-pass window-function CFD detection for the SQL plan executor.
 
 The legacy executor runs one ``GROUP BY X HAVING COUNT(DISTINCT rhs) >
 1`` query per RHS variant plus one tableau self-join per CFD — four to
@@ -18,24 +18,27 @@ them with two stages:
    and min-vs-max over the partition is the same predicate with the same
    NULL treatment) and each key's first-occurrence row in the same pass,
    replacing the per-variant GROUP BYs *and* the tableau self-join.
-   Python-side task evaluation then replays the in-memory engine's
-   finalize semantics exactly, so hits are bit-identical including order.
+
+Both paths end in :func:`cfd_task_hits`, which turns a group's candidate
+keys into each task's hits with the in-memory engine's finalize
+semantics, so hits are bit-identical including order.
 
 The superset argument makes stage 1 safe by construction: any key a
 legacy query would return differs somewhere in its RHS projection (or
 misses a constant on every row), and both conditions survive the
 encoding — sqlite quirks can only add false positives, which stage 2
-discards. :func:`supports_window_functions` probes the library once;
-executors fall back to the legacy SQL wholesale when the build is too
-old (< 3.25) or the caller forces ``window_functions="off"``.
+discards. :func:`supports_window_functions` probes the library once per
+executor; the executor falls back to the legacy SQL wholesale when the
+build is too old (< 3.25), and per group when a group has more than
+:data:`MAX_REFINE_CANDIDATES` candidate keys.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.planner import CFDScanGroup, passes
+from repro.engine.planner import CFDRowTask, CFDScanGroup, passes
 from repro.relational.schema import RelationSchema
 from repro.sql.ddl import distinct_count_expr
 from repro.sql.ddl import quote_identifier as q
@@ -304,6 +307,34 @@ def cfd_onepass_hits(
             if row[nk + np_ + 2 + i]:
                 disagree[variant][key] = fr
 
+    def singles(task: CFDRowTask) -> dict[tuple[Any, ...], int]:
+        indices = [position_index[p] for p in task.rhs_positions]
+        return {
+            key: frs[key]
+            for key, values in firsts.items()
+            if not passes(tuple(values[i] for i in indices), task.rhs_checks)
+        }
+
+    return cfd_task_hits(group, disagree, singles, first_rowids)
+
+
+def cfd_task_hits(
+    group: CFDScanGroup,
+    disagree: Mapping[tuple[int, ...], Mapping[tuple[Any, ...], int]],
+    singles: Callable[[CFDRowTask], Mapping[tuple[Any, ...], int]],
+    first_rowids: dict | None = None,
+) -> list[tuple[Any, tuple[Any, ...], str]]:
+    """Every task's ``(task, key, kind)`` hits of one CFD group, tasks in
+    group order and each task's keys in first-rowid order.
+
+    *disagree* maps each RHS variant to its keys whose projections
+    disagree; a task flags those that pass its key checks as pairs.
+    A constant-RHS task also flags as singles the keys ``singles(task)``
+    names (keys where a row misses one of the task's RHS constants),
+    less the keys that disagree and those its key checks reject. Both
+    maps give each key's first rowid; a *first_rowids* dict receives
+    the hit keys'.
+    """
     hits: list[tuple[Any, tuple[Any, ...], str]] = []
     for task in group.tasks:
         variant_disagree = disagree[task.rhs_positions]
@@ -313,15 +344,11 @@ def cfd_onepass_hits(
             if passes(key, task.key_checks)
         ]
         if task.rhs_checks:
-            indices = [position_index[p] for p in task.rhs_positions]
-            for key, values in firsts.items():
-                if key in variant_disagree:
-                    continue
-                if not passes(key, task.key_checks):
-                    continue
-                projection = tuple(values[i] for i in indices)
-                if not passes(projection, task.rhs_checks):
-                    task_hits.append((frs[key], key, "single"))
+            task_hits.extend(
+                (fr, key, "single")
+                for key, fr in singles(task).items()
+                if key not in variant_disagree and passes(key, task.key_checks)
+            )
         task_hits.sort(key=lambda hit: hit[0])
         hits.extend((task, key, kind) for __, key, kind in task_hits)
         if first_rowids is not None:

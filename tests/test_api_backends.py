@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import sqlite3
 import threading
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api import ExecutionOptions, MemoryBackend, SQLBackend
-from repro.core.violations import ConstraintSet, check_database_naive, constraint_labels
+from repro.core.violations import ConstraintSet
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
 from repro.errors import ReproError, SessionClosedError
@@ -83,7 +84,7 @@ def test_backends_identical_on_commerce(n_orders, error_rate, seed):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data())
 def test_backends_identical_on_random_constraint_sets(data):
-    """Random schemas/instances stress the SQL adapter's report rebuild
+    """Random schemas/instances stress every backend's report assembly
     (multi-row tableaux, empty LHS, multi-attribute RHS, self-CINDs)."""
     schema = data.draw(database_schemas(max_relations=2))
     rels = list(schema)
@@ -143,15 +144,6 @@ class TestMutations:
 
 
 class TestSQLBackendAdapter:
-    def test_violating_rows_keys_every_constraint(self, bank):
-        with api.connect(bank.db, bank.constraints, backend="sql") as session:
-            rows = session.backend.violating_rows()
-            report = session.check()
-        labels = set(constraint_labels(bank.constraints).values())
-        assert set(rows) == labels  # empty-entry normalization
-        violated = {name for name, r in rows.items() if r}
-        assert violated == set(report.by_constraint())
-
     def test_rows_match_canonical_tuples(self, bank):
         with api.connect(bank.db, bank.constraints, backend="sql") as session:
             report = session.check()
@@ -181,8 +173,6 @@ class TestFacadePlumbing:
             ExecutionOptions(mode="everything")
         with pytest.raises(ValueError):
             ExecutionOptions(workers=0)
-        with pytest.raises(ValueError):
-            ExecutionOptions(window_functions="sometimes")
 
     def test_options_and_fields_are_exclusive(self, bank):
         with pytest.raises(ReproError):
@@ -253,7 +243,7 @@ class TestWorkersDoNothing:
     def test_zero_workers_still_rejected(self, bank):
         with pytest.raises(ValueError):
             api.connect(bank.db, bank.constraints, workers=0)
-        assert len(dataclasses.fields(ExecutionOptions)) == 6
+        assert len(dataclasses.fields(ExecutionOptions)) == 5
 
 
 class _SignallingLock:
@@ -273,6 +263,28 @@ class _SignallingLock:
         return self.lock.__exit__(*exc_info)
 
 
+def _close_while_blocked(session, backend, run):
+    """Run *run* on a thread that blocks on *backend*'s lock, close the
+    session while it waits, and return what the thread raised."""
+    backend._lock = lock = _SignallingLock(backend._lock)
+    raised = []
+
+    def in_flight():
+        try:
+            run()
+        except Exception as exc:  # the callers' assertions name it
+            raised.append(exc)
+
+    worker = threading.Thread(target=in_flight)
+    with lock:
+        worker.start()
+        assert lock.contended.wait(10)
+        session.close()  # re-entrant: runs while the worker waits
+    worker.join(10)
+    assert not worker.is_alive()
+    return raised
+
+
 class TestCloseWhileInFlight:
     """A call that passed the session's open check and then waited on
     the backend's lock while the session closed raises
@@ -283,8 +295,6 @@ class TestCloseWhileInFlight:
         path = _bank_source("sqlfile", tmp_path, n_accounts=20)
         session = api.connect(path, bank_constraints(), backend="sqlfile")
         session.check()
-        backend = session.backend
-        backend._lock = lock = _SignallingLock(backend._lock)
         row = ("interest", {"ab": "GLA", "ct": "UK", "at": "checking", "rt": "9%"})
         run = {
             "check": session.check,
@@ -292,22 +302,26 @@ class TestCloseWhileInFlight:
             "is_clean": session.is_clean,
             "apply": lambda: session.apply(inserts=[row]),
         }[call]
-        raised = []
-
-        def in_flight():
-            try:
-                run()
-            except Exception as exc:  # the assertion below names it
-                raised.append(exc)
-
-        worker = threading.Thread(target=in_flight)
-        with lock:
-            worker.start()
-            assert lock.contended.wait(10)
-            session.close()  # re-entrant: runs while the worker waits
-        worker.join(10)
-        assert not worker.is_alive()
+        raised = _close_while_blocked(session, session.backend, run)
         assert len(raised) == 1 and isinstance(raised[0], SessionClosedError), raised
+
+    @pytest.mark.parametrize("call", ["check", "is_clean"])
+    def test_sql_call_blocked_on_the_lock(self, call):
+        """The ``sql`` backend's calls share its image under one lock; a
+        call blocked there while the session closes must not reload the
+        image close() just dropped."""
+        session = api.connect(
+            scaled_bank_instance(20, error_rate=0.1, seed=3),
+            bank_constraints(), backend="sql",
+        )
+        session.check()
+        backend = session.backend
+        image = backend._image.conn
+        raised = _close_while_blocked(session, backend, getattr(session, call))
+        assert len(raised) == 1 and isinstance(raised[0], SessionClosedError), raised
+        assert backend._image is None
+        with pytest.raises(sqlite3.ProgrammingError):
+            image.execute("SELECT 1")
 
     def test_sql_backend_refuses_to_reopen_after_close(self, bank):
         backend = SQLBackend(bank.db, bank.constraints)
@@ -315,4 +329,4 @@ class TestCloseWhileInFlight:
         backend.close()
         with pytest.raises(SessionClosedError):
             backend.check()
-        assert backend._detector is None
+        assert backend._image is None

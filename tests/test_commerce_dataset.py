@@ -7,13 +7,14 @@ import pytest
 from repro import api
 from repro.cleaning.repair import repair
 from repro.consistency.checking import checking
-from repro.core.violations import check_database
+from repro.core.violations import check_database, check_database_naive
 from repro.datasets.commerce import (
     commerce_constraints,
     commerce_instance,
     commerce_schema,
 )
-from repro.sql.violations import sql_check_database
+
+from tests.conformance import report_key
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,10 @@ class TestDirtyInstance:
     def test_sql_engine_agrees(self, setting):
         schema, sigma = setting
         db = commerce_instance(200, error_rate=0.15, seed=5, schema=schema)
-        memory = api.connect(db, sigma).detect()
-        sql = sql_check_database(db, sigma)
-        assert set(sql) == set(memory.report.by_constraint())
+        with api.connect(db, sigma, backend="sql") as session:
+            sql = session.check()
+        assert not sql.is_clean
+        assert report_key(sql) == report_key(check_database_naive(db, sigma))
 
     def test_repairable_with_delete_policy(self, setting):
         # Price-drifted paid orders cannot be fixed by inserting catalog

@@ -6,8 +6,8 @@ subsystem boundaries:
 * heuristic consistency answers are *sound* on arbitrary (random, possibly
   inconsistent) constraint sets — a ``True`` always carries a verifying
   witness;
-* the SQL and in-memory engines agree on whole constraint sets, not just
-  single dependencies;
+* the ``sql`` backend and the naive oracle agree on whole constraint sets,
+  report order included;
 * source-side CIND propagation through views is sound on random data;
 * the Theorem 3.2 witness keeps verifying when CINDs are first normalised.
 """
@@ -17,16 +17,17 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.consistency.checking import checking
 from repro.consistency.random_checking import random_checking
 from repro.core.consistency import build_cind_witness
 from repro.core.normalize import normalize_cinds
-from repro.core.violations import ConstraintSet, check_database
+from repro.core.violations import ConstraintSet, check_database_naive
 from repro.generator.constraint_gen import random_constraints
 from repro.generator.schema_gen import random_schema
-from repro.sql.violations import sql_check_database
 from repro.views.spc import SPView, materialize, propagate_cinds
 
+from tests.conformance import report_key
 from tests.strategies import cinds as cind_strategy
 from tests.strategies import database_schemas, instances
 
@@ -62,9 +63,9 @@ def test_sql_and_memory_agree_on_constraint_sets(data):
         dst = data.draw(st.sampled_from(rels))
         sigma.add_cind(data.draw(cind_strategy(src, dst)))
     db = data.draw(instances(schema, max_tuples=8))
-    memory = check_database(db, sigma)
-    sql = sql_check_database(db, sigma)
-    assert bool(sql) == (not memory.is_clean)
+    with api.connect(db, sigma, backend="sql") as session:
+        sql = session.check()
+    assert report_key(sql) == report_key(check_database_naive(db, sigma))
 
 
 @settings(max_examples=30, deadline=None)

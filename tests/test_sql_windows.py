@@ -1,4 +1,4 @@
-"""The sqlfile one-pass CFD SQL: equivalence with the legacy SQL, plans,
+"""The one-pass CFD SQL: equivalence with the legacy SQL, plans,
 fallback.
 
 :mod:`repro.sql.windows` claims **one-pass = legacy**: the
@@ -6,15 +6,17 @@ window-function CFD path returns the legacy executor's hits
 bit-identically, stays bit-identical across interleaved DML
 (differential test), keeps its single-scan query plan (EXPLAIN QUERY
 PLAN regression), and falls back to the legacy SQL automatically when
-the sqlite library has no window functions — with
-``window_functions="require"`` the same condition is a loud typed error
-instead.
+the sqlite library has no window functions. No option selects the
+path: the legacy side of each comparison patches the library probe
+(``repro.sql.violations.supports_window_functions``) to say ``False``,
+which is what an old sqlite says.
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,11 @@ from repro.api.options import ExecutionOptions
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
 from repro.engine.cache import ScanCache
-from repro.errors import SQLBackendError
-from repro.sql.loader import connect_file, create_database_file
+from repro.sql.loader import (
+    connect_file,
+    create_database_file,
+    read_database_file,
+)
 from repro.sql.windows import (
     MAX_REFINE_CANDIDATES,
     cfd_candidate_sql,
@@ -58,8 +63,19 @@ def dirty_file(tmp_path_factory):
     conn.close()
 
 
-def _report_repr(path, sigma, **option_kwargs):
-    with api.connect(path, sigma, backend="sqlfile", **option_kwargs) as s:
+def _no_window_functions():
+    """Patch the library probe: executors built inside take the legacy
+    SQL, as on a sqlite library without window functions."""
+    return mock.patch(
+        "repro.sql.violations.supports_window_functions", lambda conn: False
+    )
+
+
+def _report_repr(path, sigma, legacy=False):
+    if legacy:
+        with _no_window_functions():
+            return _report_repr(path, sigma)
+    with api.connect(path, sigma, backend="sqlfile") as s:
         return repr(s.check())
 
 
@@ -67,18 +83,20 @@ class TestOnePassVsLegacy:
     def test_reports_identical_on_dirty_file(self, dirty_file):
         path, sigma = dirty_file["path"], dirty_file["sigma"]
         assert _report_repr(path, sigma) == _report_repr(
-            path, sigma, window_functions="off"
+            path, sigma, legacy=True
         )
 
     def test_onepass_hits_match_legacy_order(self, dirty_file):
         """Direct kernel comparison, group by group, against the legacy
-        executor (window_functions='off') via its public hit API."""
+        executor (probe patched to False) via its public hit API."""
         from repro.sql.violations import SQLPlanExecutor
 
         conn = connect_file(dirty_file["path"], readonly=True)
         try:
             plan = dirty_file["plan"]
-            legacy = SQLPlanExecutor(conn, plan, window_functions="off")
+            with _no_window_functions():
+                legacy = SQLPlanExecutor(conn, plan)
+            assert legacy.use_window_functions is False
             schema = dirty_file["schema"]
             for group in plan.cfd_groups:
                 rel = schema.relation(group.relation)
@@ -135,10 +153,9 @@ class TestOnePassVsLegacy:
         path_a = create_database_file(base / "win.db", db)
         path_b = create_database_file(base / "leg.db", db)
         relations = list(db.schema.relation_names)
-        with api.connect(path_a, sigma, backend="sqlfile") as win, \
-                api.connect(
-                    path_b, sigma, backend="sqlfile", window_functions="off"
-                ) as leg:
+        with _no_window_functions():
+            leg = api.connect(path_b, sigma, backend="sqlfile")
+        with api.connect(path_a, sigma, backend="sqlfile") as win, leg:
             assert repr(win.check()) == repr(leg.check())
             for op, op_seed in ops:
                 relation = relations[op_seed % len(relations)]
@@ -216,29 +233,32 @@ class TestFallback:
             assert session.backend._executor.use_window_functions is False
             assert repr(session.check()) == reference
 
-    def test_require_raises_without_support(self, dirty_file, monkeypatch):
+    def test_sql_backend_falls_back_identically(self, dirty_file, monkeypatch):
+        """The ``sql`` backend's image runs the same executor, so it takes
+        the same fallback: on a library without window functions its
+        report is unchanged."""
+        db = read_database_file(dirty_file["path"], dirty_file["schema"])
+        with api.connect(db, dirty_file["sigma"], backend="sql") as session:
+            reference = repr(session.check())
         monkeypatch.setattr(
             "repro.sql.violations.supports_window_functions",
             lambda conn: False,
         )
-        with pytest.raises(SQLBackendError, match="window_functions"):
+        with api.connect(db, dirty_file["sigma"], backend="sql") as session:
+            assert repr(session.check()) == reference
+            assert session.backend._image.use_window_functions is False
+        assert reference == _report_repr(dirty_file["path"], dirty_file["sigma"])
+
+    def test_options_validation(self, dirty_file):
+        """No option selects the CFD SQL any more: ``window_functions`` is
+        an unknown field, on the options and on ``connect`` alike."""
+        with pytest.raises(TypeError):
+            ExecutionOptions(window_functions="off")
+        with pytest.raises(TypeError):
             api.connect(
                 dirty_file["path"], dirty_file["sigma"], backend="sqlfile",
-                window_functions="require",
+                window_functions="off",
             )
-
-    def test_off_disables_the_onepass_path(self, dirty_file):
-        with api.connect(
-            dirty_file["path"], dirty_file["sigma"], backend="sqlfile",
-            window_functions="off",
-        ) as session:
-            assert session.backend._executor.use_window_functions is False
-
-    def test_options_validation(self):
-        assert ExecutionOptions(window_functions="auto").window_functions
-        for bogus in ("on", "", "AUTO", None, True):
-            with pytest.raises(ValueError):
-                ExecutionOptions(window_functions=bogus)
 
 
 class TestCachePeek:
