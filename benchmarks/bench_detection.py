@@ -18,15 +18,10 @@ dataset generators and times three evaluations of the same workload:
   lists for the unchanged database instead of scanning;
 * ``sqlfile``/``sqlfile_warm`` — the out-of-core backend over a sqlite
   file built from the same data: cold = a fresh session's first
-  ``check()`` (the default one-pass window-function scans inside
-  sqlite), warm = the same session's second ``check()`` (its scan
-  cache, kept while ``PRAGMA data_version`` stands, skips SQL entirely);
-* ``sqlfile_legacy`` — the same cold check on a sqlite library without
-  window functions (the probe ``supports_window_functions`` patched to
-  say so): the GROUP-BY-then-self-join SQL that was the only path before
-  the one-pass rewrite. ``sqlfile_window_speedup``
-  = legacy / default is the single-core algorithmic win and is gateable
-  with ``--min-sqlfile-window-speedup`` even on a 1-CPU box.
+  ``check()`` (the CFD prefilter and the CIND anti-joins run inside
+  sqlite, the engine's kernel decides the candidate keys' rows), warm =
+  the same session's second ``check()`` (its scan cache, kept while
+  ``PRAGMA data_version`` stands, skips SQL entirely).
 
 Three rows per size cover the CFD kernel's ``X``-key regimes: ``bank``
 (every ``saving``/``checking`` row is its own ``(an, ab)`` group, so no
@@ -41,9 +36,9 @@ Every run first cross-validates that engine, warm, sqlfile and naive
 produce identical violation lists, order-sensitively — bit-identical
 including list order. Exit status is non-zero on mismatch or (with
 ``--min-speedup`` / ``--min-warm-speedup`` /
-``--min-sqlfile-warm-speedup`` / ``--min-sqlfile-window-speedup``) when
-a speedup falls short. ``--json PATH`` writes the rows as
-machine-readable JSON (the CI regression job keeps
+``--min-sqlfile-warm-speedup``) when a speedup falls short.
+``--json PATH`` writes the rows as machine-readable JSON (the CI
+regression job keeps
 ``BENCH_detection.json`` as an artifact); every row records
 ``cpu_count`` and ``sqlite_version`` so a number can never be quoted
 without the hardware that produced it.
@@ -65,7 +60,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from unittest import mock
 
 from repro.api import connect
 from repro.sql.loader import create_database_file
@@ -285,23 +279,6 @@ def run_case(
         sqlfile_warm_s, sqlfile_warm2 = _best_time(file_session.check, repeats)
         file_session.close()
 
-        # Legacy SQL baseline: the pre-rewrite GROUP-BY-then-self-join
-        # path, which a sqlite library without window functions gets.
-        # The ratio against the default (window-function) cold check is
-        # the single-core algorithmic win of the one-pass rewrite.
-        def sqlfile_legacy_cold():
-            with mock.patch(
-                "repro.sql.violations.supports_window_functions",
-                lambda conn: False,
-            ):
-                s = connect(db_path, sigma, backend="sqlfile")
-            with s:
-                return s.check()
-
-        sqlfile_legacy_s, sqlfile_legacy_report = _best_time(
-            sqlfile_legacy_cold, repeats
-        )
-
     expected_ordered = _ordered_keys(naive_report)
     if _ordered_keys(engine_report) != expected_ordered:
         raise AssertionError(f"{label}: engine and naive violation lists differ")
@@ -318,10 +295,6 @@ def run_case(
         raise AssertionError(
             f"{label}: sqlfile and naive violation lists differ"
         )
-    if _ordered_keys(sqlfile_legacy_report) != expected_ordered:
-        raise AssertionError(
-            f"{label}: legacy-SQL sqlfile and naive violation lists differ"
-        )
     if summary.total != naive_report.total:
         raise AssertionError(f"{label}: count-only total differs")
 
@@ -329,9 +302,6 @@ def run_case(
     warm_speedup = engine_s / warm_s if warm_s > 0 else float("inf")
     sqlfile_warm_speedup = (
         sqlfile_s / sqlfile_warm_s if sqlfile_warm_s > 0 else float("inf")
-    )
-    sqlfile_window_speedup = (
-        sqlfile_legacy_s / sqlfile_s if sqlfile_s > 0 else float("inf")
     )
     row = {
         "label": label,
@@ -349,11 +319,9 @@ def run_case(
         "warm_s": warm_s,
         "sqlfile_s": sqlfile_s,
         "sqlfile_warm_s": sqlfile_warm_s,
-        "sqlfile_legacy_s": sqlfile_legacy_s,
         "speedup": speedup,
         "warm_speedup": warm_speedup,
         "sqlfile_warm_speedup": sqlfile_warm_speedup,
-        "sqlfile_window_speedup": sqlfile_window_speedup,
         "informational": informational,
     }
     print(
@@ -361,11 +329,9 @@ def run_case(
         f"viol={row['violations']:<6} naive={naive_s:.3f}s "
         f"engine={engine_s:.3f}s count={count_s:.3f}s "
         f"warm={warm_s:.4f}s sqlfile={sqlfile_s:.3f}s "
-        f"sqlfile_legacy={sqlfile_legacy_s:.3f}s "
         f"sqlfile_warm={sqlfile_warm_s:.4f}s speedup={speedup:.1f}x "
         f"warm_speedup={warm_speedup:.1f}x "
-        f"sqlfile_warm_speedup={sqlfile_warm_speedup:.1f}x "
-        f"sqlfile_window_speedup={sqlfile_window_speedup:.2f}x"
+        f"sqlfile_warm_speedup={sqlfile_warm_speedup:.1f}x"
     )
     return row
 
@@ -394,14 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         "--min-sqlfile-warm-speedup", type=float, default=0.0,
         help="fail if any workload's warm sqlfile re-check speedup over its "
         "own cold check is below this (the out-of-core cache gate)",
-    )
-    parser.add_argument(
-        "--min-sqlfile-window-speedup", type=float, default=0.0,
-        help="fail if the largest workload's one-pass window-function cold "
-        "sqlfile check is below this speedup over the legacy "
-        "GROUP-BY-then-join SQL (a single-core algorithmic gate; the "
-        "largest row, because workloads whose shape sees no win sit at "
-        "~1x parity)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -487,19 +445,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{worst_file['sqlfile_warm_speedup']:.2f}x < required "
             f"{args.min_sqlfile_warm_speedup:.2f}x (the scan cache "
             f"must beat re-running the pushed-down scans)",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_sqlfile_window_speedup
-        and largest["sqlfile_window_speedup"]
-        < args.min_sqlfile_window_speedup
-    ):
-        print(
-            f"FAIL: {largest['label']} one-pass window-function sqlfile "
-            f"speedup {largest['sqlfile_window_speedup']:.2f}x < "
-            f"required {args.min_sqlfile_window_speedup:.2f}x vs the legacy "
-            f"GROUP-BY-then-join SQL",
             file=sys.stderr,
         )
         return 1

@@ -462,10 +462,9 @@ class SQLFileBackend(BaseBackend):
     ``:memory:`` database, this backend attaches to a file and runs
     detection where the data lives: the plan's shared scan groups are
     pushed down as SQL by a :class:`~repro.sql.violations.SQLPlanExecutor`
-    (a one-pass prefilter + window-function scan per CFD group when the
-    sqlite library supports it, else the legacy GROUP-BY-then-join SQL;
-    one witness anti-join per CIND bucket, count-only and ``EXISTS``
-    early-exit variants), and the hits are assembled
+    (per CFD group a prefilter that picks candidate keys, whose rows the
+    engine's kernel decides; one witness anti-join per CIND bucket,
+    count-only and ``EXISTS`` early-exit variants), and the hits are assembled
     through the engine's serial assembly so reports are bit-identical —
     including list order — to the memory backend over equivalent data
     (rowid order standing in for tuple insertion order).

@@ -12,7 +12,8 @@ change:
 
 :func:`carry_forward` re-evaluates exactly those — CFD groups through
 the same :func:`~repro.engine.shards.cfd_map_shard` /
-:func:`~repro.engine.shards.cfd_finalize` a scan uses — and splices the
+:func:`~repro.engine.shards.cfd_finalize` a scan uses
+(:func:`~repro.engine.shards.cfd_evaluate`) — and splices the
 results into the cached hit lists by first-occurrence row id: a CFD
 task's keys in the order of their group's first row, a CIND task's hits
 in row-id order. That is the order a full scan produces, because row ids
@@ -82,6 +83,7 @@ from repro.engine.planner import (
 )
 from repro.engine.shards import (
     KeyLists,
+    cfd_evaluate,
     cfd_finalize,
     cfd_map_shard,
     cind_map_shard,
@@ -206,23 +208,6 @@ def run_carry(carry: "Carry") -> ReportDelta | None:
         cache.synced = {name: carry.version(name) for name in synced}
         cache.log = {}
         return carry.report_delta() if carry.delta else None
-
-
-def _evaluate(group: CFDScanGroup, rows: list, keys: list) -> list:
-    """Per-task ``(key, kind)`` hits of *group* over *rows* (value
-    tuples, ordered by their key's first row) whose ``X``-keys are
-    *keys*."""
-    if not rows:
-        return [[] for __ in group.tasks]
-    # Each key's rows share it: the X-key list is given, not projected.
-    columns = list(zip(*rows))
-    project = shard_key_fn(columns, len(rows))
-
-    def key_lists(positions: tuple[int, ...]) -> list:
-        return keys if positions == group.lhs_positions else project(positions)
-
-    state = cfd_map_shard(group, columns, key_lists)
-    return _segments(group.tasks, cfd_finalize(group, state))
 
 
 class Carry:
@@ -360,7 +345,7 @@ class Carry:
             rows, keys, first = self.cfd_rows(
                 group, touched, len(changes.rows), hits, firsts
             )
-            fresh = _evaluate(group, rows, keys)
+            fresh = _segments(group.tasks, cfd_evaluate(group, rows, keys))
             new = _splice(old, fresh, touched, first)
             if firsts is not None:
                 firsts = {k: v for k, v in firsts.items() if k not in touched}

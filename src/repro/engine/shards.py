@@ -21,8 +21,10 @@ tasks against it:
 
 The serial executor (:mod:`repro.engine.executor`) maps each unit over
 the whole relation; the carry-forward (:mod:`repro.engine.carry`) maps
-only the rows of the keys a batch touched. Both share this code, so a
-carried entry equals the one a re-scan would store.
+only the rows of the keys a batch touched, and the SQL executor only
+the rows of the keys its prefilter names (both through
+:func:`cfd_evaluate`). All share this code, so a carried entry equals
+the one a re-scan would store, on every backend.
 
 Mapping functions take the rows' *columns* plus a ``key_lists``
 callable (positions -> per-row projection key list for those rows), so
@@ -280,6 +282,26 @@ def cfd_finalize(
         for key, kind in pairs:
             hits.append((task, key, kind))
     return hits
+
+
+def cfd_evaluate(
+    group: CFDScanGroup, rows: list, keys: list
+) -> list[tuple[Any, tuple[Any, ...], str]]:
+    """Every violating ``(task, key, kind)`` of *group* over *rows*
+    (value tuples, ordered by their key's first row) whose ``X``-keys
+    are *keys*: :func:`cfd_finalize` of :func:`cfd_map_shard` over just
+    those rows. The carry calls it on the touched keys' rows, the SQL
+    executor on the candidate keys' rows."""
+    if not rows:
+        return []
+    # Each key's rows share it: the X-key list is given, not projected.
+    columns = list(zip(*rows))
+    project = shard_key_fn(columns, len(rows))
+
+    def key_lists(positions: tuple[int, ...]) -> list:
+        return keys if positions == group.lhs_positions else project(positions)
+
+    return cfd_finalize(group, cfd_map_shard(group, columns, key_lists))
 
 
 # -- CIND witness passes -------------------------------------------------------

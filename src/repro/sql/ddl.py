@@ -1,8 +1,7 @@
 """SQL DDL generation for relational schemas (sqlite3 dialect).
 
 Identifiers are double-quoted; the INTEGER domain maps to sqlite INTEGER
-affinity, everything else to TEXT. Pattern tableaux are shipped as data
-tables (the [9] technique), with the wildcard ``_`` encoded as NULL.
+affinity, everything else to TEXT.
 """
 
 from __future__ import annotations
@@ -60,23 +59,10 @@ def select_columns(relation: RelationSchema, alias: str = "t") -> str:
     )
 
 
-def distinct_count_expr(columns: list[str], alias: str = "t") -> str:
-    """An expression whose ``COUNT(DISTINCT ...)`` counts distinct rows
-    over *columns*.
-
-    sqlite has no multi-column ``COUNT(DISTINCT a, b)``; concatenating the
-    ``quote()``d values (injective per value) is the standard workaround.
-    """
-    if len(columns) == 1:
-        return f"{alias}.{quote_identifier(columns[0])}"
-    return " || ',' || ".join(
-        f"quote({alias}.{quote_identifier(c)})" for c in columns
-    )
-
-
 def row_predicate(columns: list[str], alias: str = "t") -> str:
-    """``alias."A1" = ? AND ...`` equality over *columns* (``1=1`` if none)."""
+    """``alias."A1" IS ? AND ...`` equality over *columns* (``1=1`` if
+    none); ``IS`` so that a NULL matches a NULL, as ``None`` does."""
     conds = " AND ".join(
-        f"{alias}.{quote_identifier(c)} = ?" for c in columns
+        f"{alias}.{quote_identifier(c)} IS ?" for c in columns
     )
     return conds or "1=1"

@@ -9,13 +9,13 @@ scan modes. It serves both SQL backends: ``sqlfile`` runs it on the
 user's database file and ``sql`` on a ``:memory:`` image of an
 in-memory instance.
 
-For CFDs a group runs the one-pass prefilter + window-function scan of
-:mod:`repro.sql.windows`, or, on a sqlite without window functions and
-for groups past the bounded refinement, the legacy SQL of [9] (as the
-paper recommends in Section 7/8): the pattern tableau is loaded as a
-*data table* (wildcards as NULL), ``GROUP BY X`` per RHS variant finds
-the keys whose groups disagree, and one tableau join per CFD finds the
-keys whose RHS misses a pattern constant.
+For CFDs the SQL only narrows the search: the prefilter of
+:mod:`repro.sql.windows` names a scan group's candidate ``X``-keys in
+one aggregate scan, one key-restricted query reads those keys' rows,
+and the engine's kernel (:func:`repro.engine.shards.cfd_evaluate`)
+decides them. A CFD is therefore decided by one rule on every backend,
+NULL included: ``None`` is a value like any other, as in the naive
+oracle.
 
 For CINDs (Section 8 flags this as the paper's planned follow-up, so we
 build it) each normal-form row becomes one anti-join against the
@@ -24,7 +24,11 @@ an indexed temp table::
 
     SELECT t1.rowid, t1.* FROM Ra t1
     WHERE t1.xp = :consts...
-      AND NOT EXISTS (SELECT 1 FROM witness w WHERE w.k0 = t1.A1 AND ...)
+      AND NOT EXISTS (SELECT 1 FROM witness w WHERE w.k0 IS t1.A1 AND ...)
+
+The probe compares with ``IS``, so a NULL ``X``-value finds a NULL
+witness, as ``None`` does in the engine's witness sets; the covering
+index serves ``IS`` as it serves ``=``.
 
 All constants travel as bound parameters — nothing is interpolated into
 SQL text except quoted identifiers. The scans keep the row ids a
@@ -45,7 +49,6 @@ from __future__ import annotations
 import sqlite3
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.cfd import CFD
 from repro.core.cind import CINDViolation
 from repro.core.violations import ViolationReport
 from repro.engine.cache import ScanCache
@@ -56,94 +59,17 @@ from repro.engine.executor import (
     cind_task_violations,
 )
 from repro.engine.planner import (
-    CFDRowTask,
     CFDScanGroup,
     CINDRowTask,
     DetectionPlan,
     WitnessSpec,
 )
+from repro.engine.shards import cfd_evaluate
 from repro.relational.instance import RowGroup, Tuple
 from repro.relational.schema import RelationSchema
-from repro.relational.values import is_wildcard
-from repro.sql.ddl import distinct_count_expr, select_columns
+from repro.sql.ddl import select_columns
 from repro.sql.ddl import quote_identifier as q
-from repro.sql.windows import (
-    cfd_onepass_hits,
-    cfd_task_hits,
-    supports_window_functions,
-)
-
-
-class TableauCache:
-    """Pattern tableaux as TEMP data tables, one per distinct CFD content.
-
-    Keying by *content* ``(relation, X, Y, pattern rows)`` rather than by
-    object identity means repeated ``check()`` calls — and distinct CFD
-    objects with equal tableaux — reuse one table instead of leaking a new
-    ``__tableau_N`` per call onto a long-lived connection (the historical
-    behaviour this class replaces). ``drop_all()`` removes every table the
-    cache created, so an executor on a caller's connection can clean up
-    after itself without closing it.
-    """
-
-    def __init__(self, conn: sqlite3.Connection):
-        self.conn = conn
-        self._by_content: dict[tuple, str] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return len(self._by_content)
-
-    @staticmethod
-    def _content_key(cfd: CFD) -> tuple:
-        def norm(value: Any) -> Any:
-            return None if is_wildcard(value) else value
-
-        rows = tuple(
-            (
-                tuple(norm(row.lhs_value(a)) for a in cfd.lhs),
-                tuple(norm(row.rhs_value(a)) for a in cfd.rhs),
-            )
-            for row in cfd.tableau
-        )
-        return (cfd.relation.name, cfd.lhs, cfd.rhs, rows)
-
-    def get(self, cfd: CFD) -> str:
-        """The temp-table name for *cfd*'s tableau, creating it on first use.
-
-        Layout: one ``lhs_A``/``rhs_B`` TEXT column per LHS/RHS attribute,
-        wildcards encoded as NULL; one row per pattern row, in tableau
-        order (so ``rowid - 1`` is the pattern row index).
-        """
-        key = self._content_key(cfd)
-        name = self._by_content.get(key)
-        if name is not None:
-            return name
-        self._count += 1
-        name = f"__tableau_{self._count}"
-        columns = [f"lhs_{a}" for a in cfd.lhs] + [f"rhs_{a}" for a in cfd.rhs]
-        decl = ", ".join(f"{q(c)} TEXT" for c in columns) or "__empty INTEGER"
-        cursor = self.conn.cursor()
-        cursor.execute(f"CREATE TEMP TABLE {q(name)} ({decl})")
-        if columns:
-            placeholders = ", ".join("?" for __ in columns)
-            cursor.executemany(
-                f"INSERT INTO {q(name)} VALUES ({placeholders})",
-                [lhs + rhs for lhs, rhs in key[3]],
-            )
-        else:
-            cursor.executemany(
-                f"INSERT INTO {q(name)} VALUES (?)",
-                [(1,) for __ in cfd.tableau],
-            )
-        self._by_content[key] = name
-        return name
-
-    def drop_all(self) -> None:
-        cursor = self.conn.cursor()
-        for name in self._by_content.values():
-            cursor.execute(f"DROP TABLE IF EXISTS temp.{q(name)}")
-        self._by_content.clear()
+from repro.sql.windows import cfd_candidate_sql
 
 
 # -- pushed-down shared scans -----------------------------------------------------
@@ -154,23 +80,13 @@ class SQLPlanExecutor:
 
     The plan's shared scan units are pushed down whole:
 
-    * **CFD scan groups** — on a sqlite with window functions (probed
-      once, by :func:`~repro.sql.windows.supports_window_functions`) each
-      group runs the *one-pass* path of
-      :func:`repro.sql.windows.cfd_onepass_hits`: one aggregate prefilter
-      scan yields a candidate-key superset, and one window-function scan
-      over the (typically empty) candidates derives the exact violations —
-      replacing the legacy per-variant ``GROUP BY`` queries and per-CFD
-      tableau self-joins with one scan on clean data. The legacy path —
-      one ``GROUP BY X`` query per distinct RHS variant for the keys whose
-      groups *disagree*, plus one tableau-join query per CFD (reusing the
-      group's cached tableau temp tables) for the keys whose shared RHS
-      misses a pattern constant — is the fallback when the sqlite build
-      predates window functions (< 3.25) and when a group is dirty past
-      the bounded refinement. Both paths return only *candidate* keys plus
-      their first-occurrence rowid, so the Python side touches
-      O(violations) rows, not O(tuples), and both replay the in-memory
-      engine's semantics exactly — reports are bit-identical either way.
+    * **CFD scan groups** — the prefilter of :mod:`repro.sql.windows`
+      names the candidate keys (a superset of the violating ones, none
+      on clean data) with each key's first rowid, one key-restricted
+      query reads their rows, and the engine's kernel
+      (:func:`~repro.engine.shards.cfd_evaluate`) decides them, as it
+      decides every backend's groups. The Python side touches the
+      candidate keys' rows only, not O(tuples).
     * **CIND buckets** — one witness anti-join per deduplicated task
       signature ``(premise checks, X positions, witness spec)``; rows come
       back in rowid order (= the engine's scan order for files written by
@@ -211,8 +127,6 @@ class SQLPlanExecutor:
         self.schema = plan.sigma.schema
         self.cache = cache
         self.versions = versions
-        self.use_window_functions = supports_window_functions(conn)
-        self._tableaux = TableauCache(conn)
         #: Per-execution witness materializations (see _witness_table):
         #: spec -> temp table name (non-empty Y) or spec -> bool (empty Y).
         self._witness_tables: dict[Any, str] = {}
@@ -259,81 +173,13 @@ class SQLPlanExecutor:
 
     # -- CFD scan groups ---------------------------------------------------
 
-    def _disagree_keys(
-        self, rel: RelationSchema, group: CFDScanGroup, variant: tuple[int, ...]
-    ) -> dict[tuple[Any, ...], int]:
-        """Group keys whose *variant* RHS projection disagrees, with the
-        key's first-occurrence rowid (the engine's candidate order)."""
-        if variant == group.lhs_positions:
-            # RHS projection == group key: groups can never disagree.
-            return {}
-        names = rel.attribute_names
-        rhs_cols = [names[p] for p in variant]
-        distinct = distinct_count_expr(rhs_cols)
-        if group.lhs:
-            x_sel = select_columns_named(rel, group.lhs)
-            sql = (
-                f"SELECT {x_sel}, MIN(t.rowid) AS fr "
-                f"FROM {q(rel.name)} t GROUP BY {x_sel} "
-                f"HAVING COUNT(DISTINCT {distinct}) > 1"
-            )
-            return {
-                tuple(row[:-1]): row[-1]
-                for row in self.conn.execute(sql)
-            }
-        sql = (
-            f"SELECT MIN(t.rowid), COUNT(DISTINCT {distinct}) "
-            f"FROM {q(rel.name)} t"
-        )
-        [(fr, n)] = self.conn.execute(sql).fetchall()
-        return {(): fr} if fr is not None and n > 1 else {}
-
-    def _single_candidates(
-        self, rel: RelationSchema, group: CFDScanGroup, cfd: CFD
-    ) -> dict[int, dict[tuple[Any, ...], int]]:
-        """Per pattern-row index: keys where some matching tuple misses an
-        RHS constant, with the key's first rowid.
-
-        One query per CFD of the group, joining the relation against the
-        CFD's cached tableau temp table (LHS constants via the NULL-encoded
-        tableau columns, RHS mismatch via ``IS NOT NULL AND <>``). For a
-        non-disagreeing group every tuple shares the RHS projection, so
-        "some tuple misses the constant" equals the engine's "the group's
-        single shared RHS misses it"; disagreeing keys are filtered out by
-        the caller (they are pair violations instead).
-        """
-        tableau = self._tableaux.get(cfd)
-        match_lhs = " AND ".join(
-            f"(tp.{q('lhs_' + a)} IS NULL OR t.{q(a)} = tp.{q('lhs_' + a)})"
-            for a in cfd.lhs
-        ) or "1=1"
-        rhs_mismatch = " OR ".join(
-            f"(tp.{q('rhs_' + a)} IS NOT NULL AND t.{q(a)} <> tp.{q('rhs_' + a)})"
-            for a in cfd.rhs
-        )
-        if not rhs_mismatch:
-            return {}
-        x_sel = select_columns_named(rel, group.lhs)
-        group_by = f"tp.rowid{', ' + x_sel if group.lhs else ''}"
-        select = f"tp.rowid{', ' + x_sel if group.lhs else ''}"
-        sql = (
-            f"SELECT {select}, MIN(t.rowid) AS fr "
-            f"FROM {q(rel.name)} t, {q(tableau)} tp "
-            f"WHERE {match_lhs} AND ({rhs_mismatch}) "
-            f"GROUP BY {group_by}"
-        )
-        out: dict[int, dict[tuple[Any, ...], int]] = {}
-        for row in self.conn.execute(sql):
-            row_index = row[0] - 1  # tableau rowids are 1-based, in order
-            out.setdefault(row_index, {})[tuple(row[1:-1])] = row[-1]
-        return out
-
     def cfd_group_hits(
         self, group: CFDScanGroup
     ) -> list[tuple[Any, tuple[Any, ...], str]]:
         """Every violating ``(task, key, kind)`` of *group*: the cached
         hit list at the table's version, else :meth:`scan_cfd_group`
-        (memoized with its keys' first rowids)."""
+        (memoized with its keys' first rowids, and its hit keys' groups
+        in the report memo)."""
         cache = self.cache
         if cache is None:
             return self.scan_cfd_group(group)
@@ -341,40 +187,51 @@ class SQLPlanExecutor:
         hits = cache.cfd_hits(group, version)
         if hits is None:
             firsts: dict = {}
-            hits = self.scan_cfd_group(group, firsts)
+            groups: dict = {}
+            hits = self.scan_cfd_group(group, firsts, groups)
             cache.store_cfd_hits(group, version, hits, firsts)
+            cache.cfd_group_tuples(group, version).update(groups)
         return hits
 
     def scan_cfd_group(
-        self, group: CFDScanGroup, firsts: dict | None = None
+        self,
+        group: CFDScanGroup,
+        firsts: dict | None = None,
+        groups: dict | None = None,
     ) -> list[tuple[Any, tuple[Any, ...], str]]:
         """One pushed-down scan of *group*: every violating
         ``(task, key, kind)``, tasks in group order, keys in
         first-occurrence rowid order — the in-memory executor's order.
-        A *firsts* dict receives each hit key's first rowid.
+        A *firsts* dict receives each hit key's first rowid, a *groups*
+        dict its tuple group.
 
-        Dispatches to the one-pass prefilter + window-function path when
-        the connection supports it (``None`` from the one-pass scan means
-        the group exceeded the bounded refinement — rare, and the legacy
-        queries below answer it identically)."""
+        The prefilter (:func:`~repro.sql.windows.cfd_candidate_sql`)
+        names the candidate keys, :meth:`fetch_group_tuples` reads their
+        rows, and :func:`~repro.engine.shards.cfd_evaluate` decides them."""
         rel = self.schema.relation(group.relation)
-        if self.use_window_functions:
-            hits = cfd_onepass_hits(self.conn, rel, group, first_rowids=firsts)
-            if hits is not None:
-                return hits
-        disagree = {
-            variant: self._disagree_keys(rel, group, variant)
-            for variant in group.rhs_variants()
-        }
-        singles: dict[tuple, dict[int, dict[tuple[Any, ...], int]]] = {}
-
-        def task_singles(task: CFDRowTask) -> dict[tuple[Any, ...], int]:
-            content = TableauCache._content_key(task.cfd)
-            if content not in singles:
-                singles[content] = self._single_candidates(rel, group, task.cfd)
-            return singles[content].get(task.row_index, {})
-
-        return cfd_task_hits(group, disagree, task_singles, firsts)
+        staged = cfd_candidate_sql(rel, group)
+        if staged is None:
+            return []
+        found = self.conn.execute(*staged).fetchall()
+        if group.lhs:
+            starts = {tuple(row[:-1]): row[-1] for row in found}
+        else:
+            # One all-rows group: its first rowid and its candidacy verdict.
+            [(start, verdict)] = found
+            starts = {(): start} if start is not None and verdict else {}
+        if not starts:
+            return []
+        order = sorted(starts, key=starts.__getitem__)
+        fetched = self.fetch_group_tuples(group, order)
+        rows = [values for key in order for values in fetched[key].values]
+        keys = [key for key in order for __ in fetched[key].values]
+        hits = cfd_evaluate(group, rows, keys)
+        hit_keys = dict.fromkeys(key for __, key, __k in hits)
+        if firsts is not None:
+            firsts.update((key, starts[key]) for key in hit_keys)
+        if groups is not None:
+            groups.update((key, fetched[key]) for key in hit_keys)
+        return hits
 
     def cfd_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
@@ -395,11 +252,11 @@ class SQLPlanExecutor:
     def fetch_group_tuples(
         self, group: CFDScanGroup, keys: Iterable[tuple[Any, ...]]
     ) -> dict[tuple[Any, ...], RowGroup]:
-        """The full tuple group per violating key, in rowid (scan) order,
+        """The full tuple group of each of *keys*, in rowid (scan) order,
         as a :class:`~repro.relational.instance.RowGroup` over the rows
         sqlite returned (no view is built).
 
-        One scan of the relation buckets every violating key's group (the
+        One scan of the relation buckets every wanted key's group (the
         base tables carry no indexes, so a per-key ``WHERE X = ?`` query
         would cost a full scan *each* — O(violations · tuples) instead of
         this single pass); the scan returns only the wanted keys' rows
@@ -512,7 +369,7 @@ class SQLPlanExecutor:
             return sql, params
         witness = self._witness_tables[spec]
         probe = " AND ".join(
-            f"w.{q('k%d' % i)} = t1.{q(lhs_names[xpos])}"
+            f"w.{q('k%d' % i)} IS t1.{q(lhs_names[xpos])}"
             for i, xpos in enumerate(task.x_positions)
         )
         sql = (
@@ -669,7 +526,6 @@ class SQLPlanExecutor:
     def close(self) -> None:
         """Drop the executor's temp tables (the connection is the caller's)."""
         self.release_witnesses()
-        self._tableaux.drop_all()
 
 
 #: Most values one key-restricted query binds (sqlite's historical

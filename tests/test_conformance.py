@@ -2,11 +2,11 @@
 
 One registration (a ``make_session`` fixture) per backend — including the
 out-of-core ``sqlfile`` backend, which materializes the canonical
-instance into an on-disk sqlite file first, and variants of it (sparse
-rowids, the legacy SQL of a sqlite without window functions) to show
-such combinations register just as easily. The ``workers`` registrations pin that the option still
-changes nothing: detection is serial at every value. This file is the entry bar for new backends: add a class,
-inherit the contract, done.
+instance into an on-disk sqlite file first, and a variant of it (sparse
+rowids) to show such combinations register just as easily. The
+``workers`` registrations pin that the option still changes nothing:
+detection is serial at every value. This file is the entry bar for new
+backends: add a class, inherit the contract, done.
 
 The second half registers every backend against the
 :class:`~tests.conformance.ServiceContract` — the same bar, but through
@@ -128,29 +128,6 @@ class TestWindowedSQLFileContract(BackendContract):
             path = tmp_path / f"windowed_{next(counter)}.db"
             create_database_file(path, db)
             return api.connect(path, sigma, backend="sqlfile", workers=2)
-
-        return factory
-
-
-class TestLegacySQLFileContract(BackendContract):
-    """The out-of-core backend on a sqlite library without window
-    functions (the probe patched to say so): the GROUP-BY-then-self-join
-    SQL it falls back to must keep satisfying the full contract on its
-    own."""
-
-    @pytest.fixture
-    def make_session(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            "repro.sql.violations.supports_window_functions", lambda conn: False
-        )
-        counter = itertools.count()
-
-        def factory(db, sigma):
-            path = tmp_path / f"legacy_{next(counter)}.db"
-            create_database_file(path, db)
-            session = api.connect(path, sigma, backend="sqlfile")
-            assert session.backend._executor.use_window_functions is False
-            return session
 
         return factory
 

@@ -15,8 +15,9 @@ per-constraint reference evaluation
   agree at every checkpoint, over Σ as given and over ``Σ.normalized()``;
 * the CFD kernel's key regimes: instances whose ``X``-keys are all
   distinct (nothing is compared), partly repeated (only the repeated
-  keys' rows are compared) and all repeated (every row is), held to the
-  oracle, and a second row added under an existing key and removed
+  keys' rows are compared) and all repeated (every row is), NULLs
+  included, held to the oracle on the ``memory``, ``sqlfile`` and
+  ``sql`` backends, and a second row added under an existing key and removed
   again, with the carried report equal to a cold one at each step.
 """
 
@@ -211,7 +212,8 @@ def _keyed_sigma() -> ConstraintSet:
 @st.composite
 def keyed_rows(draw):
     """Rows of ``K`` whose ``(a, b)``-keys are all distinct, partly
-    repeated or all repeated, in drawn order; ``t`` keeps rows apart."""
+    repeated or all repeated, in drawn order; ``t`` keeps rows apart.
+    ``a``, ``c`` and ``e`` may be ``None`` (NULL in a sqlite file)."""
     regime = draw(st.sampled_from(("distinct", "partly", "repeated")))
     n_keys = draw(st.integers(min_value=1, max_value=5))
     sizes = {
@@ -225,11 +227,11 @@ def keyed_rows(draw):
     }[regime]
     rows = []
     for k, size in enumerate(draw(sizes)):
-        key = (draw(st.sampled_from(("a0", "a1", "a2"))), f"b{k % 3}{k}")
+        key = (draw(st.sampled_from(("a0", "a1", "a2", None))), f"b{k % 3}{k}")
         for __ in range(size):
             rows.append(key + (
-                draw(st.sampled_from(("c0", "c1"))),
-                draw(st.sampled_from(("e0", "e1"))),
+                draw(st.sampled_from(("c0", "c1", None))),
+                draw(st.sampled_from(("e0", "e1", None))),
                 f"t{len(rows)}",
             ))
     return draw(st.permutations(rows))
@@ -245,6 +247,9 @@ def _keyed_db(rows) -> DatabaseInstance:
 @settings(max_examples=120, deadline=None)
 @given(rows=keyed_rows())
 def test_cfd_kernel_key_regimes_match_oracle(rows):
+    """The engine, and the ``memory``, ``sqlfile`` and ``sql`` sessions
+    (whose CFD SQL only picks candidate keys for the same kernel), all
+    equal the oracle."""
     sigma = _keyed_sigma()
     db = _keyed_db(rows)
     naive = check_database_naive(db, sigma)
@@ -253,11 +258,18 @@ def test_cfd_kernel_key_regimes_match_oracle(rows):
     assert summary.by_constraint() == naive.by_constraint()
     assert summary.total == naive.total
     assert database_is_clean(db, sigma) == naive.is_clean
-    for prune in (False, True):
-        session = api.connect(db.copy(), sigma, prune_implied=prune)
-        assert session.is_clean() == naive.is_clean
-        assert_reports_identical(session.check(), naive)
-        assert session.count().by_constraint() == naive.by_constraint()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = create_database_file(Path(tmp) / "keyed.db", db)
+        for prune in (False, True):
+            for backend, source in (
+                ("memory", db.copy()), ("sqlfile", path), ("sql", db)
+            ):
+                with api.connect(
+                    source, sigma, backend=backend, prune_implied=prune
+                ) as session:
+                    assert session.is_clean() == naive.is_clean
+                    assert_reports_identical(session.check(), naive)
+                    assert session.count().by_constraint() == naive.by_constraint()
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,7 @@ from repro.errors import SQLBackendError
 from repro.relational.domains import INTEGER
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.relational.values import WILDCARD as _
 from repro.relational.values import Variable
 from repro.sql.ddl import create_table_sql, insert_sql, quote_identifier, sql_type
 from repro.sql.loader import (
@@ -29,7 +30,7 @@ from repro.sql.loader import (
     load_database,
     read_database_file,
 )
-from repro.sql.violations import SQLPlanExecutor, TableauCache
+from repro.sql.violations import SQLPlanExecutor
 
 from tests.conformance import report_key
 from tests.strategies import cfds, cinds, database_schemas, instances
@@ -86,21 +87,14 @@ class TestLoader:
         conn.close()
 
 
-def _temp_table_count(conn, prefix="__tableau") -> int:
+def _temp_table_count(conn, prefix="__") -> int:
+    """Temp tables and indexes named with *prefix* (sqlite's own
+    ``sqlite_stat1``, which ``ANALYZE`` creates, is not the executor's)."""
     (n,) = conn.execute(
-        "SELECT COUNT(*) FROM sqlite_temp_master WHERE name LIKE ?",
-        (prefix + "%",),
+        "SELECT COUNT(*) FROM sqlite_temp_master WHERE name GLOB ?",
+        (prefix + "*",),
     ).fetchall()[0]
     return n
-
-
-@pytest.fixture
-def legacy_sql(monkeypatch):
-    """Executors built from here on run the legacy GROUP-BY SQL, as on a
-    sqlite library without window functions."""
-    monkeypatch.setattr(
-        "repro.sql.violations.supports_window_functions", lambda conn: False
-    )
 
 
 class TestConnectionOwnership:
@@ -116,46 +110,30 @@ class TestConnectionOwnership:
         with pytest.raises(sqlite3.ProgrammingError):
             image.execute("SELECT 1")
 
-    def test_attached_connection_left_open(self, bank, legacy_sql):
+    def test_attached_connection_left_open(self, bank):
         conn = connect_memory()
         load_database(conn, bank.db)
         executor = SQLPlanExecutor(conn, plan_detection(bank.constraints))
         executor.execute("full")
-        assert _temp_table_count(conn) > 0
+        assert _temp_table_count(conn, "__witness") > 0
         executor.close()
         # The caller's connection survives close() and still works...
         (count,) = conn.execute('SELECT COUNT(*) FROM "interest"').fetchall()[0]
         assert count == 4
         # ...and the executor's temp tables were cleaned up behind it.
         assert _temp_table_count(conn) == 0
-        assert _temp_table_count(conn, "__witness") == 0
         conn.close()
 
 
-class TestTableauTempTables:
-    """Repeated checks must not leak one __tableau_N per CFD per call."""
+class TestTempTables:
+    """A check's temp tables live for that check only."""
 
-    def test_repeated_checks_reuse_tableaux(self, bank, legacy_sql):
-        conn = connect_memory()
-        load_database(conn, bank.db)
-        executor = SQLPlanExecutor(conn, plan_detection(bank.constraints))
-        for __ in range(4):
-            executor.execute("full")
-            executor.release_witnesses()
-            # One table per CFD content with an RHS constant: only phi3.
-            assert _temp_table_count(conn) == 1
-        executor.close()
-        conn.close()
-
-    def test_equal_content_cfds_share_one_table(self, bank):
-        rel = bank.schema.relation("interest")
-        twin_a = CFD(rel, ("ct",), ("rt",), [(("UK",), ("1.5%",))], name="a")
-        twin_b = CFD(rel, ("ct",), ("rt",), [(("UK",), ("1.5%",))], name="b")
-        conn = connect_memory()
-        tableaux = TableauCache(conn)
-        assert tableaux.get(twin_a) == tableaux.get(twin_b)
-        assert _temp_table_count(conn) == 1
-        conn.close()
+    def test_repeated_checks_leave_no_temp_table(self, bank):
+        with api.connect(bank.db, bank.constraints, backend="sql") as session:
+            reference = repr(session.check())
+            for __ in range(4):
+                assert repr(session.check()) == reference
+                assert _temp_table_count(session.backend._image.conn) == 0
 
 
 class TestBankCrossValidation:
@@ -229,7 +207,7 @@ class TestEdgeCases:
 class TestNullKeys:
     """Rows a foreign connection writes with NULL in a CFD's ``X``: the
     NULL keys group together, as ``None`` keys do in the oracle, on the
-    one-pass SQL, on the legacy SQL and on the ``sql`` backend."""
+    ``sqlfile`` and on the ``sql`` backend."""
 
     ROWS = {
         # phi1 = saving: (an, ab) -> (cn, ca, cp): a pair under (None, NYC)
@@ -267,32 +245,77 @@ class TestNullKeys:
         assert len(null_pairs) == 2  # the fixture plants both groups
         return report_key(reference)
 
-    def test_onepass_sql(self, bank, null_file, monkeypatch):
-        import repro.sql.windows as windows
-
-        refined = []
-        original = windows.cfd_refine_sql
-
-        def spy(rel, group, candidates):
-            staged = original(rel, group, candidates)
-            refined.append(staged[0])
-            return staged
-
-        monkeypatch.setattr(windows, "cfd_refine_sql", spy)
+    def test_onepass_sql(self, bank, null_file):
         with api.connect(null_file, bank.constraints, backend="sqlfile") as s:
-            assert report_key(s.check()) == self._expected(bank, null_file)
-        # The NULL-safe candidate join answered the NULL keys.
-        assert any("__cand" in sql for sql in refined)
-
-    def test_legacy_sql(self, bank, null_file, legacy_sql):
-        with api.connect(null_file, bank.constraints, backend="sqlfile") as s:
-            assert s.backend._executor.use_window_functions is False
             assert report_key(s.check()) == self._expected(bank, null_file)
 
     def test_sql_backend(self, bank, null_file):
         db = read_database_file(null_file, bank.schema)
         report = _sql_report(db, bank.constraints)
         assert report_key(report) == self._expected(bank, null_file)
+
+
+class TestNullValues:
+    """NULL outside a CFD's ``X``: R(A, B) = {(k, NULL), (k, x)} and
+    S(C) = {(NULL), (x)} under the FD A -> B and the IND R[B] <= S[C].
+    NULL is a value like any other, as ``None`` is in the oracle: the FD
+    has a pair under ``(k,)``, and the NULL witness covers ``(k, NULL)``."""
+
+    SCHEMA = DatabaseSchema(
+        [RelationSchema("R", ["A", "B"]), RelationSchema("S", ["C"])]
+    )
+
+    @pytest.fixture
+    def sigma(self):
+        r, s = self.SCHEMA.relation("R"), self.SCHEMA.relation("S")
+        sigma = ConstraintSet(self.SCHEMA)
+        sigma.add_cfd(CFD(r, ("A",), ("B",), [((_,), (_,))], name="fd"))
+        sigma.add_cind(
+            CIND(r, ("B",), (), s, ("C",), (), [((_,), (_,))], name="ind")
+        )
+        return sigma
+
+    @pytest.fixture
+    def null_file(self, tmp_path):
+        path = create_database_file(
+            tmp_path / "nulls.db", DatabaseInstance(self.SCHEMA)
+        )
+        conn = sqlite3.connect(path)
+        conn.executemany(
+            'INSERT INTO "R" VALUES (?, ?)', [("k", None), ("k", "x")]
+        )
+        conn.executemany('INSERT INTO "S" VALUES (?)', [(None,), ("x",)])
+        conn.commit()
+        conn.close()
+        return path
+
+    def _oracle(self, path, sigma):
+        db = read_database_file(path, self.SCHEMA)
+        return report_key(check_database_naive(db, sigma))
+
+    def test_sqlfile_cold_and_carried(self, sigma, null_file):
+        reference = check_database_naive(
+            read_database_file(null_file, self.SCHEMA), sigma
+        )
+        assert reference.by_constraint() == {"fd": 1}
+        with api.connect(null_file, sigma, backend="sqlfile") as session:
+            assert report_key(session.check()) == report_key(reference)
+            # A carried one-row commit: a new key, its B witnessed by
+            # the NULL in S.
+            session.apply(inserts=[("R", ("j", None))])
+            assert report_key(session.check()) == self._oracle(null_file, sigma)
+            assert session.backend._cache.carried > 0
+            # DML finds a row holding NULL as the memory store does:
+            # inserting it again adds nothing, deleting it removes it.
+            assert session.apply(inserts=[("R", ("k", None))]).inserted == 0
+            assert session.apply(deletes=[("R", ("k", None))]).deleted == 1
+            assert report_key(session.check()) == self._oracle(null_file, sigma)
+            assert session.is_clean()
+
+    def test_sql_backend(self, sigma, null_file):
+        db = read_database_file(null_file, self.SCHEMA)
+        reference = check_database_naive(db, sigma)
+        assert report_key(_sql_report(db, sigma)) == report_key(reference)
 
 
 @settings(max_examples=40, deadline=None)

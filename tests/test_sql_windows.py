@@ -1,22 +1,21 @@
-"""The one-pass CFD SQL: equivalence with the legacy SQL, plans,
-fallback.
+"""The CFD SQL path: the prefilter picks candidate keys, the engine's
+kernel decides.
 
-:mod:`repro.sql.windows` claims **one-pass = legacy**: the
-window-function CFD path returns the legacy executor's hits
-bit-identically, stays bit-identical across interleaved DML
-(differential test), keeps its single-scan query plan (EXPLAIN QUERY
-PLAN regression), and falls back to the legacy SQL automatically when
-the sqlite library has no window functions. No option selects the
-path: the legacy side of each comparison patches the library probe
-(``repro.sql.violations.supports_window_functions``) to say ``False``,
-which is what an old sqlite says.
+:mod:`repro.sql.windows` narrows each CFD scan group to its candidate
+keys, and :class:`~repro.sql.violations.SQLPlanExecutor` reads their
+rows and hands them to the engine's kernel. Held here: the ``sqlfile``
+report equals the naive oracle's, order included, on a dirty file and
+across interleaved DML (differential test), also for a group with more
+candidate keys than one key-restricted query binds; a cold check reads
+each group's rows once; the prefilter keeps
+its single-scan query plan (EXPLAIN QUERY PLAN regression); and no
+option selects the path.
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,31 +23,48 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api.options import ExecutionOptions
+from repro.core.cfd import CFD
+from repro.core.violations import ConstraintSet, check_database_naive
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
 from repro.engine.cache import ScanCache
+from repro.relational.instance import DatabaseInstance
+from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.values import WILDCARD as _
 from repro.sql.loader import (
     connect_file,
     create_database_file,
     read_database_file,
 )
-from repro.sql.windows import (
-    MAX_REFINE_CANDIDATES,
-    cfd_candidate_sql,
-    cfd_onepass_hits,
-    supports_window_functions,
-)
+from repro.sql.violations import MAX_KEY_PARAMS, SQLPlanExecutor
+from repro.sql.windows import cfd_candidate_sql
+
+from tests.conformance import report_key
+
+
+def _cfd_dirty(db):
+    """*db* with CFD violations added (the scaled bank's errors are all
+    CIND ones): a second account row under an existing ``(an, ab)``
+    with another customer name, and a UK checking rate other than the
+    pattern's."""
+    for relation in ("saving", "checking"):
+        if db[relation].tuples:
+            an, cn, ca, cp, ab = db[relation].tuples[0].values
+            db.add(relation, (an, cn + " Jr.", ca, cp, ab))
+            break
+    db.add("interest", ("GLA", "UK", "checking", "2%"))
+    return db
 
 
 @pytest.fixture(scope="module")
 def dirty_file(tmp_path_factory):
     """A dirty bank instance on disk plus its plan, shared per module.
 
-    Every test here only *reads* the file (or patches module attributes),
-    so module scope is safe and keeps the Hypothesis loops fast.
+    Every test here only *reads* the file, so module scope is safe and
+    keeps the Hypothesis loops fast.
     """
     sigma = bank_constraints()
-    db = scaled_bank_instance(12, error_rate=0.25, seed=11)
+    db = _cfd_dirty(scaled_bank_instance(12, error_rate=0.25, seed=11))
     path = create_database_file(
         tmp_path_factory.mktemp("windows") / "dirty.db", db
     )
@@ -63,67 +79,56 @@ def dirty_file(tmp_path_factory):
     conn.close()
 
 
-def _no_window_functions():
-    """Patch the library probe: executors built inside take the legacy
-    SQL, as on a sqlite library without window functions."""
-    return mock.patch(
-        "repro.sql.violations.supports_window_functions", lambda conn: False
-    )
-
-
-def _report_repr(path, sigma, legacy=False):
-    if legacy:
-        with _no_window_functions():
-            return _report_repr(path, sigma)
-    with api.connect(path, sigma, backend="sqlfile") as s:
-        return repr(s.check())
+def _oracle_key(path, sigma):
+    """The naive oracle's report over the file's current rows."""
+    db = read_database_file(path, sigma.schema)
+    return report_key(check_database_naive(db, sigma))
 
 
 class TestOnePassVsLegacy:
-    def test_reports_identical_on_dirty_file(self, dirty_file):
+    """The ``sqlfile`` CFD path against the naive oracle."""
+
+    def test_reports_identical_on_dirty_file(self, dirty_file, monkeypatch):
+        """Also: a cold check reads each CFD group's candidate rows once,
+        because the hit keys' groups go into the report memo, from which
+        assembly takes them."""
+        reads = []
+        fetch = SQLPlanExecutor.fetch_group_tuples
+
+        def spy(executor, group, keys):
+            reads.append((group.relation, group.lhs_positions))
+            return fetch(executor, group, keys)
+
+        monkeypatch.setattr(SQLPlanExecutor, "fetch_group_tuples", spy)
         path, sigma = dirty_file["path"], dirty_file["sigma"]
-        assert _report_repr(path, sigma) == _report_repr(
-            path, sigma, legacy=True
-        )
+        with api.connect(path, sigma, backend="sqlfile") as session:
+            report = session.check()
+        assert report.cfd_violations
+        assert report_key(report) == _oracle_key(path, sigma)
+        assert reads and len(reads) == len(set(reads))
 
-    def test_onepass_hits_match_legacy_order(self, dirty_file):
-        """Direct kernel comparison, group by group, against the legacy
-        executor (probe patched to False) via its public hit API."""
-        from repro.sql.violations import SQLPlanExecutor
-
-        conn = connect_file(dirty_file["path"], readonly=True)
-        try:
-            plan = dirty_file["plan"]
-            with _no_window_functions():
-                legacy = SQLPlanExecutor(conn, plan)
-            assert legacy.use_window_functions is False
-            schema = dirty_file["schema"]
-            for group in plan.cfd_groups:
-                rel = schema.relation(group.relation)
-                hits = cfd_onepass_hits(conn, rel, group)
-                assert hits is not None
-                assert hits == legacy.cfd_group_hits(group)
-        finally:
-            conn.close()
-
-    def test_too_many_candidates_fall_back(self, dirty_file):
-        """Past MAX_REFINE_CANDIDATES the kernel declines (None) and the
-        executor must answer identically through the legacy SQL."""
-        conn = dirty_file["conn"]
-        schema = dirty_file["schema"]
-        plan = dirty_file["plan"]
-        declined = 0
-        for group in plan.cfd_groups:
-            rel = schema.relation(group.relation)
-            full = cfd_onepass_hits(conn, rel, group)
-            capped = cfd_onepass_hits(conn, rel, group, max_candidates=0)
-            if capped is None:
-                declined += 1
-            else:
-                # A group with zero candidates never reaches the cap.
-                assert capped == full == []
-        assert declined > 0  # the dirty fixture exercises the cap path
-        assert MAX_REFINE_CANDIDATES > 0
+    def test_too_many_candidates_fall_back(self, tmp_path):
+        """A group with more disagreeing keys than one key-restricted
+        query binds reads their rows by the fetch's one ordered pass of
+        the relation, and answers as the oracle does."""
+        schema = DatabaseSchema([RelationSchema("R", ["A", "B"])])
+        sigma = ConstraintSet(schema)
+        sigma.add_cfd(CFD(schema.relation("R"), ("A",), ("B",), [((_,), (_,))]))
+        n_keys = MAX_KEY_PARAMS + 1  # X has one attribute
+        db = DatabaseInstance(schema)
+        for i in range(n_keys):
+            db.add("R", (f"k{i}", "x"))
+        for i in range(n_keys):
+            db.add("R", (f"k{i}", "y"))
+        path = create_database_file(tmp_path / "wide.db", db)
+        statements: list[str] = []
+        with api.connect(path, sigma, backend="sqlfile") as session:
+            session.backend._executor.conn.set_trace_callback(statements.append)
+            report = session.check()
+        assert len(report.cfd_violations) == n_keys
+        assert report_key(report) == _oracle_key(path, sigma)
+        fetches = [sql for sql in statements if "ORDER BY t.rowid" in sql]
+        assert fetches and all(" WHERE " not in sql for sql in fetches)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -138,25 +143,20 @@ class TestOnePassVsLegacy:
         ),
     )
     def test_differential_under_interleaved_dml(self, seed, ops):
-        """Two live sessions over twin files — one-pass vs legacy SQL —
-        fed the same interleaved inserts/deletes agree bit-identically
-        after every step (caches, invalidation, and SQL all in the loop).
-        """
+        """A live ``sqlfile`` session fed interleaved inserts/deletes
+        agrees bit-identically with the oracle over the file after every
+        step (caches, carry-forward and SQL all in the loop)."""
         sigma = bank_constraints()
-        db = scaled_bank_instance(5, error_rate=0.2, seed=seed)
+        db = _cfd_dirty(scaled_bank_instance(5, error_rate=0.2, seed=seed))
         with tempfile.TemporaryDirectory() as tmp:
             self._differential(tmp, db, sigma, ops)
 
     @staticmethod
     def _differential(tmp, db, sigma, ops):
-        base = Path(tmp)
-        path_a = create_database_file(base / "win.db", db)
-        path_b = create_database_file(base / "leg.db", db)
+        path = create_database_file(Path(tmp) / "live.db", db)
         relations = list(db.schema.relation_names)
-        with _no_window_functions():
-            leg = api.connect(path_b, sigma, backend="sqlfile")
-        with api.connect(path_a, sigma, backend="sqlfile") as win, leg:
-            assert repr(win.check()) == repr(leg.check())
+        with api.connect(path, sigma, backend="sqlfile") as session:
+            assert report_key(session.check()) == _oracle_key(path, sigma)
             for op, op_seed in ops:
                 relation = relations[op_seed % len(relations)]
                 rel = db.schema.relation(relation)
@@ -168,18 +168,13 @@ class TestOnePassVsLegacy:
                             row[attr.name] = values[op_seed % len(values)]
                         else:
                             row[attr.name] = f"v{(op_seed + j) % 7}"
-                    assert win.insert(relation, dict(row)) == leg.insert(
-                        relation, dict(row)
-                    )
+                    session.insert(relation, row)
                 else:
                     tuples = db[relation].tuples
                     if not tuples:
                         continue
-                    victim = tuples[op_seed % len(tuples)]
-                    assert win.delete(relation, victim) == leg.delete(
-                        relation, victim
-                    )
-                assert repr(win.check()) == repr(leg.check())
+                    session.delete(relation, tuples[op_seed % len(tuples)])
+                assert report_key(session.check()) == _oracle_key(path, sigma)
 
 
 # -- EXPLAIN QUERY PLAN regressions -------------------------------------------
@@ -215,40 +210,6 @@ class TestQueryPlans:
 
 
 class TestFallback:
-    def test_probe_detects_this_sqlite(self, dirty_file):
-        # The dev/CI floor is sqlite >= 3.25; the probe must agree.
-        assert supports_window_functions(dirty_file["conn"]) is True
-
-    def test_auto_falls_back_identically(self, dirty_file, monkeypatch):
-        """A library without window functions silently gets the legacy
-        SQL — same report, no error."""
-        reference = _report_repr(dirty_file["path"], dirty_file["sigma"])
-        monkeypatch.setattr(
-            "repro.sql.violations.supports_window_functions",
-            lambda conn: False,
-        )
-        with api.connect(
-            dirty_file["path"], dirty_file["sigma"], backend="sqlfile"
-        ) as session:
-            assert session.backend._executor.use_window_functions is False
-            assert repr(session.check()) == reference
-
-    def test_sql_backend_falls_back_identically(self, dirty_file, monkeypatch):
-        """The ``sql`` backend's image runs the same executor, so it takes
-        the same fallback: on a library without window functions its
-        report is unchanged."""
-        db = read_database_file(dirty_file["path"], dirty_file["schema"])
-        with api.connect(db, dirty_file["sigma"], backend="sql") as session:
-            reference = repr(session.check())
-        monkeypatch.setattr(
-            "repro.sql.violations.supports_window_functions",
-            lambda conn: False,
-        )
-        with api.connect(db, dirty_file["sigma"], backend="sql") as session:
-            assert repr(session.check()) == reference
-            assert session.backend._image.use_window_functions is False
-        assert reference == _report_repr(dirty_file["path"], dirty_file["sigma"])
-
     def test_options_validation(self, dirty_file):
         """No option selects the CFD SQL any more: ``window_functions`` is
         an unknown field, on the options and on ``connect`` alike."""

@@ -18,8 +18,8 @@ but ordinary linters don't know about:
 
 * **layering** also enforces per-module *import allowlists*
   (``MODULE_IMPORT_ALLOWLISTS``) for modules whose dependency surface is
-  deliberately narrow. ``repro.sql.windows`` — the window-function CFD
-  scan kernels — may reach only the planner's scan-group types, the
+  deliberately narrow. ``repro.sql.windows`` — the CFD candidate
+  prefilter — may reach only the planner's scan-group types, the
   relational schema types, and its sql siblings (ddl, loader); growing
   an import there (say, on the columnar views or the matching layer)
   widens what a pushed-down scan can observe and must be a reviewed
@@ -88,10 +88,11 @@ LOW_LAYERS = (
 #: Modules pinned to an explicit set of allowed ``repro.*`` import
 #: prefixes. Keyed by dotted module name; any ``repro.*`` import from
 #: that module whose target matches none of the prefixes is flagged.
-#: ``repro.sql.windows`` builds the CFD scan SQL over arbitrary database
-#: files — its inputs are meant to be *only* plan types, schema types,
-#: and the sql layer's own DDL/URI helpers, so its hits provably depend
-#: on nothing the in-memory executor doesn't also see.
+#: ``repro.sql.windows`` builds the CFD candidate prefilter over arbitrary
+#: database files — its inputs are meant to be *only* plan types, schema
+#: types, and the sql layer's own DDL/URI helpers. It picks candidate
+#: keys and decides nothing: the engine's kernel decides, called by the
+#: executor, so the kernel and the cache stay outside this allowlist.
 MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     "repro.sql.windows": (
         "repro.engine.planner",
