@@ -8,9 +8,10 @@ bounded chase for CIND implication, the dependency graph for structure):
 * **consistency** — statically unsatisfiable CFDs and minimal pairwise-
   conflicting groups, via per-relation incremental selector-SAT kernels
   (:mod:`repro.analyze.kernel`);
-* **redundancy** — structural duplicates (safely prunable from detection
-  plans with bit-identical reports) and implied constraints (advisory),
-  via :mod:`repro.analyze.redundancy` and :mod:`repro.core.cover`;
+* **redundancy** — structural duplicates (the same violations as an
+  earlier constraint on every instance) and implied constraints
+  (advisory), via :mod:`repro.analyze.redundancy` and
+  :mod:`repro.core.cover`;
 * **chains** — CIND cycles, deep chains, and high fanout over ``G[Σ]``
   (:mod:`repro.analyze.chains`).
 
@@ -31,7 +32,6 @@ from repro.analyze.chains import (
 )
 from repro.analyze.kernel import RelationDiagnosis, RelationKernel
 from repro.analyze.redundancy import (
-    detection_prune_map,
     duplicate_findings,
     duplicate_maps,
     implication_findings,
@@ -56,7 +56,6 @@ __all__ = [
     "analyze_sigma",
     "chain_findings",
     "cind_graph",
-    "detection_prune_map",
     "duplicate_findings",
     "duplicate_maps",
     "implication_findings",

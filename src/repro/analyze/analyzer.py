@@ -35,7 +35,6 @@ from repro.analyze.report import Finding, SigmaReport
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
 from repro.core.violations import ConstraintSet, constraint_labels
-from repro.engine.planner import PruneMap
 from repro.errors import ConstraintError
 
 
@@ -61,8 +60,8 @@ class SigmaAnalyzer:
         # never an O(|Σ|) repr pass or duplicate rescan.
         self._first_cfd: dict[CFD, int] = {}
         self._first_cind: dict[CIND, int] = {}
-        self._cfd_donors: dict[int, int] = {}
-        self._cind_donors: dict[int, int] = {}
+        self._duplicate_cfds: dict[int, int] = {}
+        self._duplicate_cinds: dict[int, int] = {}
         #: ``name or repr`` per constraint, computed once at add time
         #: (repr over a large unnamed Σ dominates label construction).
         self._cfd_bases: list[str] = []
@@ -92,9 +91,9 @@ class SigmaAnalyzer:
             self._positions[name].append(index)
             self._cfds.append(constraint)
             self._cfd_bases.append(constraint.name or repr(constraint))
-            donor = self._first_cfd.setdefault(constraint, index)
-            if donor != index:
-                self._cfd_donors[index] = donor
+            first = self._first_cfd.setdefault(constraint, index)
+            if first != index:
+                self._duplicate_cfds[index] = first
             self._diagnoses.pop(name, None)
         elif isinstance(constraint, CIND):
             for name in (
@@ -108,9 +107,9 @@ class SigmaAnalyzer:
             index = len(self._cinds)
             self._cinds.append(constraint)
             self._cind_bases.append(constraint.name or repr(constraint))
-            donor = self._first_cind.setdefault(constraint, index)
-            if donor != index:
-                self._cind_donors[index] = donor
+            first = self._first_cind.setdefault(constraint, index)
+            if first != index:
+                self._duplicate_cinds[index] = first
         else:
             raise ConstraintError(
                 f"cannot analyze {type(constraint).__name__}: expected a "
@@ -208,13 +207,6 @@ class SigmaAnalyzer:
                 ))
         return consistent, findings
 
-    def prune_map(self) -> PruneMap:
-        """Safe (duplicates-only) prune map for ``plan_detection``."""
-        return PruneMap(
-            cfd_donors=dict(self._cfd_donors),
-            cind_donors=dict(self._cind_donors),
-        )
-
     def report(
         self,
         implication: bool = False,
@@ -231,14 +223,14 @@ class SigmaAnalyzer:
         sigma = self.sigma
         labels = self._labels()
         consistent, findings = self._consistency_findings()
-        cfd_donors = dict(self._cfd_donors)
-        cind_donors = dict(self._cind_donors)
+        duplicate_cfds = dict(self._duplicate_cfds)
+        duplicate_cinds = dict(self._duplicate_cinds)
         findings.extend(
-            duplicate_findings(sigma, cfd_donors, cind_donors, labels=labels)
+            duplicate_findings(sigma, duplicate_cfds, duplicate_cinds, labels=labels)
         )
         if implication:
             findings.extend(implication_findings(
-                sigma, cfd_donors, cind_donors,
+                sigma, duplicate_cfds, duplicate_cinds,
                 max_tuples=max_tuples, max_branches=max_branches,
                 labels=labels,
             ))
@@ -250,8 +242,8 @@ class SigmaAnalyzer:
             n_cinds=len(self._cinds),
             cfds_consistent=consistent,
             findings=tuple(findings),
-            duplicate_cfds=cfd_donors,
-            duplicate_cinds=cind_donors,
+            duplicate_cfds=duplicate_cfds,
+            duplicate_cinds=duplicate_cinds,
             implication_checked=implication,
         )
 

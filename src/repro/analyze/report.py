@@ -8,14 +8,15 @@ never about data. Severities:
 * ``warning`` — Σ is legal but hazardous: CIND cycles/self-cycles that
   force chase branching, chains deep enough to dominate reasoning cost,
   high fanout.
-* ``info`` — optimization opportunities: structural duplicates (safe to
-  prune with bit-identical reports) and implied constraints (advisory —
-  their violations are not reconstructible on dirty data in general).
+* ``info`` — redundancy in Σ: structural duplicates (the same violations
+  as an earlier constraint on every instance) and implied constraints
+  (advisory — their violations are not reconstructible on dirty data in
+  general).
 
-The :class:`SigmaReport` aggregates findings with the verdicts the
-detection pipeline consumes (``duplicate_cfds``/``duplicate_cinds`` feed
-:func:`repro.engine.planner.plan_detection`'s pruning hook) and renders to
-text or JSON for ``repro lint-sigma``.
+The :class:`SigmaReport` aggregates findings with the verdicts they rest
+on (``duplicate_cfds``/``duplicate_cinds``: which constraint each
+duplicate repeats) and renders to text or JSON for ``repro
+lint-sigma``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class Finding:
 
     ``constraints`` holds the labels of the constraints the finding is
     about; ``implicants`` the labels of the constraints that justify it
-    (for ``duplicate-*``/``implied-*`` findings: the donors/implicants).
+    (for ``duplicate-*``/``implied-*`` findings: the earlier twin or the
+    implicants).
     """
 
     severity: str
@@ -71,8 +73,8 @@ class SigmaReport:
     #: consistency`` for the full chase-based procedure).
     cfds_consistent: bool
     findings: tuple[Finding, ...] = ()
-    #: Prunable structural duplicates: constraint index -> donor index.
-    #: Safe for bit-identical report reconstruction (identical tableaux).
+    #: Structural duplicates: constraint index -> index of the earlier,
+    #: identical constraint (same violations on every instance).
     duplicate_cfds: Mapping[int, int] = field(default_factory=dict)
     duplicate_cinds: Mapping[int, int] = field(default_factory=dict)
     #: Whether the (expensive) implication pass ran.

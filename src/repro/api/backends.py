@@ -142,22 +142,6 @@ def summarize(report: ViolationReport) -> DetectionSummary:
     )
 
 
-def build_plan(sigma: ConstraintSet, options: ExecutionOptions):
-    """The backend-shared plan builder, honoring ``prune_implied``.
-
-    With ``options.prune_implied`` the static analyzer's safe prune map
-    (structural duplicates only) is compiled into the plan: duplicate
-    constraints keep their report slots but share their twin's scans.
-    The plan-free naive backend never calls this — pruning is trivially
-    a no-op for it.
-    """
-    if options.prune_implied:
-        from repro.analyze.redundancy import detection_prune_map
-
-        return plan_detection(sigma, analysis=detection_prune_map(sigma))
-    return plan_detection(sigma)
-
-
 class BaseBackend:
     """Shared plumbing: mutation routing plus derived count/is_clean/stream.
 
@@ -331,7 +315,7 @@ class MemoryBackend(BaseBackend):
         super().__init__(db, sigma, options)
         # Plans depend only on Σ, never on the data: build one, keep it
         # across checks and mutations (the repair loop relies on this).
-        self._plan = build_plan(sigma, self.options)
+        self._plan = plan_detection(sigma)
         self._cache = ScanCache(self._plan)
 
     @property
@@ -404,7 +388,7 @@ class SQLBackend(BaseBackend):
 
     def __init__(self, db, sigma, options=None):
         super().__init__(db, sigma, options)
-        self._plan = build_plan(sigma, self.options)
+        self._plan = plan_detection(sigma)
         self._image: SQLPlanExecutor | None = None
         self._lock = threading.RLock()
         self._closed = False
@@ -522,7 +506,7 @@ class SQLFileBackend(BaseBackend):
         except (SQLBackendError, sqlite3.Error):
             self.conn.close()
             raise
-        self._plan = build_plan(sigma, self.options)
+        self._plan = plan_detection(sigma)
         self._cache = ScanCache(self._plan)
         #: table -> version counter: bumped by each own batch touching the
         #: table, and for every table when another connection commits.

@@ -6,8 +6,11 @@ onto its own fast paths. Callers never choose "count-only scan" vs
 "early-exit scan" vs "SQL anti-join" directly — that dispatch is the
 backend's job, in the spirit of BRAVO's single reader API over
 internally-selected fast/slow paths. The SQL backends pick their CFD
-queries the same way: from what the sqlite library supports and how
-many candidate keys a group has, never from an option.
+queries the same way: from how many candidate keys a group has, never
+from an option. Structurally identical constraints need no option
+either: the scan kernels evaluate each pattern-row signature once per
+scan unit, so a duplicate shares its twin's scan and keeps its own
+report slot.
 
 Detection is serial on every backend: each scan unit runs once, through
 the serial executor (or its SQL push-down) and the carry-forward.
@@ -52,22 +55,12 @@ class ExecutionOptions:
         i.e. its CFDs admit no satisfying instance with matching tuples.
         The session still connects — warnings never block — and the full
         report stays available via :meth:`Session.analyze`.
-    prune_implied:
-        Let the planner skip scan work for constraints the static
-        analysis proves *violation-equivalent* to an earlier one
-        (structural duplicates: same relations, attribute lists, and
-        pattern tableau). Reports and summaries are reconstructed from
-        the kept twin and are bit-identical — including ordering — to an
-        unpruned run's; merely *implied* constraints are never pruned
-        (their violation lists are their own). No-op on the plan-free
-        ``naive`` backend.
     """
 
     mode: str = "full"
     workers: int = 1
     readonly: bool = False
     validate: bool = False
-    prune_implied: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -83,8 +76,4 @@ class ExecutionOptions:
         if not isinstance(self.validate, bool):
             raise ValueError(
                 f"validate must be a bool, got {self.validate!r}"
-            )
-        if not isinstance(self.prune_implied, bool):
-            raise ValueError(
-                f"prune_implied must be a bool, got {self.prune_implied!r}"
             )

@@ -300,7 +300,6 @@ def connect(
         connect("accounts.db", sigma, backend="sqlfile")
         connect(db, sigma, options=ExecutionOptions(mode="count"))
         connect(db, sigma, validate=True)   # warn if Σ is inconsistent
-        connect(db, sigma, prune_implied=True)  # skip duplicate scans
 
     ``validate=True`` runs the fast static-analysis tiers over Σ at
     connect time and issues a :class:`~repro.analyze.report.SigmaWarning`

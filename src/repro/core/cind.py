@@ -316,8 +316,7 @@ class CINDViolation:
     The scan-cache backends (``memory``, ``sqlfile``) build each one
     once, when a scan or a carry-forward finds the hit, keep it in the
     session's scan cache and hand that same object to every report and
-    delta that holds the hit (a pruned duplicate constraint's slot gets
-    relabelled copies); read it, do not mutate it.
+    delta that holds the hit; read it, do not mutate it.
     """
 
     __slots__ = ("cind", "pattern_index", "tuple_")

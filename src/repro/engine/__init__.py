@@ -74,7 +74,6 @@ from repro.engine.executor import (
     assemble_report,
     assemble_summary,
     cfd_group_hits,
-    cind_scan_hits,
     execute_plan,
     plan_has_violation,
     witness_sets,
@@ -84,7 +83,6 @@ from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
     DetectionPlan,
-    PruneMap,
     WitnessSpec,
     attribute_positions,
     compile_checks,
@@ -93,8 +91,6 @@ from repro.engine.planner import (
 )
 from repro.engine.shards import (
     CFDGroupState,
-    CINDScanState,
-    WitnessState,
     cfd_finalize,
     cfd_map_shard,
     cind_map_shard,
@@ -107,14 +103,11 @@ __all__ = [
     "CFDRowTask",
     "CFDScanGroup",
     "CINDRowTask",
-    "CINDScanState",
     "DetectionPlan",
     "DetectionSummary",
-    "PruneMap",
     "ReportDelta",
     "ScanCache",
     "WitnessSpec",
-    "WitnessState",
     "assemble_report",
     "assemble_summary",
     "attribute_positions",
@@ -123,7 +116,6 @@ __all__ = [
     "cfd_group_hits",
     "cfd_map_shard",
     "cind_map_shard",
-    "cind_scan_hits",
     "compile_checks",
     "count_violations",
     "database_is_clean",

@@ -53,13 +53,12 @@ Every new entry is built aside and stored whole, so a reader holding the
 previous entry never sees a half-patched list. A CIND entry's kept hits
 keep their :class:`~repro.core.cind.CINDViolation` objects; only new
 hits get new ones. The splice also yields each task's removed and added
-violations; per-task hit counts (a pruned duplicate counted at its
-donor's size) turn them into report positions, which makes the
-position-tagged :class:`ReportDelta` a serving layer streams without
-assembling or diffing whole reports. Its added CIND violations are the
-very objects the new entry holds, so the report read after a delta holds
-no CIND violation that is in neither the previous report nor the delta
-(a pruned duplicate's relabelled copies aside, which assembly builds).
+violations; per-task hit counts turn them into report positions, which
+makes the position-tagged :class:`ReportDelta` a serving layer streams
+without assembling or diffing whole reports. Its added CIND violations
+are the very objects the new entry holds, so the report read after a
+delta holds no CIND violation that is in neither the previous report
+nor the delta.
 """
 
 from __future__ import annotations
@@ -584,13 +583,12 @@ class Carry:
     # -- positions ---------------------------------------------------------
 
     def report_delta(self) -> ReportDelta:
-        plan, donors, changes = self.plan, self.plan.task_donors, self.task_changes
+        plan, changes = self.plan, self.task_changes
         removed: list[int] = []
         added: list[tuple[int, CFDViolation | CINDViolation]] = []
         old_at = new_at = 0
         for task in plan.cfd_tasks:
-            source = donors.get(id(task), task)
-            change = changes.get(id(source))
+            change = changes.get(id(task))
             if change is not None:
                 removed.extend(old_at + i for i in change[0])
                 added.extend(
@@ -606,29 +604,17 @@ class Carry:
                     )
                     for j, key, kind, tuples in change[1]
                 )
-            before, after = self.counts[id(source)]
+            before, after = self.counts[id(task)]
             old_at += before
             new_at += after
         for task in plan.cind_tasks:
-            source = donors.get(id(task), task)
-            change = changes.get(id(source))
+            change = changes.get(id(task))
             if change is not None:
                 removed.extend(old_at + i for i in change[0])
-                # The carry's own objects, as the cache and the next report
-                # hold them; a pruned duplicate gets relabelled copies, as
-                # assembly builds them.
-                added.extend(
-                    (
-                        new_at + j,
-                        v if source is task else CINDViolation(
-                            cind=task.cind,
-                            pattern_index=task.row_index,
-                            tuple_=v.tuple_,
-                        ),
-                    )
-                    for j, v in change[1]
-                )
-            before, after = self.counts[id(source)]
+                # The carry's own objects, as the cache and the next
+                # report hold them.
+                added.extend((new_at + j, v) for j, v in change[1])
+            before, after = self.counts[id(task)]
             old_at += before
             new_at += after
         labels = constraint_labels(plan.sigma) if added else {}
@@ -818,9 +804,9 @@ class MemoryCarry(Carry):
 
     def witness_rescan(self, spec: WitnessSpec, touched: set) -> set:
         instance = self.db[spec.rhs_relation]
-        rescanned = witness_map_shard(
+        (rescanned,) = witness_map_shard(
             [spec], instance.columns(), self._key_lists(spec.rhs_relation)
-        ).sets[0]
+        )
         return {key for key in touched if key in rescanned}
 
     def cind_rescan(
@@ -830,7 +816,7 @@ class MemoryCarry(Carry):
         return cind_map_shard(
             tasks, instance.columns(), instance.row_ids(), self.sets,
             self._key_lists(relation),
-        ).buckets
+        )
 
     def cind_flipped(
         self,

@@ -33,7 +33,7 @@ runs the same kernels over the rows a batch touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.cfd import CFDViolation
 from repro.core.cind import CINDViolation
@@ -112,10 +112,10 @@ def witness_sets(
     if cold:
         # Map the whole relation (projection lists cache-memoized when
         # possible).
-        state = witness_map_shard(
+        sets = witness_map_shard(
             cold, instance.columns(), instance_key_fn(instance, cache)
         )
-        for spec, out in zip(cold, state.sets):
+        for spec, out in zip(cold, sets):
             results[spec] = out
             if cache is not None:
                 cache.store_witness_set(spec, version, out)
@@ -160,42 +160,23 @@ def cfd_group_hits(
 # -- CIND evaluation ---------------------------------------------------------
 
 
-def cind_scan_hits(
-    tasks: list[CINDRowTask],
-    instance: RelationInstance,
-    witnesses: dict[WitnessSpec, set[tuple[Any, ...]]],
-) -> Iterator[tuple[CINDRowTask, Tuple]]:
-    """One columnar pass over an LHS relation per row task.
-
-    Yields ``(task, tuple)`` for every violating pair — tasks in task-list
-    order, tuples in scan order within a task (consumers bucket per task, so
-    assembled reports are identical to a tuple-major sweep). Witness key
-    sets come from :func:`witness_sets`. Tasks sharing ``X`` positions
-    share one projection key list.
-
-    One :func:`~repro.engine.shards.cind_map_shard` over the whole
-    relation with row ids as the per-row payload, flattened task-major;
-    only the violating rows get
-    :class:`~repro.relational.instance.Tuple` views.
-    """
-    view = instance.view
-    for task, bucket in zip(tasks, cind_scan_buckets(tasks, instance, witnesses)):
-        for rowid in bucket:
-            yield task, view(rowid)
-
-
 def cind_scan_buckets(
     tasks: list[CINDRowTask],
     instance: RelationInstance,
     witnesses: dict[WitnessSpec, set[tuple[Any, ...]]],
 ) -> list[list[int]]:
-    """The violating row ids of each task (aligned with *tasks*, each in
-    row order): :func:`cind_scan_hits` before the rows get views."""
+    """One columnar pass over an LHS relation: the violating row ids of
+    each task (aligned with *tasks*, each in row order).
+
+    One :func:`~repro.engine.shards.cind_map_shard` over the whole
+    relation with row ids as the per-row payload; witness key sets come
+    from :func:`witness_sets`, and tasks sharing ``X`` positions share
+    one projection key list."""
     columns = instance.columns()
     rowids = instance.row_ids()
     return cind_map_shard(
         tasks, columns, rowids, witnesses, shard_key_fn(columns, len(rowids))
-    ).buckets
+    )
 
 
 def cind_task_violations(
@@ -222,9 +203,9 @@ def _cind_any_hit(
     witnesses: dict[WitnessSpec, set[tuple[Any, ...]]],
 ) -> bool:
     """True at the *first* violating (task, tuple) pair — the early-exit
-    variant of :func:`cind_scan_hits`, which materializes each signature's
-    full hit list before yielding and would scan a dirty relation to the
-    end before the caller could stop."""
+    variant of :func:`cind_scan_buckets`, which materializes each
+    signature's full hit list and would scan a dirty relation to the end
+    before the caller could stop."""
     columns = instance.columns()
     rows = range(len(instance))
     key_lists: dict[tuple[int, ...], list] = {}
@@ -302,45 +283,13 @@ def assemble_report(
     cfd_buckets: dict[int, list[CFDViolation]],
     cind_buckets: dict[int, list[CINDViolation]],
 ) -> ViolationReport:
-    """Order per-task violation buckets (keyed by ``id(task)``) into a report.
-
-    Tasks of pruned (violation-equivalent duplicate) constraints have no
-    bucket of their own: the donor task's bucket is replayed in their
-    report slot with the pruned constraint substituted. The donor's
-    tableau is identical, so key, tuples, row index and kind carry over
-    unchanged — the report is bit-identical to an unpruned run's.
-    """
-    donors = plan.task_donors
+    """Order per-task violation buckets (keyed by ``id(task)``) into a report."""
     cfd_violations: list[CFDViolation] = []
     for task in plan.cfd_tasks:
-        donor = donors.get(id(task))
-        if donor is None:
-            cfd_violations.extend(cfd_buckets.get(id(task), ()))
-        else:
-            cfd_violations.extend(
-                CFDViolation(
-                    cfd=task.cfd,
-                    pattern_index=task.row_index,
-                    lhs_values=v.lhs_values,
-                    tuples=v.tuples,
-                    kind=v.kind,
-                )
-                for v in cfd_buckets.get(id(donor), ())
-            )
+        cfd_violations.extend(cfd_buckets.get(id(task), ()))
     cind_violations: list[CINDViolation] = []
     for task in plan.cind_tasks:
-        donor = donors.get(id(task))
-        if donor is None:
-            cind_violations.extend(cind_buckets.get(id(task), ()))
-        else:
-            cind_violations.extend(
-                CINDViolation(
-                    cind=task.cind,
-                    pattern_index=task.row_index,
-                    tuple_=v.tuple_,
-                )
-                for v in cind_buckets.get(id(donor), ())
-            )
+        cind_violations.extend(cind_buckets.get(id(task), ()))
     return ViolationReport(
         cfd_violations, cind_violations, constraints=plan.sigma
     )
@@ -351,24 +300,8 @@ def assemble_summary(
     cfd_counts: dict[int, int],
     cind_counts: dict[int, int],
 ) -> DetectionSummary:
-    """Build a :class:`DetectionSummary` from per-constraint-index counts.
-
-    Pruned duplicates inherit their donor's count (same tableau, same
-    matches), so the summary is identical to an unpruned run's.
-    """
+    """Build a :class:`DetectionSummary` from per-constraint-index counts."""
     sigma = plan.sigma
-    if plan.pruned_cfd_donors:
-        cfd_counts = dict(cfd_counts)
-        for pruned, donor in plan.pruned_cfd_donors.items():
-            count = cfd_counts.get(donor)
-            if count:
-                cfd_counts[pruned] = count
-    if plan.pruned_cind_donors:
-        cind_counts = dict(cind_counts)
-        for pruned, donor in plan.pruned_cind_donors.items():
-            count = cind_counts.get(donor)
-            if count:
-                cind_counts[pruned] = count
     labels = constraint_labels(sigma)
     by_constraint: dict[str, int] = {}
     for cfd_index, count in cfd_counts.items():

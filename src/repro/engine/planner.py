@@ -34,8 +34,7 @@ instance (see :mod:`repro.engine.executor`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Sequence
 
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
@@ -74,56 +73,6 @@ def passes(values: Sequence[Any], checks: Checks) -> bool:
         if values[position] != constant:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PruneMap:
-    """Which constraints a static analysis proved safely prunable.
-
-    Maps pruned constraint index -> donor constraint index, separately
-    for CFDs and CINDs. The planner only accepts *violation-equivalent*
-    pruning: the pruned constraint must be structurally identical to its
-    donor (same relation(s), attribute lists, and pattern tableau — names
-    may differ), because only then can the donor's violations be replayed
-    as the pruned constraint's, bit-identically, on every instance —
-    dirty ones included. Donors must not themselves be pruned.
-
-    Produced by :func:`repro.analyze.redundancy.detection_prune_map`;
-    broader implication facts (entailed-but-not-identical constraints)
-    stay advisory findings because their violation lists are not
-    reconstructible on dirty data.
-    """
-
-    cfd_donors: Mapping[int, int] = field(default_factory=dict)
-    cind_donors: Mapping[int, int] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.cfd_donors) or bool(self.cind_donors)
-
-
-def _validate_prune(
-    constraints: Sequence[Union[CFD, CIND]],
-    donors: Mapping[int, int],
-    kind: str,
-) -> None:
-    for pruned, donor in donors.items():
-        if not 0 <= pruned < len(constraints) or not 0 <= donor < len(constraints):
-            raise ValueError(
-                f"{kind} prune entry {pruned} -> {donor} is out of range "
-                f"for |{kind}s| = {len(constraints)}"
-            )
-        if pruned == donor or donor in donors:
-            raise ValueError(
-                f"{kind} prune entry {pruned} -> {donor}: donors must be "
-                "kept (non-pruned) constraints"
-            )
-        if constraints[pruned] != constraints[donor]:
-            raise ValueError(
-                f"{kind} prune entry {pruned} -> {donor}: plan-level "
-                "pruning requires violation-equivalent (structurally "
-                "identical) constraints; implied-but-different constraints "
-                "must stay planned"
-            )
 
 
 class CFDRowTask:
@@ -267,22 +216,8 @@ class DetectionPlan:
         self.cind_scans: dict[str, list[CINDRowTask]] = {}
         #: Tasks in (constraint index, row index) order — the naive
         #: checker's output order, used to assemble identical reports.
-        #: Pruned constraints' tasks are listed here too (they anchor
-        #: report positions) but belong to no scan group/scan list.
         self.cfd_tasks: list[CFDRowTask] = []
         self.cind_tasks: list[CINDRowTask] = []
-        #: Violation-equivalent pruning (see :class:`PruneMap`): pruned
-        #: constraint index -> donor index, and per-task donor lookup
-        #: (``id(pruned task) -> donor task``) used at assembly time to
-        #: replay the donor's hits as the pruned constraint's.
-        self.pruned_cfd_donors: dict[int, int] = {}
-        self.pruned_cind_donors: dict[int, int] = {}
-        self.task_donors: dict[int, CFDRowTask | CINDRowTask] = {}
-
-    @property
-    def pruned_task_count(self) -> int:
-        """Tasks answered by donor replay instead of scanning."""
-        return len(self.task_donors)
 
     @property
     def shared_scan_count(self) -> int:
@@ -307,44 +242,22 @@ class DetectionPlan:
         )
 
 
-def plan_detection(
-    sigma: ConstraintSet, analysis: PruneMap | None = None
-) -> DetectionPlan:
-    """Compile *sigma* into a :class:`DetectionPlan` of shared scans.
-
-    With *analysis* (a :class:`PruneMap` from the static analyzer), the
-    scans of proved-duplicate constraints are dropped: their tasks stay in
-    ``cfd_tasks``/``cind_tasks`` to anchor report positions, but belong to
-    no scan group, and assembly replays the donor's hits as theirs — so
-    reports stay bit-identical (including order) while the scan work
-    shrinks. The planner re-verifies structural identity and raises on any
-    entry it cannot prove violation-equivalent.
-    """
+def plan_detection(sigma: ConstraintSet) -> DetectionPlan:
+    """Compile *sigma* into a :class:`DetectionPlan` of shared scans."""
     plan = DetectionPlan(sigma)
-    cfd_donors = dict(analysis.cfd_donors) if analysis is not None else {}
-    cind_donors = dict(analysis.cind_donors) if analysis is not None else {}
-    _validate_prune(sigma.cfds, cfd_donors, "CFD")
-    _validate_prune(sigma.cinds, cind_donors, "CIND")
-    plan.pruned_cfd_donors = cfd_donors
-    plan.pruned_cind_donors = cind_donors
 
     groups: dict[tuple[str, tuple[str, ...]], CFDScanGroup] = {}
-    cfd_task_rows: dict[int, list[CFDRowTask]] = {}
-    pending_cfd: list[CFDRowTask] = []
     for cfd_index, cfd in enumerate(sigma.cfds):
-        pruned = cfd_index in cfd_donors
-        group: CFDScanGroup | None = None
-        if not pruned:
-            group_key = (cfd.relation.name, cfd.lhs)
-            group = groups.get(group_key)
-            if group is None:
-                group = CFDScanGroup(
-                    cfd.relation.name,
-                    cfd.lhs,
-                    attribute_positions(cfd.relation, cfd.lhs),
-                )
-                groups[group_key] = group
-                plan.cfd_groups.append(group)
+        group_key = (cfd.relation.name, cfd.lhs)
+        group = groups.get(group_key)
+        if group is None:
+            group = CFDScanGroup(
+                cfd.relation.name,
+                cfd.lhs,
+                attribute_positions(cfd.relation, cfd.lhs),
+            )
+            groups[group_key] = group
+            plan.cfd_groups.append(group)
         rhs_positions = attribute_positions(cfd.relation, cfd.rhs)
         for row_index, row in enumerate(cfd.tableau):
             task = CFDRowTask(
@@ -359,22 +272,11 @@ def plan_detection(
                     row.rhs_projection(cfd.rhs), range(len(cfd.rhs))
                 ),
             )
-            if group is not None:
-                group.tasks.append(task)
-            else:
-                pending_cfd.append(task)
+            group.tasks.append(task)
             plan.cfd_tasks.append(task)
-            cfd_task_rows.setdefault(cfd_index, []).append(task)
-    for task in pending_cfd:
-        donor_rows = cfd_task_rows[cfd_donors[task.cfd_index]]
-        plan.task_donors[id(task)] = donor_rows[task.row_index]
 
     spec_map: dict[tuple, WitnessSpec] = {}
-    registered_specs: set[int] = set()
-    cind_task_rows: dict[int, list[CINDRowTask]] = {}
-    pending_cind: list[CINDRowTask] = []
     for cind_index, cind in enumerate(sigma.cinds):
-        pruned = cind_index in cind_donors
         lhs_attrs = cind.x + cind.xp
         lhs_positions = attribute_positions(cind.lhs_relation, lhs_attrs)
         x_positions = attribute_positions(cind.lhs_relation, cind.x)
@@ -397,10 +299,6 @@ def plan_detection(
                     compile_checks(yp_values, yp_positions),
                 )
                 spec_map[spec_key] = spec
-            # Register the spec for execution only once a *live* task needs
-            # it — a spec used solely by pruned rows would be a dead scan.
-            if not pruned and id(spec) not in registered_specs:
-                registered_specs.add(id(spec))
                 plan.witness_specs.setdefault(
                     cind.rhs_relation.name, []
                 ).append(spec)
@@ -414,15 +312,6 @@ def plan_detection(
                 x_positions=x_positions,
                 witness=spec,
             )
-            if pruned:
-                pending_cind.append(task)
-            else:
-                plan.cind_scans.setdefault(
-                    cind.lhs_relation.name, []
-                ).append(task)
+            plan.cind_scans.setdefault(cind.lhs_relation.name, []).append(task)
             plan.cind_tasks.append(task)
-            cind_task_rows.setdefault(cind_index, []).append(task)
-    for task in pending_cind:
-        donor_rows = cind_task_rows[cind_donors[task.cind_index]]
-        plan.task_donors[id(task)] = donor_rows[task.row_index]
     return plan

@@ -14,10 +14,8 @@ tasks against it:
   projects only the variants a constant-RHS task reads, and the
   finalize of a wildcard-RHS task reads nothing but its (empty)
   disagreeing keys;
-* :class:`WitnessState` — one key set per witness spec
-  (:func:`witness_map_shard`);
-* :class:`CINDScanState` — per-task hit buckets in row order
-  (:func:`cind_map_shard`).
+* :func:`witness_map_shard` — one witness key set per spec;
+* :func:`cind_map_shard` — per-task hit buckets in row order.
 
 The serial executor (:mod:`repro.engine.executor`) maps each unit over
 the whole relation; the carry-forward (:mod:`repro.engine.carry`) maps
@@ -307,28 +305,13 @@ def cfd_evaluate(
 # -- CIND witness passes -------------------------------------------------------
 
 
-class WitnessState:
-    """Witness key sets, one per spec, for one RHS relation, in the
-    order of the specs they were mapped for."""
-
-    __slots__ = ("sets",)
-
-    def __init__(self, sets: list[set]):
-        self.sets = sets
-
-    def __repr__(self) -> str:
-        return (
-            f"<WitnessState {len(self.sets)} spec(s), "
-            f"{sum(len(s) for s in self.sets)} key(s)>"
-        )
-
-
 def witness_map_shard(
     specs: Sequence[WitnessSpec],
     columns: Columns,
     key_lists: KeyLists,
-) -> WitnessState:
-    """Witness key sets for every spec over the given rows.
+) -> list[set]:
+    """Witness key sets for every spec over the given rows, in the order
+    of *specs*.
 
     Specs sharing ``Y`` positions share one projection key list (via the
     memoizing ``key_lists``).
@@ -337,31 +320,10 @@ def witness_map_shard(
     for spec in specs:
         y_keys = key_lists(spec.y_positions)
         sets.append(set(filter_by_checks(columns, spec.yp_checks, y_keys)))
-    return WitnessState(sets)
+    return sets
 
 
 # -- CIND LHS probes -----------------------------------------------------------
-
-
-class CINDScanState:
-    """Per-task hit buckets of one CIND LHS relation scan.
-
-    ``buckets[i]`` holds the violating payload entries of task ``i`` (the
-    relation's task-list position) in row order. Payload entries are
-    whatever the mapper was fed per row — row ids in the executor and
-    the carry.
-    """
-
-    __slots__ = ("buckets",)
-
-    def __init__(self, buckets: list[list]):
-        self.buckets = buckets
-
-    def __repr__(self) -> str:
-        return (
-            f"<CINDScanState {len(self.buckets)} task(s), "
-            f"{sum(len(b) for b in self.buckets)} hit(s)>"
-        )
 
 
 def cind_map_shard(
@@ -370,11 +332,13 @@ def cind_map_shard(
     payload: Sequence[Any],
     witnesses: dict[WitnessSpec, set],
     key_lists: KeyLists,
-) -> CINDScanState:
+) -> list[list]:
     """Per-task violation buckets over the given rows.
 
-    *payload* is the per-row value carried into the buckets (rows or value
-    tuples), aligned with *columns*. Tasks sharing
+    ``buckets[i]`` holds the violating payload entries of task ``i`` (the
+    relation's task-list position) in row order. *payload* is the per-row
+    value carried into the buckets (row ids in the executor and the
+    carry), aligned with *columns*. Tasks sharing
     ``(lhs_checks, X positions, witness spec)`` — distinct CINDs with
     structurally identical pattern rows — flag the same entries: evaluated
     once, replicated per task.
@@ -406,5 +370,5 @@ def cind_map_shard(
                 ]
             evaluated[signature] = hit_rows
         buckets.append(hit_rows)
-    return CINDScanState(buckets)
+    return buckets
 

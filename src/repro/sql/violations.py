@@ -410,7 +410,7 @@ class SQLPlanExecutor:
         violating rowids (aligned with *tasks*, in rowid order).
 
         One anti-join per deduplicated signature (structurally identical
-        pattern rows share it, like the engine's ``cind_scan_hits``);
+        pattern rows share it, like the engine's ``cind_scan_buckets``);
         a row gets one tuple, shared by every task it violates.
         """
         rel = self.schema.relation(relation)
@@ -537,19 +537,23 @@ def _keys_clause(
     attributes: Iterable[str], keys: Iterable[tuple[Any, ...]], alias: str
 ) -> tuple[str, list[Any]] | None:
     """``(alias.A, ...) IN (VALUES (?, ...), ...)`` over *keys* with its
-    parameters; ``None`` when the keys do not fit :data:`MAX_KEY_PARAMS`,
-    the projection is empty, or a key holds a NULL (which ``IN`` never
-    matches)."""
+    parameters, ORed with one ``(alias.A IS ? AND ...)`` term per key
+    that holds a NULL (which ``IN`` never matches); ``None`` when the
+    keys do not fit :data:`MAX_KEY_PARAMS` or the projection is empty."""
     columns = [f"{alias}.{q(a)}" for a in attributes]
     keys = list(keys)
     if not columns or not keys or len(keys) * len(columns) > MAX_KEY_PARAMS:
         return None
-    params = [value for key in keys for value in key]
-    if any(value is None for value in params):
-        return None
-    row = f"({', '.join('?' for __ in columns)})"
-    lhs = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
-    return f"{lhs} IN (VALUES {', '.join([row] * len(keys))})", params
+    plain = [key for key in keys if None not in key]
+    nulls = [key for key in keys if None in key]
+    terms = []
+    if plain:
+        row = f"({', '.join('?' for __ in columns)})"
+        lhs = columns[0] if len(columns) == 1 else f"({', '.join(columns)})"
+        terms.append(f"{lhs} IN (VALUES {', '.join([row] * len(plain))})")
+    terms += [f"({' AND '.join(f'{c} IS ?' for c in columns)})"] * len(nulls)
+    params = [value for key in plain + nulls for value in key]
+    return f"({' OR '.join(terms)})", params
 
 
 def select_columns_named(rel: RelationSchema, names: Iterable[str]) -> str:

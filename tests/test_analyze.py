@@ -25,7 +25,7 @@ from repro.analyze import (
     cind_graph,
     longest_chain,
 )
-from repro.analyze.redundancy import detection_prune_map, duplicate_maps
+from repro.analyze.redundancy import duplicate_maps
 from repro.consistency import cfd_implies, sat_cfd_consistency
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
@@ -290,8 +290,9 @@ class TestSigmaAnalyzer:
         assert analyzer.sigma.cfds[-1] is extra
 
     def test_incremental_labels_and_donors_match_batch(self, bank):
-        """The analyzer's maintained label/donor state equals the batch
-        recomputation at every step of a growing Σ."""
+        """The analyzer's maintained labels and duplicate maps (each
+        duplicate's earlier twin) equal the batch recomputation at every
+        step of a growing Σ."""
         analyzer = SigmaAnalyzer(
             ConstraintSet(bank.schema)
         )
@@ -299,21 +300,10 @@ class TestSigmaAnalyzer:
             analyzer.add(constraint)
             sigma = analyzer.sigma
             assert analyzer._labels() == constraint_labels(sigma)
-            cfd_donors, cind_donors = duplicate_maps(sigma)
-            prune = analyzer.prune_map()
-            assert prune.cfd_donors == cfd_donors
-            assert prune.cind_donors == cind_donors
-
-    def test_prune_map_matches_module_function(self, bank):
-        sigma = ConstraintSet(
-            bank.schema,
-            cfds=list(bank.cfds) + [bank.cfds[0]],
-            cinds=bank.cinds,
-        )
-        analyzer = SigmaAnalyzer(sigma)
-        expected = detection_prune_map(sigma)
-        assert analyzer.prune_map().cfd_donors == expected.cfd_donors
-        assert analyzer.prune_map().cind_donors == expected.cind_donors
+            duplicate_cfds, duplicate_cinds = duplicate_maps(sigma)
+            report = analyzer.report()
+            assert report.duplicate_cfds == duplicate_cfds
+            assert report.duplicate_cinds == duplicate_cinds
 
     def test_rejects_unknown_constraint_type(self, bank):
         analyzer = SigmaAnalyzer(ConstraintSet(bank.schema))

@@ -205,9 +205,14 @@ def _bank_source(backend, tmp_path, n_accounts=60):
 
 class TestWorkersDoNothing:
     """``workers`` is still accepted and validated, and detection is
-    serial at every value; the other parallel options are gone."""
+    serial at every value; the other parallel options are gone, and so
+    is ``prune_implied`` (duplicate constraints share their scans
+    without it)."""
 
-    REMOVED = ("executor", "pool", "steal_granularity", "min_shard_rows", "shards")
+    REMOVED = (
+        "executor", "pool", "steal_granularity", "min_shard_rows", "shards",
+        "prune_implied",
+    )
 
     @pytest.mark.parametrize("backend", ["memory", "sqlfile"])
     def test_report_identical_to_one_worker(self, backend, tmp_path):
@@ -243,7 +248,7 @@ class TestWorkersDoNothing:
     def test_zero_workers_still_rejected(self, bank):
         with pytest.raises(ValueError):
             api.connect(bank.db, bank.constraints, workers=0)
-        assert len(dataclasses.fields(ExecutionOptions)) == 5
+        assert len(dataclasses.fields(ExecutionOptions)) == 4
 
 
 class _SignallingLock:

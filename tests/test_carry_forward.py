@@ -54,7 +54,7 @@ class Harness:
     copy of the data that takes the same DML and is checked cold after
     every batch. ``session`` is the ``memory`` one."""
 
-    def __init__(self, db, sigma, options=None, backends=BACKENDS):
+    def __init__(self, db, sigma, backends=BACKENDS):
         self.sigma = sigma
         self.reference = db.copy()
         self.sessions = {}
@@ -64,10 +64,10 @@ class Harness:
                 self._tmp = tempfile.mkdtemp(prefix="carry-")
                 path = create_database_file(Path(self._tmp) / "db.sqlite", db)
                 self.sessions[backend] = api.connect(
-                    path, sigma, backend="sqlfile", options=options
+                    path, sigma, backend="sqlfile"
                 )
             else:
-                self.sessions[backend] = api.connect(db, sigma, options=options)
+                self.sessions[backend] = api.connect(db, sigma)
         self.session = self.sessions.get("memory")
         #: backend -> the delta its session gave for the last step
         self.deltas = {}
@@ -201,23 +201,21 @@ def _commerce_batch(h: Harness, ops) -> tuple[list, list]:
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 10_000),
-    prune=st.booleans(),
+    duplicates=st.booleans(),
     batches=st.lists(st.tuples(_OPS, st.booleans()), min_size=1, max_size=6),
 )
-def test_commerce_batches_match_a_cold_session(seed, prune, batches):
+def test_commerce_batches_match_a_cold_session(seed, duplicates, batches):
     sigma = commerce_constraints()
-    if prune:
-        # A structural duplicate of two constraints: with prune_implied it
-        # is answered from its donor's slots.
+    if duplicates:
+        # A structural duplicate of two constraints: it shares its twin's
+        # scans and keeps its own report slots.
         sigma.add_cfd(CFD(sigma.schema.relation("customers"), ("cust",),
                           ("country", "tier"), [((_,), (_, _))], name="dup_key"))
         sigma.add_cind(CIND(sigma.schema.relation("orders"), ("cust",), (),
                             sigma.schema.relation("customers"), ("cust",), (),
                             [((_,), (_,))], name="dup_fk"))
     with Harness(
-        commerce_instance(n_orders=60, error_rate=0.2, seed=seed),
-        sigma,
-        api.ExecutionOptions(prune_implied=prune),
+        commerce_instance(n_orders=60, error_rate=0.2, seed=seed), sigma
     ) as h:
         for ops, delta in batches:
             inserts, deletes = _commerce_batch(h, ops)
@@ -465,18 +463,26 @@ def test_one_batch_touches_both_sides_of_a_cind():
 
 
 def test_prune_implied_duplicates_keep_their_slots():
+    """A structural duplicate keeps its own report slots and delta
+    records on every backend; nothing is pruned (the name predates the
+    removal of ``prune_implied``)."""
     sigma = commerce_constraints()
     schema = sigma.schema
     sigma.add_cind(CIND(schema.relation("orders"), ("cust",), (),
                         schema.relation("customers"), ("cust",), (),
                         [((_,), (_,))], name="fk_again"))
-    with Harness(_commerce(), sigma, api.ExecutionOptions(prune_implied=True)) as h:
-        assert h.session.backend.plan.pruned_task_count == 1
+    with Harness(_commerce(), sigma) as h:
         h.step(inserts=[("orders", ("z3", "ghost", "DE", "sku3", "19", "quote"))])
         assert {r[1] for r in h.records if r[0] == "cind" and r[3][1] == "ghost"} == {
             "fk_customer", "fk_again"
         }
-        # count() sums the cached lists, a duplicate at its donor's size.
+        # The delta hands out the cached objects, the duplicate's too.
+        for backend, session in h.sessions.items():
+            added = {id(v) for __, v in h.deltas[backend].added}
+            ghost = [v for v in session.check().cind_violations
+                     if v.tuple_.values[1] == "ghost"]
+            assert len(ghost) == 2 and all(id(v) in added for v in ghost), backend
+        # count() sums the cached lists, a duplicate at its twin's size.
         for backend, session in h.sessions.items():
             report, summary = session.check(), session.count()
             assert (summary.total, summary.by_constraint()) == (

@@ -188,7 +188,7 @@ _KEYED = DatabaseSchema(
 
 def _keyed_sigma() -> ConstraintSet:
     """CFDs sharing ``X = (a, b)``: a wildcard FD, constant-RHS rows (and
-    a structural duplicate the pruner drops), a two-attribute RHS, and an
+    a structural duplicate of them), a two-attribute RHS, and an
     RHS equal to ``X``; plus ``X = (a,)``, whose few keys repeat, and an
     empty ``X``, whose one key holds every row."""
     rel = _KEYED.relation("K")
@@ -260,16 +260,13 @@ def test_cfd_kernel_key_regimes_match_oracle(rows):
     assert database_is_clean(db, sigma) == naive.is_clean
     with tempfile.TemporaryDirectory() as tmp:
         path = create_database_file(Path(tmp) / "keyed.db", db)
-        for prune in (False, True):
-            for backend, source in (
-                ("memory", db.copy()), ("sqlfile", path), ("sql", db)
-            ):
-                with api.connect(
-                    source, sigma, backend=backend, prune_implied=prune
-                ) as session:
-                    assert session.is_clean() == naive.is_clean
-                    assert_reports_identical(session.check(), naive)
-                    assert session.count().by_constraint() == naive.by_constraint()
+        for backend, source in (
+            ("memory", db.copy()), ("sqlfile", path), ("sql", db)
+        ):
+            with api.connect(source, sigma, backend=backend) as session:
+                assert session.is_clean() == naive.is_clean
+                assert_reports_identical(session.check(), naive)
+                assert session.count().by_constraint() == naive.by_constraint()
 
 
 @settings(max_examples=40, deadline=None)

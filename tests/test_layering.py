@@ -116,6 +116,31 @@ class TestLayeringRule:
         )
         assert violations and {v.rule for v in violations} == {"layering"}
 
+    @pytest.mark.parametrize("stmt", [
+        "from repro.engine.planner import plan_detection",
+        "import repro.engine",
+        "from repro import engine",
+    ])
+    @pytest.mark.parametrize("module", ["analyzer", "redundancy"])
+    def test_analyze_pin_blocks_engine(self, tmp_path, module, stmt):
+        """Static analysis of Σ may not reach into the detection
+        engine's planner (or anything else in the engine)."""
+        violations = _lint_snippet(
+            tmp_path, f"src/repro/analyze/{module}.py", stmt + "\n"
+        )
+        assert violations and {v.rule for v in violations} == {"layering"}
+
+    @pytest.mark.parametrize("stmt", [
+        "from repro.analyze.report import Finding",
+        "from repro.core.cover import minimal_cover_cfds",
+        "from repro.errors import ConstraintError",
+    ])
+    @pytest.mark.parametrize("module", ["analyzer", "redundancy"])
+    def test_analyze_pin_allows_constraint_layer(self, tmp_path, module, stmt):
+        assert _lint_snippet(
+            tmp_path, f"src/repro/analyze/{module}.py", stmt + "\n"
+        ) == []
+
     def test_low_layers_cover_the_real_tree(self):
         """Every library package under src/repro is in LOW_LAYERS (new
         packages must be classified, not silently unlinted)."""

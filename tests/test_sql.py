@@ -16,6 +16,7 @@ from repro import api
 from repro.core.cfd import CFD
 from repro.core.cind import CIND
 from repro.core.violations import ConstraintSet, check_database_naive
+from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
 from repro.errors import SQLBackendError
 from repro.relational.domains import INTEGER
@@ -30,7 +31,7 @@ from repro.sql.loader import (
     load_database,
     read_database_file,
 )
-from repro.sql.violations import SQLPlanExecutor
+from repro.sql.violations import SQLPlanExecutor, _keys_clause
 
 from tests.conformance import report_key
 from tests.strategies import cfds, cinds, database_schemas, instances
@@ -316,6 +317,50 @@ class TestNullValues:
         db = read_database_file(null_file, self.SCHEMA)
         reference = check_database_naive(db, sigma)
         assert report_key(_sql_report(db, sigma)) == report_key(reference)
+
+
+class TestNullKeyCarry:
+    """A ``sqlfile`` commit that touches a NULL ``X``-key is carried by a
+    key-restricted query (``IS`` matches the NULL), not by re-running the
+    unit's ``GROUP BY`` prefilter scan."""
+
+    #: phi1 = saving: (an, ab) -> (cn, ca, cp); the key (None, "NYC")
+    ROW = (None, "N. Null", "NYC, 10001", "212-0000001", "NYC")
+
+    def test_null_key_commits_run_no_prefilter(self, tmp_path):
+        sigma = bank_constraints()
+        path = create_database_file(
+            tmp_path / "bank.db",
+            scaled_bank_instance(2000, error_rate=0.05, seed=1),
+        )
+        with api.connect(path, sigma, backend="sqlfile") as session:
+            session.check()
+            statements: list[str] = []
+            session.backend.conn.set_trace_callback(statements.append)
+            for batch in ({"inserts": [("saving", self.ROW)]},
+                          {"deletes": [("saving", self.ROW)]}):
+                statements.clear()
+                assert session.apply(**batch)
+                report = session.check()
+                assert [s for s in statements if "GROUP BY" in s] == []
+                oracle = check_database_naive(
+                    read_database_file(path, sigma.schema), sigma
+                )
+                assert report_key(report) == report_key(oracle)
+
+    def test_keys_clause_matches_null_and_plain_keys(self):
+        conn = sqlite3.connect(":memory:")
+        conn.execute('CREATE TABLE "R" ("A", "B")')
+        rows = [(1, 2), (None, 3), (1, None), (None, None), (4, 5)]
+        conn.executemany('INSERT INTO "R" VALUES (?, ?)', rows)
+        keys = [(1, 2), (None, 3), (None, None)]
+        where, params = _keys_clause(("A", "B"), keys, "t")
+        found = conn.execute(
+            f'SELECT t."A", t."B" FROM "R" t WHERE {where} AND t.rowid > 0',
+            params,
+        ).fetchall()
+        assert sorted(found, key=repr) == sorted(keys, key=repr)
+        conn.close()
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,6 +25,10 @@ but ordinary linters don't know about:
   widens what a pushed-down scan can observe and must be a reviewed
   decision, not drift. ``repro.relational.instance`` — the column store
   — may import only ``repro.errors`` and its relational siblings.
+  ``repro.analyze.analyzer`` and ``repro.analyze.redundancy`` — static
+  analysis of Σ — may import only ``repro.analyze``, ``repro.core`` and
+  ``repro.errors``: what they prove about Σ never reaches into the
+  detection engine's plans.
 
 * **mutable-default** — a ``def f(x=[])``-style default is shared across
   calls; every instance found in review so far was a latent bug. Literal
@@ -116,6 +120,20 @@ MODULE_IMPORT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     "repro.relational.instance": (
         "repro.errors",
         "repro.relational",
+    ),
+    # Static analysis of Σ reads constraints, not data: its findings are
+    # reports about Σ, and detection needs none of them (duplicates
+    # already share their scans), so neither module may import the
+    # engine's planner or anything else above the constraint layer.
+    "repro.analyze.analyzer": (
+        "repro.analyze",
+        "repro.core",
+        "repro.errors",
+    ),
+    "repro.analyze.redundancy": (
+        "repro.analyze",
+        "repro.core",
+        "repro.errors",
     ),
 }
 
